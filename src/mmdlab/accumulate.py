@@ -2,25 +2,149 @@
 
 The counterexample experiments drive squared norms toward zero, where the
 relative error of a naive running sum would dominate the quantity being
-measured.  All inner products therefore funnel through :func:`exact_sum`,
-which is Shewchuk summation (``math.fsum``): the result is the correctly
-rounded value of the exact real sum, independent of term order.
+measured.  All inner products therefore funnel through this module, whose
+sums are the correctly rounded value of the exact real sum -- bit for bit
+what ``math.fsum`` returns -- and so do not depend on term order.
+
+Small inputs (fewer than ``SMALL_INPUT`` terms) go straight to ``math.fsum``.
+Larger ones go through :class:`ExactAccumulator`, an exponent-binned exact
+summation in the manner of Neal's superaccumulators (arXiv:1505.05571) and
+Demmel & Nguyen's reproducible summation (IEEE TC, 2015):
+
+* ``np.frexp`` splits each term into a mantissa m in [0.5, 1) and an
+  exponent e; m * 2**26 splits into an integer high half (26 bits) and a
+  fraction low half (27 bits);
+* ``np.bincount`` sums each half per exponent.  Every bin sums fewer than
+  2**26 terms between folds, so both bin sums stay exact in float64;
+* a fold scales the bin sums by 2**(e - 26), which is exact, into a list of
+  partials, and one ``math.fsum`` over the partials gives the result.
+
+Subnormal terms, whose low halves would round when scaled, skip the bins and
+join the partials as they are.  So do non-finite terms and terms of
+magnitude 2**960 or more; :func:`exact_sum` hands any input holding one of
+those to ``math.fsum`` whole, because fsum's overflow error and its inf/nan
+handling depend on term order.
+
+Because the result does not depend on order, a double sum can be fed to one
+accumulator a row tile at a time (:func:`tiled_gram_sum`): peak memory is
+then O(``TILE_ENTRIES``), not O(n * m).
 """
 
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
+
+# below this many terms fsum over a Python list beats the binned path
+SMALL_INPUT = 2048
+# row tiles of a double sum hold about this many entries
+TILE_ENTRIES = 1 << 14
+# terms binned between folds; keeps every bin sum below 2**52 units
+FOLD_LIMIT = 1 << 26
+
+# frexp exponents that are binned: from the smallest normal (2**-1022 =
+# 0.5 * 2**-1021) up to a bound that keeps every folded partial and their
+# sum far from overflow
+_EXP_MIN = -1021
+_EXP_MAX = 960
+_HUGE = 2.0**_EXP_MAX
+_NBINS = _EXP_MAX - _EXP_MIN + 1
+_SCALE = np.ldexp(1.0, np.arange(_EXP_MIN, _EXP_MAX + 1) - 26)
+
+
+class ExactAccumulator:
+    """Correctly rounded sum of float64 terms fed in batches of any order.
+
+    :meth:`value` equals ``math.fsum`` over all terms added so far whenever
+    fsum raises no overflow error, which is certain when every term is below
+    2**960 in magnitude.
+    """
+
+    def __init__(self):
+        self._hi = np.zeros(_NBINS)
+        self._lo = np.zeros(_NBINS)
+        self._binned = 0  # terms in the bins since the last fold
+        self._partials: list[float] = []
+
+    def add(self, terms) -> None:
+        x = np.asarray(terms, dtype=np.float64).ravel()
+        if x.size < SMALL_INPUT:
+            self._partials.extend(x.tolist())
+            return
+        for start in range(0, x.size, FOLD_LIMIT):
+            self._bin(x[start : start + FOLD_LIMIT])
+
+    def value(self) -> float:
+        self._fold()
+        return math.fsum(self._partials)
+
+    def _bin(self, x: np.ndarray) -> None:
+        if self._binned + x.size > FOLD_LIMIT:
+            self._fold()
+        m, e = np.frexp(x)
+        # |m| < 1 fails for inf and nan, whose frexp exponent is 0
+        if not (
+            e.min() >= _EXP_MIN
+            and e.max() <= _EXP_MAX
+            and m.min() > -1.0
+            and m.max() < 1.0
+        ):
+            keep = (e >= _EXP_MIN) & (e <= _EXP_MAX) & (np.abs(m) < 1.0)
+            self._partials.extend(x[~keep].tolist())
+            m, e = m[keep], e[keep]
+        m *= 2.0**26
+        hi = np.trunc(m)
+        m -= hi  # the low half: a multiple of 2**-27 in (-1, 1)
+        bins = e.astype(np.intp)
+        bins -= _EXP_MIN
+        self._hi += np.bincount(bins, weights=hi, minlength=_NBINS)
+        self._lo += np.bincount(bins, weights=m, minlength=_NBINS)
+        self._binned += x.size
+
+    def _fold(self) -> None:
+        if not self._binned:
+            return
+        for sums in (self._hi, self._lo):
+            used = np.flatnonzero(sums)
+            self._partials.extend((sums[used] * _SCALE[used]).tolist())
+            sums.fill(0.0)
+        self._binned = 0
 
 
 def exact_sum(values) -> float:
     """Correctly rounded sum of an array of floats (any shape)."""
-    arr = np.asarray(values, dtype=np.float64)
-    return math.fsum(arr.ravel().tolist())
+    arr = np.asarray(values, dtype=np.float64).ravel()
+    # nan fails the comparison, so non-finite input goes to fsum as well
+    if arr.size < SMALL_INPUT or not np.abs(arr).max() < _HUGE:
+        return math.fsum(arr.tolist())
+    acc = ExactAccumulator()
+    acc.add(arr)
+    return acc.value()
+
+
+def tiled_gram_sum(
+    w: np.ndarray, gram_rows: Callable[[slice], np.ndarray], v: np.ndarray
+) -> float:
+    """Exactly-rounded ``sum_ij w_i * G_ij * v_j``, with G given by row tiles.
+
+    ``gram_rows(rows)`` returns the rows of G selected by the slice ``rows``.
+    Tiles hold about ``TILE_ENTRIES`` entries, so peak memory is O(tile).
+    Each term is the same ``(w_i * v_j) * G_ij`` as in the untiled product.
+    """
+    w = np.asarray(w, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    step = max(1, TILE_ENTRIES // max(1, v.size))
+    if step >= w.size:
+        return exact_sum(np.multiply.outer(w, v) * gram_rows(slice(None)))
+    acc = ExactAccumulator()
+    for start in range(0, w.size, step):
+        rows = slice(start, start + step)
+        acc.add(np.multiply.outer(w[rows], v) * gram_rows(rows))
+    return acc.value()
 
 
 def weighted_gram_sum(w: np.ndarray, gram: np.ndarray, v: np.ndarray) -> float:
     """Exactly-rounded ``sum_ij w_i * gram_ij * v_j``."""
-    terms = np.multiply.outer(np.asarray(w, float), np.asarray(v, float)) * gram
-    return exact_sum(terms)
+    return tiled_gram_sum(w, np.asarray(gram, dtype=np.float64).__getitem__, v)

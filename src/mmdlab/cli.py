@@ -8,7 +8,8 @@ Usage::
 ``run`` executes one preset, writes ``trace.csv`` and ``summary.txt`` into
 the output directory, and exits 0 when the preset's expected verdict
 pattern holds, 1 on a verdict mismatch (printing the diff), 2 on a usage
-error.  Identical config and seed produce byte-identical CSV output.
+error, including parameters or measures a preset rejects.  Identical config
+and seed produce byte-identical CSV output.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import time
 from pathlib import Path
 
 from .config import build_config, load_config_file
-from .errors import SearchFailureError, UsageError
+from .errors import MeasureError, ParameterError, SearchFailureError, UsageError
 from .presets import PRESETS, preset_table
 
 EXIT_OK = 0
@@ -133,7 +134,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             return cmd_run(args)
         return cmd_list(args)
-    except UsageError as exc:
+    except (UsageError, ParameterError, MeasureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SearchFailureError as exc:

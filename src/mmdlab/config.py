@@ -20,6 +20,7 @@ Command-line flags override file values.  Measures serialize as lists of
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -123,6 +124,8 @@ class ExperimentConfig:
             raise UsageError("pairs must be at least 1")
         if self.strategy not in ("ray", "grid", "random"):
             raise UsageError(f"unknown search strategy {self.strategy!r}")
+        if not self.radii or not all(math.isfinite(r) and r > 0 for r in self.radii):
+            raise UsageError("radii must be a non-empty list of finite positive numbers")
         if not self.out:
             self.out = str(Path("out") / self.preset)
 
@@ -191,7 +194,10 @@ def build_config(file_values: dict | None = None, **overrides) -> ExperimentConf
         raise UsageError("a preset is required (config file or --preset)")
     for key in ("radii", "xi", "xi2"):
         if merged.get(key) is not None:
-            merged[key] = tuple(float(v) for v in merged[key])
+            try:
+                merged[key] = tuple(float(v) for v in merged[key])
+            except (TypeError, ValueError) as exc:
+                raise UsageError(f"{key} must be a list of numbers: {exc}") from exc
     try:
         return ExperimentConfig(**merged)
     except TypeError as exc:

@@ -248,26 +248,27 @@ def diffusing_sequence(
         raise DimensionMismatchError("exclusion center dimension mismatch")
 
     spacing = suggested_spacing(k, eps) or dom.step
-    accepted: list[np.ndarray] = []
+    accepted = np.empty((n, k.dim))
+    count = 0
     for cand in itertools.islice(_candidates(dom, excl, spacing), max_candidates):
         if excl.contains(cand[None, :])[0]:
             continue
-        if accepted:
-            vals = k.block(cand[None, :], np.asarray(accepted))
+        if count:
+            vals = k.block(cand[None, :], accepted[:count])
             if float(np.max(np.abs(vals))) > eps:
                 continue
-        accepted.append(cand)
-        if len(accepted) == n:
+        accepted[count] = cand
+        count += 1
+        if count == n:
             break
-    if len(accepted) < n:
-        failed = len(accepted) + 1
+    if count < n:
+        failed = count + 1
         raise SearchFailureError(
             f"could not place point {failed} of {n} within {max_candidates} "
             f"candidates (eps={eps!r}, strategy={dom.strategy!r})",
             failed_index=failed,
         )
-    atoms = np.asarray(accepted)
-    return SignedDiscreteMeasure(atoms, np.full(n, 1.0 / n), k.dim)
+    return SignedDiscreteMeasure(accepted, np.full(n, 1.0 / n), k.dim)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,8 @@ the same distance:
 
 They share no intermediate results, which is the point: agreement between
 them is a meaningful check.  All double sums are exactly rounded (see
-:mod:`mmdlab.accumulate`).
+:mod:`mmdlab.accumulate`), and large Gram blocks of rowwise kernels are
+evaluated one row tile at a time, so memory stays O(tile).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .accumulate import exact_sum, weighted_gram_sum
+from .accumulate import exact_sum, tiled_gram_sum, weighted_gram_sum
 from .errors import DimensionMismatchError, SupportSizeError
 from .kernels import Kernel
 from .measures import SignedDiscreteMeasure, as_point
@@ -51,7 +52,10 @@ def inner(k: Kernel, mu: SignedDiscreteMeasure, nu: SignedDiscreteMeasure) -> fl
     _check_dims(k, mu, nu)
     if mu.support_size == 0 or nu.support_size == 0:
         return 0.0
-    return weighted_gram_sum(mu.weights, k.block(mu.atoms, nu.atoms), nu.weights)
+    X, Y = mu.atoms, nu.atoms
+    if not k.rowwise:
+        return weighted_gram_sum(mu.weights, k.block(X, Y), nu.weights)
+    return tiled_gram_sum(mu.weights, lambda rows: k.block(X[rows], Y), nu.weights)
 
 
 def norm(k: Kernel, mu: SignedDiscreteMeasure) -> float:

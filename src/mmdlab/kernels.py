@@ -42,7 +42,9 @@ class Kernel:
     pairwise values.  ``sup_bound`` bounds ``k(x, x)`` (hence ``|k(x, y)|``
     by Cauchy-Schwarz).  ``claims_c0`` asserts that every section
     ``k(x, .)`` vanishes at infinity; it is an assertion, probed empirically
-    by :func:`c0_probe`, never a certificate.
+    by :func:`c0_probe`, never a certificate.  ``rowwise`` declares that
+    ``block_fn(X[rows], Y)`` equals ``block_fn(X, Y)[rows]`` bit for bit, so
+    a large block may be evaluated one row tile at a time.
     """
 
     block_fn: Callable[[np.ndarray, np.ndarray], np.ndarray] = field(repr=False)
@@ -50,6 +52,7 @@ class Kernel:
     sup_bound: float
     claims_c0: bool
     descriptor: dict
+    rowwise: bool = False
 
     def block(self, X, Y) -> np.ndarray:
         """Matrix of values k(X_i, Y_j)."""
@@ -85,6 +88,7 @@ def gaussian(sigma: float = 1.0, dim: int = 1) -> Kernel:
         dim=int(dim),
         sup_bound=1.0,
         claims_c0=True,
+        rowwise=True,
         descriptor={"family": "gaussian", "sigma": float(sigma), "dim": int(dim)},
     )
 
@@ -103,6 +107,7 @@ def laplacian(gamma: float = 1.0, dim: int = 1) -> Kernel:
         dim=int(dim),
         sup_bound=1.0,
         claims_c0=True,
+        rowwise=True,
         descriptor={"family": "laplacian", "gamma": g, "dim": int(dim)},
     )
 
@@ -122,6 +127,7 @@ def inverse_multiquadric(c: float = 1.0, beta: float = 0.5, dim: int = 1) -> Ker
         dim=int(dim),
         sup_bound=1.0,
         claims_c0=True,
+        rowwise=True,
         descriptor={
             "family": "inverse_multiquadric",
             "c": float(c),
@@ -159,7 +165,8 @@ class ScalarField:
     """A real function on R^d used to conjugate a kernel.
 
     ``is_c0`` declares decay at infinity, ``sup`` (if known) bounds |g|, and
-    ``zero_set`` lists points where g is exactly zero.
+    ``zero_set`` lists points where g is exactly zero.  ``rowwise`` declares
+    that ``fn(X[rows])`` equals ``fn(X)[rows]`` bit for bit.
     """
 
     fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
@@ -168,6 +175,7 @@ class ScalarField:
     sup: float | None = None
     zero_set: np.ndarray | None = None
     descriptor: dict = field(default_factory=dict)
+    rowwise: bool = False
 
     def values(self, X) -> np.ndarray:
         return np.asarray(self.fn(as_points(X, self.dim)), dtype=np.float64)
@@ -200,6 +208,7 @@ def c0_bump_at(xi, dim: int | None = None) -> ScalarField:
         sup=C0_BUMP_SUP,
         zero_set=p[None, :].copy(),
         descriptor={"g": "c0_bump_at", "xi": [float(v) for v in p]},
+        rowwise=True,
     )
 
 
@@ -223,6 +232,7 @@ def c0_null_at(points, dim: int | None = None) -> ScalarField:
         sup=C0_BUMP_SUP ** len(factors),
         zero_set=pts.copy(),
         descriptor={"g": "c0_null_at", "xis": [[float(v) for v in p] for p in pts]},
+        rowwise=True,
     )
 
 
@@ -245,6 +255,7 @@ def saturating_at(xi, dim: int | None = None) -> ScalarField:
         sup=1.0,
         zero_set=p[None, :].copy(),
         descriptor={"g": "saturating_at", "xi": [float(v) for v in p]},
+        rowwise=True,
     )
 
 
@@ -277,6 +288,7 @@ def shift_kernel(k: Kernel, c: float) -> Kernel:
         sup_bound=k.sup_bound + cc,
         claims_c0=k.claims_c0 and cc == 0.0,
         descriptor={"op": "shift", "c": cc, "child": k.descriptor},
+        rowwise=k.rowwise,
     )
 
 
@@ -307,6 +319,7 @@ def scale_kernel(k: Kernel, g: ScalarField) -> Kernel:
         sup_bound=sup,
         claims_c0=k.claims_c0 or (g.is_c0 and bounded),
         descriptor={"op": "scale", "field": dict(g.descriptor), "child": k.descriptor},
+        rowwise=k.rowwise and g.rowwise,
     )
 
 
@@ -338,6 +351,8 @@ def center_kernel(k: Kernel, p: SignedDiscreteMeasure, a: float = 0.0) -> Kernel
     norm_sq = weighted_gram_sum(p_weights, child(p_atoms, p_atoms), p_weights)
     const = norm_sq + float(a)
 
+    # a BLAS matrix-vector product, whose rounding of a column can depend on
+    # the column's position in X: the recentred kernel is not rowwise
     def mean_embedding(X):
         return p_weights @ child(p_atoms, X)
 

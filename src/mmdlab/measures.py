@@ -95,7 +95,8 @@ class SignedDiscreteMeasure:
                 out_w.append([float(w)])
             else:
                 out_w[slot].append(float(w))
-        summed = [exact_sum(ws) for ws in out_w]
+        # a single weight is its own exact sum
+        summed = [ws[0] if len(ws) == 1 else exact_sum(ws) for ws in out_w]
         keep = [i for i, w in enumerate(summed) if w != 0.0]
 
         new_atoms = (

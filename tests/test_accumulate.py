@@ -1,0 +1,153 @@
+"""Tests for exact summation: bit-identity with math.fsum on every path."""
+
+import math
+
+import numpy as np
+import pytest
+
+from mmdlab import accumulate
+from mmdlab.accumulate import (
+    SMALL_INPUT,
+    ExactAccumulator,
+    exact_sum,
+    tiled_gram_sum,
+    weighted_gram_sum,
+)
+
+
+def same_as_fsum(values):
+    """exact_sum(values) and math.fsum agree bit for bit, or raise alike."""
+    arr = np.asarray(values, dtype=np.float64)
+    try:
+        want = math.fsum(arr.ravel().tolist())
+    except (OverflowError, ValueError) as exc:
+        with pytest.raises(type(exc)):
+            exact_sum(arr)
+        return
+    got = exact_sum(arr)
+    assert math.isnan(want) and math.isnan(got) or got.hex() == want.hex()
+
+
+SIZES = (1, 7, SMALL_INPUT - 1, SMALL_INPUT, SMALL_INPUT + 1, 50_000)
+
+
+class TestBitIdentity:
+    @pytest.mark.parametrize("n", SIZES)
+    def test_normal_terms(self, n):
+        rng = np.random.default_rng(n)
+        same_as_fsum(rng.standard_normal(n) * np.exp(rng.uniform(-30, 30, n)))
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_wide_range(self, n):
+        rng = np.random.default_rng(n + 1)
+        mags = 10.0 ** rng.uniform(-200, 200, n)
+        same_as_fsum(rng.choice([-1.0, 1.0], n) * mags)
+
+    @pytest.mark.parametrize("n", SIZES[1:])
+    def test_heavy_cancellation(self, n):
+        rng = np.random.default_rng(n + 2)
+        x = rng.standard_normal(n // 2) * 1e16
+        tiny = rng.standard_normal(n - 2 * (n // 2)) * 1e-16
+        terms = np.concatenate([x, -x, tiny, [1.0, 1e-30, -1.0]])
+        rng.shuffle(terms)
+        same_as_fsum(terms)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_subnormals(self, n):
+        rng = np.random.default_rng(n + 3)
+        sub = rng.standard_normal(n) * 2.0**-1060
+        assert np.all(np.abs(sub) < 2.0**-1022)
+        same_as_fsum(sub)
+        mixed = sub.copy()
+        mixed[::3] = rng.standard_normal(mixed[::3].size) * 2.0**-1015
+        same_as_fsum(mixed)
+
+    @pytest.mark.parametrize("n", (5, 50_000))
+    def test_non_finite(self, n):
+        base = np.random.default_rng(n + 4).standard_normal(n)
+        for specials in ([np.inf], [-np.inf], [np.nan], [np.inf, -np.inf], [np.inf, np.inf]):
+            terms = base.copy()
+            terms[: len(specials)] = specials
+            same_as_fsum(terms)
+
+    def test_overflowing_terms(self):
+        big = np.full(SMALL_INPUT * 2, 1e308)
+        same_as_fsum(big)  # intermediate overflow: both raise
+        big[1::2] = -1e308
+        same_as_fsum(big)  # alternating signs: exact zero
+        big[0] = 2.0**1000
+        same_as_fsum(big)
+
+    def test_zeros_and_shapes(self):
+        same_as_fsum(np.zeros(SMALL_INPUT * 3))
+        same_as_fsum(np.full(SMALL_INPUT * 3, -0.0))
+        rng = np.random.default_rng(5)
+        same_as_fsum(rng.standard_normal((64, 128)))
+        assert exact_sum([]) == 0.0
+
+
+class TestAccumulator:
+    def test_fold_path_is_taken_and_exact(self, monkeypatch):
+        folds = []
+        fold = ExactAccumulator._fold
+
+        def counting_fold(self):
+            folds.append(self._binned)
+            fold(self)
+
+        monkeypatch.setattr(accumulate, "FOLD_LIMIT", 3000)
+        monkeypatch.setattr(ExactAccumulator, "_fold", counting_fold)
+        rng = np.random.default_rng(6)
+        terms = rng.standard_normal(20_000) * np.exp(rng.uniform(-40, 40, 20_000))
+        same_as_fsum(terms)
+        # 20000 terms in chunks of at most 3000: every chunk after the first
+        # folds the one before it
+        assert [b for b in folds if b] == [3000] * 6 + [2000]
+
+    def test_batches_in_any_order_give_one_result(self):
+        rng = np.random.default_rng(7)
+        terms = rng.standard_normal(30_000) * np.exp(rng.uniform(-50, 50, 30_000))
+        want = math.fsum(terms.tolist())
+        for order in (slice(None), slice(None, None, -1)):
+            acc = ExactAccumulator()
+            for chunk in np.array_split(terms[order], [100, 5000, 5001, 17_000]):
+                acc.add(chunk)
+            assert acc.value().hex() == want.hex()
+
+
+class TestGramSums:
+    def test_tiles_match_one_product(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        w, v = rng.standard_normal(300), rng.standard_normal(70)
+        G = rng.standard_normal((300, 70))
+        want = math.fsum((np.multiply.outer(w, v) * G).ravel().tolist())
+        for tile in (1, 69, 1000, 1 << 20):
+            monkeypatch.setattr(accumulate, "TILE_ENTRIES", tile)
+            assert weighted_gram_sum(w, G, v).hex() == want.hex()
+            assert tiled_gram_sum(w, G.__getitem__, v).hex() == want.hex()
+
+
+def test_permutation_invariance_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(
+        st.lists(floats, min_size=1, max_size=40),
+        st.integers(0, 200),
+        st.integers(0, 2**32 - 1),
+    )
+    def check(values, extra, seed):
+        # repeat the drawn values past the small-input cutoff
+        size = SMALL_INPUT + extra
+        terms = np.resize(np.asarray(values), size)
+        shuffled = np.random.default_rng(seed).permutation(terms)
+        try:
+            want = math.fsum(terms.tolist())
+        except OverflowError:
+            return
+        assert exact_sum(terms).hex() == want.hex()
+        assert exact_sum(shuffled).hex() == want.hex()
+
+    check()

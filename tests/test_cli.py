@@ -1,6 +1,7 @@
 """Tests for the experiment runner: flags, config files, exit codes, output."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -93,6 +94,23 @@ class TestRun:
         summary = read_summary(tmp_path / "summary.txt")
         assert summary["status"] == "verdict_mismatch"
 
+    def test_rejected_parameter_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        # a ParameterError or MeasureError raised inside a preset is bad
+        # input, not a verdict mismatch
+        from mmdlab.errors import MeasureError, ParameterError
+
+        for exc in (ParameterError("bad radius"), MeasureError("not a probability")):
+
+            def run(cfg, exc=exc):
+                raise exc
+
+            monkeypatch.setitem(
+                PRESETS, "metrize_demo", replace(PRESETS["metrize_demo"], run=run)
+            )
+            code = main(["run", "--preset", "metrize_demo", "--out", str(tmp_path)])
+            assert code == 2
+            assert capsys.readouterr().err == f"error: {exc}\n"
+
     def test_summary_names_claim_and_thresholds(self, tmp_path):
         main(["run", "--preset", "escape_demo", "--out", str(tmp_path)])
         summary = read_summary(tmp_path / "summary.txt")
@@ -138,6 +156,18 @@ class TestConfigFile:
 
     def test_missing_file_is_usage_error(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "missing.json")]) == 2
+
+    @pytest.mark.parametrize(
+        "radii", [[], [-1], [0], [2.0, float("inf")], ["wide"], 5], ids=repr
+    )
+    def test_bad_radii_are_usage_errors(self, tmp_path, capsys, radii):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"preset": "escape_demo", "radii": radii}))
+        code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "radii" in err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
 
 class TestDeterminism:

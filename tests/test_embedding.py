@@ -1,18 +1,27 @@
 """Tests for mean embeddings, inner products and the two MMD routes."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from mmdlab import (
+    ExclusionRegion,
     Kernel,
     SignedDiscreteMeasure,
     SupportSizeError,
+    accumulate,
+    c0_bump_at,
+    c0_null_at,
+    center_kernel,
+    diffusing_sequence,
     dirac,
+    dirac_null_kernel,
     empty_measure,
     gaussian,
     inner,
+    inverse_multiquadric,
     kme_eval,
     kme_probe,
     integrate,
@@ -21,8 +30,11 @@ from mmdlab import (
     mmd_detail,
     mmd_oracle,
     norm,
+    saturating_at,
+    scale_kernel,
     self_inner_tolerance,
     shift_kernel,
+    shifted_dirac_null_kernel,
 )
 
 EXP_HALF = math.exp(-0.5)
@@ -223,3 +235,74 @@ class TestShiftAndNormBasics:
         assert norm(k, mu) == pytest.approx(
             mmd(k, mu, empty_measure(1)), rel=1e-14, abs=1e-14
         )
+
+
+class TestTiledInner:
+    """inner() over row tiles equals one fsum over the whole weighted Gram."""
+
+    @staticmethod
+    def kernels(dim):
+        xi = np.zeros(dim)
+        base = gaussian(1.0, dim=dim)
+        p = SignedDiscreteMeasure(
+            np.random.default_rng(dim).uniform(-1, 1, (5, dim)), np.full(5, 0.2), dim
+        )
+        return {
+            "gaussian": base,
+            "laplacian": laplacian(0.7, dim=dim),
+            "imq": inverse_multiquadric(1.5, 0.5, dim=dim),
+            "shift": shift_kernel(base, 1.0),
+            "scale": scale_kernel(base, saturating_at(xi)),
+            "scale_null_at": scale_kernel(base, c0_null_at(np.stack([xi, xi + 1.0]))),
+            "center": center_kernel(base, p, 1.0),
+            "null": dirac_null_kernel(base, xi, c0_bump_at(xi)),
+            "shifted_null": shifted_dirac_null_kernel(base, xi),
+        }
+
+    @staticmethod
+    def fsum_inner(k, mu, nu):
+        terms = np.multiply.outer(mu.weights, nu.weights) * k.block(mu.atoms, nu.atoms)
+        return math.fsum(terms.ravel().tolist())
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("tile", [64, None])
+    def test_bit_identical_to_untiled(self, dim, tile, monkeypatch):
+        if tile is not None:
+            monkeypatch.setattr(accumulate, "TILE_ENTRIES", tile)
+        rng = np.random.default_rng(12 + dim)
+        # non-square, and larger than one default tile (16384 entries)
+        mu = SignedDiscreteMeasure(rng.uniform(-3, 3, (310, dim)), rng.standard_normal(310), dim)
+        nu = SignedDiscreteMeasure(rng.uniform(-3, 3, (173, dim)), rng.random(173), dim)
+        for name, k in self.kernels(dim).items():
+            for a, b in ((mu, nu), (nu, mu), (mu, mu)):
+                want = self.fsum_inner(k, a, b)
+                assert inner(k, a, b).hex() == want.hex(), name
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_rowwise_kernels_evaluate_rows_alone(self, dim):
+        rng = np.random.default_rng(20 + dim)
+        X = rng.uniform(-4, 4, (97, dim))
+        Y = rng.uniform(-4, 4, (61, dim))
+        for name, k in self.kernels(dim).items():
+            assert k.rowwise == (name != "center"), name
+            if not k.rowwise:
+                continue
+            full = k.block(X, Y)
+            for start, stop in ((0, 1), (3, 10), (10, 45), (45, 97)):
+                rows = k.block(X[start:stop], Y)
+                assert np.array_equal(rows, full[start:stop]), name
+
+    def test_peak_memory_is_bounded_on_4096_atoms(self):
+        base = gaussian(1.0)
+        null_k = dirac_null_kernel(base, [0.0])
+        p = diffusing_sequence(null_k, 4096, 1.0 / 4096, ExclusionRegion(np.zeros(1), 9.0))
+        kappa = shifted_dirac_null_kernel(base, [0.0])
+        tracemalloc.start()
+        try:
+            value = inner(kappa, p, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a dense 4096 x 4096 Gram alone would take 128 MiB
+        assert peak < 64 * 2**20
+        assert 0.0 < value < kappa.sup_bound
