@@ -53,9 +53,9 @@ def inner(k: Kernel, mu: SignedDiscreteMeasure, nu: SignedDiscreteMeasure) -> fl
     if mu.support_size == 0 or nu.support_size == 0:
         return 0.0
     X, Y = mu.atoms, nu.atoms
-    if not k.rowwise:
-        return weighted_gram_sum(mu.weights, k.block(X, Y), nu.weights)
-    return tiled_gram_sum(mu.weights, lambda rows: k.block(X[rows], Y), nu.weights)
+    # a kernel that is not rowwise is evaluated whole, then read by rows
+    gram_rows = (lambda rows: k.block(X[rows], Y)) if k.rowwise else k.block(X, Y).__getitem__
+    return tiled_gram_sum(mu.weights, gram_rows, nu.weights)
 
 
 def norm(k: Kernel, mu: SignedDiscreteMeasure) -> float:

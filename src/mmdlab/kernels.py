@@ -165,8 +165,9 @@ class ScalarField:
     """A real function on R^d used to conjugate a kernel.
 
     ``is_c0`` declares decay at infinity, ``sup`` (if known) bounds |g|, and
-    ``zero_set`` lists points where g is exactly zero.  ``rowwise`` declares
-    that ``fn(X[rows])`` equals ``fn(X)[rows]`` bit for bit.
+    ``zero_set`` lists points where g is exactly zero.  ``fn`` maps an (n, d)
+    array to the n values of g and is evaluated pointwise, so
+    ``fn(X[rows])`` equals ``fn(X)[rows]`` bit for bit.
     """
 
     fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
@@ -175,7 +176,6 @@ class ScalarField:
     sup: float | None = None
     zero_set: np.ndarray | None = None
     descriptor: dict = field(default_factory=dict)
-    rowwise: bool = False
 
     def values(self, X) -> np.ndarray:
         return np.asarray(self.fn(as_points(X, self.dim)), dtype=np.float64)
@@ -208,7 +208,6 @@ def c0_bump_at(xi, dim: int | None = None) -> ScalarField:
         sup=C0_BUMP_SUP,
         zero_set=p[None, :].copy(),
         descriptor={"g": "c0_bump_at", "xi": [float(v) for v in p]},
-        rowwise=True,
     )
 
 
@@ -232,7 +231,6 @@ def c0_null_at(points, dim: int | None = None) -> ScalarField:
         sup=C0_BUMP_SUP ** len(factors),
         zero_set=pts.copy(),
         descriptor={"g": "c0_null_at", "xis": [[float(v) for v in p] for p in pts]},
-        rowwise=True,
     )
 
 
@@ -255,7 +253,6 @@ def saturating_at(xi, dim: int | None = None) -> ScalarField:
         sup=1.0,
         zero_set=p[None, :].copy(),
         descriptor={"g": "saturating_at", "xi": [float(v) for v in p]},
-        rowwise=True,
     )
 
 
@@ -319,7 +316,7 @@ def scale_kernel(k: Kernel, g: ScalarField) -> Kernel:
         sup_bound=sup,
         claims_c0=k.claims_c0 or (g.is_c0 and bounded),
         descriptor={"op": "scale", "field": dict(g.descriptor), "child": k.descriptor},
-        rowwise=k.rowwise and g.rowwise,
+        rowwise=k.rowwise,
     )
 
 
