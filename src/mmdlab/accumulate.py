@@ -28,6 +28,16 @@ handling depend on term order.
 Because the result does not depend on order, a double sum can be fed to one
 accumulator a row tile at a time (:func:`tiled_gram_sum`): peak memory is
 then O(``TILE_ENTRIES``), not O(n * m).
+
+A symmetric double sum ``sum_ij w_i G_ij w_j`` over an exactly symmetric G
+(:func:`symmetric_gram_sum`) needs only the upper triangle of G: the term
+``(w_i * w_j) * G_ij`` is the same float as ``(w_j * w_i) * G_ji``, so the
+strict upper triangle enters with multiplicity 2 and the diagonal once.  A
+multiplicity-2 batch (``ExactAccumulator.add(terms, twice=True)``) doubles
+the bin sums, which is exact, and counts twice against ``FOLD_LIMIT``; the
+terms that skip the bins join the partials twice.  The terms themselves are
+never multiplied by 2, since a term that overflowed to inf would change
+what fsum reports.
 """
 
 from __future__ import annotations
@@ -68,20 +78,23 @@ class ExactAccumulator:
         self._binned = 0  # terms in the bins since the last fold
         self._partials: list[float] = []
 
-    def add(self, terms) -> None:
+    def add(self, terms, twice: bool = False) -> None:
+        """Add a batch of terms; with ``twice``, each term counts twice."""
         x = np.asarray(terms, dtype=np.float64).ravel()
+        copies = 2 if twice else 1
         if x.size < SMALL_INPUT:
-            self._partials.extend(x.tolist())
+            self._partials.extend(x.tolist() * copies)
             return
-        for start in range(0, x.size, FOLD_LIMIT):
-            self._bin(x[start : start + FOLD_LIMIT])
+        step = FOLD_LIMIT // copies
+        for start in range(0, x.size, step):
+            self._bin(x[start : start + step], copies)
 
     def value(self) -> float:
         self._fold()
         return math.fsum(self._partials)
 
-    def _bin(self, x: np.ndarray) -> None:
-        if self._binned + x.size > FOLD_LIMIT:
+    def _bin(self, x: np.ndarray, copies: int) -> None:
+        if self._binned + copies * x.size > FOLD_LIMIT:
             self._fold()
         m, e = np.frexp(x)
         # |m| < 1 fails for inf and nan, whose frexp exponent is 0
@@ -92,16 +105,18 @@ class ExactAccumulator:
             and m.max() < 1.0
         ):
             keep = (e >= _EXP_MIN) & (e <= _EXP_MAX) & (np.abs(m) < 1.0)
-            self._partials.extend(x[~keep].tolist())
+            self._partials.extend(x[~keep].tolist() * copies)
             m, e = m[keep], e[keep]
         m *= 2.0**26
         hi = np.trunc(m)
         m -= hi  # the low half: a multiple of 2**-27 in (-1, 1)
         bins = e.astype(np.intp)
         bins -= _EXP_MIN
-        self._hi += np.bincount(bins, weights=hi, minlength=_NBINS)
-        self._lo += np.bincount(bins, weights=m, minlength=_NBINS)
-        self._binned += x.size
+        # copies is 1 or 2 and the bin sums stay far below 2**53 units:
+        # the products are exact
+        self._hi += copies * np.bincount(bins, weights=hi, minlength=_NBINS)
+        self._lo += copies * np.bincount(bins, weights=m, minlength=_NBINS)
+        self._binned += copies * x.size
 
     def _fold(self) -> None:
         if not self._binned:
@@ -142,6 +157,40 @@ def tiled_gram_sum(
     for start in range(0, w.size, step):
         rows = slice(start, start + step)
         acc.add(np.multiply.outer(w[rows], v) * gram_rows(rows))
+    return acc.value()
+
+
+def symmetric_gram_sum(
+    w: np.ndarray, upper_rows: Callable[[int, int], np.ndarray]
+) -> float:
+    """Exactly-rounded ``sum_ij w_i * G_ij * w_j`` for an exactly symmetric G.
+
+    ``upper_rows(start, stop)`` returns ``G[start:stop, start:]``, the rows
+    from the diagonal rightwards.  Only the upper triangle is summed: the
+    diagonal once, the strict upper triangle with multiplicity 2.  Tiles
+    hold about ``TILE_ENTRIES`` entries, taking more rows as the columns
+    shrink; a G of one tile or less is fetched whole by one
+    ``upper_rows(0, n)`` call and summed as in :func:`tiled_gram_sum`.  The
+    result equals :func:`tiled_gram_sum` on the whole of G bit for bit.
+    """
+    w = np.asarray(w, dtype=np.float64)
+    n = w.size
+    if n * n <= TILE_ENTRIES:
+        return exact_sum(np.multiply.outer(w, w) * upper_rows(0, n))
+    acc = ExactAccumulator()
+    diag = np.empty(n)
+    start = 0
+    while start < n:
+        stop = min(n, start + max(1, TILE_ENTRIES // (n - start)))
+        terms = np.multiply.outer(w[start:stop], w[start:]) * upper_rows(start, stop)
+        square = terms[:, : stop - start]
+        diag[start:stop] = square.diagonal()
+        # the diagonal and the strict lower triangle of the square part
+        # become exact zeros, which leave the sum unchanged
+        square[np.tri(stop - start, dtype=bool)] = 0.0
+        acc.add(terms, twice=True)
+        start = stop
+    acc.add(diag)
     return acc.value()
 
 

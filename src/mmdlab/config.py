@@ -21,11 +21,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
+from .diagnostics import Thresholds
 from .errors import ParameterError, UsageError
 from .kernels import FIELD_BUILDERS, Kernel, center_kernel, make_base_kernel, scale_kernel, shift_kernel
 from .measures import SignedDiscreteMeasure
@@ -93,6 +95,26 @@ def kernel_from_descriptor(desc: dict) -> Kernel:
     raise ParameterError(f"unrecognized kernel descriptor: {desc!r}")
 
 
+def _checked_thresholds(raw) -> dict:
+    """Threshold overrides as floats; anything but finite numbers is refused."""
+    if raw is None:
+        return {}
+    if not isinstance(raw, dict):
+        raise UsageError("thresholds must be a mapping of names to numbers")
+    unknown = set(raw) - {f.name for f in fields(Thresholds)}
+    if unknown:
+        raise UsageError(f"unknown threshold keys: {', '.join(sorted(unknown))}")
+    out = {}
+    for key, val in raw.items():
+        # bool is an int subclass; the bound rejects inf, nan and huge ints
+        if isinstance(val, bool) or not isinstance(val, (int, float)) or not (
+            abs(val) <= sys.float_info.max
+        ):
+            raise UsageError(f"threshold {key} must be a finite number, not {val!r}")
+        out[key] = float(val)
+    return out
+
+
 @dataclass
 class ExperimentConfig:
     """Validated inputs of one experiment run."""
@@ -126,6 +148,7 @@ class ExperimentConfig:
             raise UsageError(f"unknown search strategy {self.strategy!r}")
         if not self.radii or not all(math.isfinite(r) and r > 0 for r in self.radii):
             raise UsageError("radii must be a non-empty list of finite positive numbers")
+        self.thresholds = _checked_thresholds(self.thresholds)
         if not self.out:
             self.out = str(Path("out") / self.preset)
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accumulate import weighted_gram_sum
+from .accumulate import symmetric_gram_sum, weighted_gram_sum
 from .embedding import mmd, norm
 from .errors import (
     DimensionMismatchError,
@@ -293,15 +293,24 @@ class DiffusionCertificate:
 def verify_diffusing(
     k: Kernel, p: SignedDiscreteMeasure, eps: float, excl: ExclusionRegion
 ) -> DiffusionCertificate:
-    """O(n^2) recheck of the diffusing-sequence guarantees."""
+    """O(n^2) recheck of the diffusing-sequence guarantees.
+
+    A rowwise kernel is checked in one pass over the upper-triangle tiles
+    of the Gram, so memory stays O(tile); any other kernel's Gram is built
+    whole.  Both give the same certificate bit for bit.
+    """
     n = p.support_size
-    G = k.block(p.atoms, p.atoms)
-    off = np.abs(G - np.diag(np.diag(G)))
-    max_off = float(off.max()) if n > 1 else 0.0
-    dists = np.sqrt(((p.atoms - excl.center[None, :]) ** 2).sum(axis=1))
+    X = p.atoms
+    if k.rowwise:
+        max_off, norm_sq = _offdiag_max_and_norm_sq(k, p)
+    else:
+        G = k.block(X, X)
+        max_off = float(np.abs(G - np.diag(np.diag(G))).max())
+        norm_sq = weighted_gram_sum(p.weights, G, p.weights)
+    max_off = max_off if n > 1 else 0.0
+    dists = np.sqrt(((X - excl.center[None, :]) ** 2).sum(axis=1))
     min_dist = float(dists.min()) if n else math.inf
-    norm_sq = weighted_gram_sum(p.weights, G, p.weights)
-    bound = k.sup_bound / n + (n - 1) * eps / n
+    bound = diffusing_norm_bound(k.sup_bound, n, eps)
     ok = max_off <= eps and min_dist > excl.radius and norm_sq <= bound
     return DiffusionCertificate(
         n=n,
@@ -318,6 +327,31 @@ def verify_diffusing(
 def diffusing_norm_bound(sup_bound: float, n: int, eps: float) -> float:
     """The displayed norm bound sup/n + (n-1) eps / n."""
     return sup_bound / n + (n - 1) * eps / n
+
+
+def _offdiag_max_and_norm_sq(k: Kernel, p: SignedDiscreteMeasure) -> tuple[float, float]:
+    """max |G_ij| over i != j and the exact sum of w_i G_ij w_j, in one pass.
+
+    G is exactly symmetric for a rowwise kernel, so the upper-triangle
+    tiles that :func:`symmetric_gram_sum` fetches hold every off-diagonal
+    value.  Diagonal entries count as ``G_ii - G_ii``, as in the dense
+    ``|G - diag(diag(G))|``.
+    """
+    X = p.atoms
+    max_off = np.float64(0.0)
+
+    def upper_rows(start: int, stop: int) -> np.ndarray:
+        nonlocal max_off
+        tile = k.block(X[start:stop], X[start:])
+        off = np.abs(tile)
+        i = np.arange(stop - start)
+        off[i, i] = np.abs(tile[i, i] - tile[i, i])
+        # np.maximum, unlike max(), keeps a nan
+        max_off = np.maximum(max_off, off.max())
+        return tile
+
+    norm_sq = symmetric_gram_sum(p.weights, upper_rows)
+    return float(max_off), norm_sq
 
 
 # ---------------------------------------------------------------------------

@@ -43,8 +43,10 @@ class Kernel:
     by Cauchy-Schwarz).  ``claims_c0`` asserts that every section
     ``k(x, .)`` vanishes at infinity; it is an assertion, probed empirically
     by :func:`c0_probe`, never a certificate.  ``rowwise`` declares that
-    ``block_fn(X[rows], Y)`` equals ``block_fn(X, Y)[rows]`` bit for bit, so
-    a large block may be evaluated one row tile at a time.
+    ``block_fn(X[rows], Y[cols])`` equals ``block_fn(X, Y)[rows, cols]`` bit
+    for bit and that ``block_fn(X, X)`` is exactly symmetric.  A large block
+    may then be evaluated one tile at a time, and a self inner product may
+    evaluate and sum only the upper triangle of its Gram.
     """
 
     block_fn: Callable[[np.ndarray, np.ndarray], np.ndarray] = field(repr=False)

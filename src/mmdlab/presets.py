@@ -52,13 +52,8 @@ class Preset:
 
 
 def _thresholds(cfg: ExperimentConfig, **preset_defaults) -> Thresholds:
-    base = Thresholds(**preset_defaults)
-    if cfg.thresholds:
-        unknown = set(cfg.thresholds) - set(base.__dataclass_fields__)
-        if unknown:
-            raise UsageError(f"unknown threshold keys: {', '.join(sorted(unknown))}")
-        base = replace(base, **{k: float(v) for k, v in cfg.thresholds.items()})
-    return base
+    # config has checked the override keys and made the values floats
+    return replace(Thresholds(**preset_defaults), **cfg.thresholds)
 
 
 def _domain(cfg: ExperimentConfig) -> cons.SearchDomain:

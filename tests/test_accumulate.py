@@ -10,6 +10,7 @@ from mmdlab.accumulate import (
     SMALL_INPUT,
     ExactAccumulator,
     exact_sum,
+    symmetric_gram_sum,
     tiled_gram_sum,
     weighted_gram_sum,
 )
@@ -115,6 +116,93 @@ class TestAccumulator:
             assert acc.value().hex() == want.hex()
 
 
+def twice_same_as_fsum(terms, once=()):
+    """An accumulator fed ``terms`` twice-counted (and ``once`` as is)
+    agrees with math.fsum over the doubled list bit for bit, or raises alike."""
+    terms = np.asarray(terms, dtype=np.float64)
+    doubled = terms.tolist() * 2 + list(once)
+
+    def value():
+        acc = ExactAccumulator()
+        acc.add(terms, twice=True)
+        if len(once):
+            acc.add(once)
+        return acc.value()
+
+    try:
+        want = math.fsum(doubled)
+    except (OverflowError, ValueError) as exc:
+        with pytest.raises(type(exc)):
+            value()
+        return
+    got = value()
+    assert math.isnan(want) and math.isnan(got) or got.hex() == want.hex()
+
+
+class TestTwiceBatches:
+    """A multiplicity-2 batch sums like the same batch added two times."""
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_normal_and_wide_range(self, n):
+        rng = np.random.default_rng(n + 10)
+        twice_same_as_fsum(rng.standard_normal(n) * np.exp(rng.uniform(-30, 30, n)))
+        mags = 10.0 ** rng.uniform(-200, 200, n)
+        twice_same_as_fsum(rng.choice([-1.0, 1.0], n) * mags, once=mags[:5])
+
+    @pytest.mark.parametrize("n", SIZES[1:])
+    def test_heavy_cancellation(self, n):
+        rng = np.random.default_rng(n + 11)
+        x = rng.standard_normal(n // 2) * 1e16
+        terms = np.concatenate([x, -x, rng.standard_normal(n % 2) * 1e-16, [1.0, 1e-30, -1.0]])
+        rng.shuffle(terms)
+        twice_same_as_fsum(terms)
+        # a once-counted term that cancels the doubled ones to the last bit
+        twice_same_as_fsum(terms[:1], once=[-2.0 * terms[0], 2.0**-1070])
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_subnormals(self, n):
+        rng = np.random.default_rng(n + 12)
+        sub = rng.standard_normal(n) * 2.0**-1060
+        twice_same_as_fsum(sub)
+        sub[::3] = rng.standard_normal(sub[::3].size) * 2.0**-1015
+        twice_same_as_fsum(sub, once=sub[:7])
+
+    @pytest.mark.parametrize("n", (5, 50_000))
+    def test_huge_and_non_finite(self, n):
+        base = np.random.default_rng(n + 13).standard_normal(n)
+        big = 1.5 * 2.0**1023  # doubling it would overflow to inf
+        for specials in (
+            [2.0**960, -(2.0**960) + 2.0**910],
+            [big, -big],
+            [big, 2.0**1000, -big],
+            [np.inf],
+            [-np.inf],
+            [np.nan],
+            [np.inf, -np.inf],
+        ):
+            terms = base.copy()
+            terms[: len(specials)] = specials
+            twice_same_as_fsum(terms)
+
+    def test_fold_path_charges_each_term_twice(self, monkeypatch):
+        folds = []
+        fold = ExactAccumulator._fold
+
+        def counting_fold(self):
+            folds.append(self._binned)
+            fold(self)
+
+        monkeypatch.setattr(accumulate, "FOLD_LIMIT", 3000)
+        monkeypatch.setattr(ExactAccumulator, "_fold", counting_fold)
+        rng = np.random.default_rng(14)
+        terms = rng.standard_normal(20_000) * np.exp(rng.uniform(-40, 40, 20_000))
+        once = rng.standard_normal(2500)
+        twice_same_as_fsum(terms, once=once)
+        # 20000 twice-counted terms in chunks of 1500 charge 3000 each; the
+        # 2500 once-counted terms fold the last 1000-term chunk
+        assert [b for b in folds if b] == [3000] * 13 + [1000, 2500]
+
+
 class TestGramSums:
     def test_tiles_match_one_product(self, monkeypatch):
         rng = np.random.default_rng(8)
@@ -125,6 +213,28 @@ class TestGramSums:
             monkeypatch.setattr(accumulate, "TILE_ENTRIES", tile)
             assert weighted_gram_sum(w, G, v).hex() == want.hex()
             assert tiled_gram_sum(w, G.__getitem__, v).hex() == want.hex()
+
+    def test_upper_triangle_matches_whole_sum(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        for n in (1, 2, 127, 128, 129, 300):
+            w = rng.standard_normal(n) * np.exp(rng.uniform(-20, 20, n))
+            A = rng.standard_normal((n, n))
+            G = A + A.T
+            want = math.fsum((np.multiply.outer(w, w) * G).ravel().tolist())
+            for tile in (1, 64, 1 << 14, 1 << 20):
+                monkeypatch.setattr(accumulate, "TILE_ENTRIES", tile)
+                fetched = []
+
+                def upper_rows(start, stop):
+                    fetched.append((start, stop))
+                    return G[start:stop, start:]
+
+                assert symmetric_gram_sum(w, upper_rows).hex() == want.hex()
+                # consecutive row ranges that cover every row once
+                assert [a for a, _ in fetched] == [0] + [b for _, b in fetched[:-1]]
+                assert fetched[-1][1] == n
+                if n * n <= tile:
+                    assert fetched == [(0, n)]
 
 
 def test_permutation_invariance_property():

@@ -12,6 +12,7 @@ from mmdlab.config import (
     ExperimentConfig,
     build_config,
     kernel_from_descriptor,
+    load_config_file,
     measure_from_rows,
     measure_to_rows,
 )
@@ -168,6 +169,51 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "radii" in err
         assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+    @pytest.mark.parametrize(
+        "thresholds",
+        [
+            '{"final_tol": "abc"}',
+            '{"final_tol": "0.1"}',
+            '{"final_tol": true}',
+            '{"final_tol": null}',
+            '{"final_tol": [0.1]}',
+            '{"final_tol": NaN}',
+            '{"final_tol": Infinity}',
+            '{"slack": -Infinity}',
+            '{"final_tol": 1e999}',
+            '{"final_tol": 1' + "0" * 400 + "}",
+            '{"bogus": 0.1}',
+            "[0.1]",
+            "0.1",
+        ],
+    )
+    def test_bad_thresholds_are_usage_errors(self, tmp_path, capsys, thresholds):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(f'{{"preset": "flaw_counterexample", "thresholds": {thresholds}}}')
+        code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "threshold" in err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "o").exists()
+
+    def test_numeric_thresholds_reach_the_report(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        thresholds = {"final_tol": 1, "slack": 0.25}
+        cfg_path.write_text(
+            json.dumps({"preset": "metrize_demo", "n_max": 16, "thresholds": thresholds})
+        )
+        cfg = build_config(load_config_file(cfg_path))
+        assert cfg.thresholds == {"final_tol": 1.0, "slack": 0.25}
+        assert all(type(v) is float for v in cfg.thresholds.values())
+        # the default final_tol of 0.02 fails metrize_demo at n_max 16
+        code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert code == 0
+        summary = read_summary(tmp_path / "o" / "summary.txt")
+        assert summary["threshold_final_tol"] == "1.0"
+        assert summary["threshold_slack"] == "0.25"
 
 
 class TestDeterminism:

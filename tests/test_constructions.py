@@ -1,20 +1,25 @@
 """Tests for diffusing sequences, escape constructions and witness kernels."""
 
 import math
+import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 from mmdlab import (
     DegenerateMeasureError,
+    DiffusionCertificate,
     ExclusionRegion,
     MeasureError,
     NotAWitnessError,
     ParameterError,
     SearchDomain,
     SearchFailureError,
+    SignedDiscreteMeasure,
     c0_null_at,
     c0_probe,
+    center_kernel,
     default_indices,
     diffusing_norm_bound,
     diffusing_sequence,
@@ -139,6 +144,73 @@ class TestDiffusingSequence:
         for n in (2, 4, 8, 16):
             p = diffusing_sequence(k, n, 1.0 / n, excl)
             assert norm(k, p) ** 2 <= diffusing_norm_bound(1.0, n, 1.0 / n) + 1e-15
+
+
+def dense_certificate(k, p, eps, excl):
+    """verify_diffusing's fields computed from the whole Gram."""
+    n = p.support_size
+    G = k.block(p.atoms, p.atoms)
+    off = np.abs(G - np.diag(np.diag(G)))
+    max_off = float(off.max()) if n > 1 else 0.0
+    dists = np.sqrt(((p.atoms - excl.center[None, :]) ** 2).sum(axis=1))
+    min_dist = float(dists.min())
+    norm_sq = math.fsum((np.multiply.outer(p.weights, p.weights) * G).ravel().tolist())
+    bound = k.sup_bound / n + (n - 1) * eps / n
+    ok = max_off <= eps and min_dist > excl.radius and norm_sq <= bound
+    return DiffusionCertificate(n, eps, max_off, min_dist, excl.radius, norm_sq, bound, ok)
+
+
+def bits(cert):
+    return tuple(v.hex() if isinstance(v, float) else v for v in astuple(cert))
+
+
+class TestVerifyDiffusing:
+    """The tiled certificate equals the dense computation bit for bit."""
+
+    @staticmethod
+    def kernels(dim):
+        base = gaussian(1.0, dim=dim)
+        xi = np.zeros(dim)
+        return {
+            "gaussian": base,
+            "laplacian": laplacian(0.8, dim=dim),
+            "null": dirac_null_kernel(base, xi),
+            "shifted_null": shifted_dirac_null_kernel(base, xi),
+            "center": center_kernel(base, dirac(xi), 0.5),
+        }
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("n", [1, 5, 130, 300])
+    def test_fields_match_dense_gram(self, dim, n):
+        excl = ExclusionRegion(np.zeros(dim), 2.0)
+        eps = 1.0 / n
+        kernels = self.kernels(dim)
+        p = diffusing_sequence(kernels["null"], n, eps, excl)
+        rng = np.random.default_rng(n + dim)
+        # crowded atoms and signed weights: large off-diagonal values
+        crowded = SignedDiscreteMeasure(
+            rng.uniform(-4, 4, (n, dim)) + 3.0, rng.standard_normal(n), dim
+        )
+        for name, k in kernels.items():
+            assert k.rowwise == (name != "center"), name
+            for m in (p, crowded):
+                got = verify_diffusing(k, m, eps, excl)
+                assert bits(got) == bits(dense_certificate(k, m, eps, excl)), name
+        assert verify_diffusing(kernels["null"], p, eps, excl).ok
+
+    def test_peak_memory_is_bounded_on_2048_atoms(self):
+        k = dirac_null_kernel(gaussian(1.0), [0.0])
+        excl = ball(0.0, 9.0)
+        p = diffusing_sequence(k, 2048, 1.0 / 2048, excl)
+        tracemalloc.start()
+        try:
+            cert = verify_diffusing(k, p, 1.0 / 2048, excl)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the dense Gram and its two temporaries took 96 MiB
+        assert peak < 16 * 2**20
+        assert cert.ok
 
 
 class TestDiracNullKernel:

@@ -1,5 +1,6 @@
 """Tests for mean embeddings, inner products and the two MMD routes."""
 
+import functools
 import math
 import tracemalloc
 
@@ -264,6 +265,15 @@ class TestTiledInner:
         terms = np.multiply.outer(mu.weights, nu.weights) * k.block(mu.atoms, nu.atoms)
         return math.fsum(terms.ravel().tolist())
 
+    @classmethod
+    @functools.lru_cache(maxsize=None)
+    def self_inner_case(cls, dim, n):
+        """A signed measure, the kernels, and each one's fsum of |mu|^2 terms."""
+        rng = np.random.default_rng(40 + n + dim)
+        mu = SignedDiscreteMeasure(rng.uniform(-3, 3, (n, dim)), rng.standard_normal(n), dim)
+        kernels = cls.kernels(dim)
+        return mu, kernels, {name: cls.fsum_inner(k, mu, mu) for name, k in kernels.items()}
+
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("tile", [64, None])
     def test_bit_identical_to_untiled(self, dim, tile, monkeypatch):
@@ -291,6 +301,62 @@ class TestTiledInner:
             for start, stop in ((0, 1), (3, 10), (10, 45), (45, 97)):
                 rows = k.block(X[start:stop], Y)
                 assert np.array_equal(rows, full[start:stop]), name
+            # any tile of the block of X against itself, which is symmetric
+            square = k.block(X, X)
+            assert np.array_equal(square, square.T), name
+            for rows, cols in (
+                (slice(0, 1), slice(0, None)),
+                (slice(5, 9), slice(5, None)),
+                (slice(20, 60), slice(40, 97)),
+                (slice(80, 97), slice(0, 7)),
+            ):
+                assert np.array_equal(k.block(X[rows], X[cols]), square[rows, cols]), name
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("n", [129, 300, 1031])
+    @pytest.mark.parametrize("tile", [64, None])
+    def test_self_inner_equals_whole_gram_fsum(self, dim, n, tile, monkeypatch):
+        mu, kernels, want = self.self_inner_case(dim, n)
+        copy = SignedDiscreteMeasure(mu.atoms.copy(), mu.weights.copy(), dim)
+        if tile is not None:
+            monkeypatch.setattr(accumulate, "TILE_ENTRIES", tile)
+        for name, k in kernels.items():
+            # mu is mu: the upper-triangle path for rowwise kernels
+            assert inner(k, mu, mu).hex() == want[name].hex(), name
+            # an equal but distinct measure: the full-Gram path
+            assert inner(k, mu, copy).hex() == want[name].hex(), name
+
+    def test_kernels_that_are_not_rowwise_keep_the_full_gram(self, monkeypatch):
+        g = gaussian(1.0)
+        negated = Kernel(
+            block_fn=lambda X, Y: -g.block_fn(X, Y),
+            dim=1,
+            sup_bound=1.0,
+            claims_c0=True,
+            descriptor={"family": "negated"},
+        )
+        center = self.kernels(1)["center"]
+        shapes = []
+        block = Kernel.block
+
+        def recording_block(self, X, Y):
+            out = block(self, X, Y)
+            shapes.append(out.shape)
+            return out
+
+        monkeypatch.setattr(Kernel, "block", recording_block)
+        rng = np.random.default_rng(50)
+        mu = SignedDiscreteMeasure(rng.uniform(-3, 3, (300, 1)), rng.standard_normal(300), 1)
+        for k in (negated, center):
+            shapes.clear()
+            inner(k, mu, mu)
+            assert shapes == [(300, 300)]
+        shapes.clear()
+        inner(g, mu, mu)
+        # row tiles from the diagonal rightwards: about half the Gram
+        assert len(shapes) > 1
+        assert all(r <= c for r, c in shapes)
+        assert 300 * 301 // 2 <= sum(r * c for r, c in shapes) < 0.65 * 300 * 300
 
     def test_peak_memory_is_bounded_on_4096_atoms(self):
         base = gaussian(1.0)
