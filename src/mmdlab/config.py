@@ -20,8 +20,9 @@ Command-line flags override file values.  Measures serialize as lists of
 from __future__ import annotations
 
 import json
-import math
+import numbers
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -95,6 +96,34 @@ def kernel_from_descriptor(desc: dict) -> Kernel:
     raise ParameterError(f"unrecognized kernel descriptor: {desc!r}")
 
 
+def _is_finite_number(val) -> bool:
+    # bool is an int subclass; the bound rejects inf, nan and huge ints
+    return (
+        isinstance(val, numbers.Real)
+        and not isinstance(val, bool)
+        and abs(val) <= sys.float_info.max
+    )
+
+
+def _checked_int(name: str, val) -> int:
+    if isinstance(val, bool) or not isinstance(val, numbers.Integral):
+        raise UsageError(f"{name} must be an integer, not {val!r}")
+    return int(val)
+
+
+def _checked_numbers(name: str, raw) -> tuple[float, ...] | None:
+    """A list of finite numbers as a tuple of floats; None passes through."""
+    if raw is None:
+        return None
+    if isinstance(raw, (str, bytes, dict)) or not isinstance(raw, Iterable):
+        raise UsageError(f"{name} must be a list of numbers, not {raw!r}")
+    vals = list(raw)
+    for val in vals:
+        if not _is_finite_number(val):
+            raise UsageError(f"{name} must be a list of finite numbers, not {val!r}")
+    return tuple(float(v) for v in vals)
+
+
 def _checked_thresholds(raw) -> dict:
     """Threshold overrides as floats; anything but finite numbers is refused."""
     if raw is None:
@@ -106,10 +135,7 @@ def _checked_thresholds(raw) -> dict:
         raise UsageError(f"unknown threshold keys: {', '.join(sorted(unknown))}")
     out = {}
     for key, val in raw.items():
-        # bool is an int subclass; the bound rejects inf, nan and huge ints
-        if isinstance(val, bool) or not isinstance(val, (int, float)) or not (
-            abs(val) <= sys.float_info.max
-        ):
+        if not _is_finite_number(val):
             raise UsageError(f"threshold {key} must be a finite number, not {val!r}")
         out[key] = float(val)
     return out
@@ -138,15 +164,21 @@ class ExperimentConfig:
             raise UsageError(
                 f"unknown preset {self.preset!r}; available: {', '.join(PRESET_NAMES)}"
             )
+        for name in ("dim", "n_max", "seed", "pairs"):
+            setattr(self, name, _checked_int(name, getattr(self, name)))
+        for name in ("radii", "xi", "xi2"):
+            setattr(self, name, _checked_numbers(name, getattr(self, name)))
         if self.n_max < 2:
             raise UsageError("n_max must be at least 2")
         if self.dim < 1:
             raise UsageError("dim must be at least 1")
         if self.pairs < 1:
             raise UsageError("pairs must be at least 1")
+        if self.seed < 0:
+            raise UsageError("seed must be nonnegative")
         if self.strategy not in ("ray", "grid", "random"):
             raise UsageError(f"unknown search strategy {self.strategy!r}")
-        if not self.radii or not all(math.isfinite(r) and r > 0 for r in self.radii):
+        if not self.radii or not all(r > 0 for r in self.radii):
             raise UsageError("radii must be a non-empty list of finite positive numbers")
         self.thresholds = _checked_thresholds(self.thresholds)
         if not self.out:
@@ -215,12 +247,6 @@ def build_config(file_values: dict | None = None, **overrides) -> ExperimentConf
             merged[key] = val
     if "preset" not in merged:
         raise UsageError("a preset is required (config file or --preset)")
-    for key in ("radii", "xi", "xi2"):
-        if merged.get(key) is not None:
-            try:
-                merged[key] = tuple(float(v) for v in merged[key])
-            except (TypeError, ValueError) as exc:
-                raise UsageError(f"{key} must be a list of numbers: {exc}") from exc
     try:
         return ExperimentConfig(**merged)
     except TypeError as exc:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accumulate import symmetric_gram_sum, weighted_gram_sum
+from .accumulate import TILE_ENTRIES, symmetric_gram_sum, weighted_gram_sum
 from .embedding import mmd, norm
 from .errors import (
     DimensionMismatchError,
@@ -120,6 +120,12 @@ def _unit_direction(dom: SearchDomain) -> np.ndarray:
     return d / n
 
 
+# grid points enumerated at a time, and candidates the greedy search draws
+# from its stream at a time
+_GRID_CHUNK = 4096
+_LOOKAHEAD = 256
+
+
 def _ray_candidates(dom: SearchDomain, excl: ExclusionRegion, spacing: float):
     u = _unit_direction(dom)
     for m in itertools.count(1):
@@ -127,13 +133,17 @@ def _ray_candidates(dom: SearchDomain, excl: ExclusionRegion, spacing: float):
 
 
 def _grid_candidates(dom: SearchDomain, excl: ExclusionRegion):
+    # integer points with max |z_i| == shell in itertools.product's
+    # lexicographic order: the C-order flat indices of the shell's cube, a
+    # chunk at a time so memory stays bounded in any dimension
     d = dom.dim
     for shell in itertools.count(1):
-        rng = range(-shell, shell + 1)
-        for z in itertools.product(rng, repeat=d):
-            if max(abs(c) for c in z) != shell:
-                continue
-            yield excl.center + dom.step * np.asarray(z, dtype=np.float64)
+        side = 2 * shell + 1
+        for start in range(0, side**d, _GRID_CHUNK):
+            flat = np.arange(start, min(start + _GRID_CHUNK, side**d))
+            z = np.stack(np.unravel_index(flat, (side,) * d), axis=1) - shell
+            z = z[np.abs(z).max(axis=1) == shell]
+            yield from excl.center + dom.step * z.astype(np.float64)
 
 
 def _random_candidates(dom: SearchDomain, excl: ExclusionRegion):
@@ -226,8 +236,20 @@ def diffusing_sequence(
     against all previously accepted points; enumeration order and budget
     come from ``dom``.
 
+    Candidates are drawn in look-ahead chunks and, for a rowwise kernel,
+    judged a batch of rows per :meth:`Kernel.block` call.  A batch ends at
+    its first accepted row and the search resumes right after it, so every
+    candidate is judged against exactly the atoms accepted before it, as in
+    a one-at-a-time loop: the rowwise contract makes each row of the batch
+    the same bits as a single-row block, and a row maximum is exact in any
+    order.  The batch doubles after a fully rejected batch, halves after an
+    accept (so a search that accepts every candidate makes one block call
+    per candidate), and holds at most ``TILE_ENTRIES`` kernel values.  Any
+    other kernel is judged one candidate per call.
+
     Raises :class:`SearchFailureError` naming the first index that could
-    not be filled within ``max_candidates`` candidates.
+    not be filled within ``max_candidates`` candidates, and the number of
+    candidates scanned.
     """
     if n < 1:
         raise ParameterError("n must be at least 1")
@@ -248,25 +270,50 @@ def diffusing_sequence(
         raise DimensionMismatchError("exclusion center dimension mismatch")
 
     spacing = suggested_spacing(k, eps) or dom.step
+    stream = itertools.islice(_candidates(dom, excl, spacing), max_candidates)
     accepted = np.empty((n, k.dim))
     count = 0
-    for cand in itertools.islice(_candidates(dom, excl, spacing), max_candidates):
-        if excl.contains(cand[None, :])[0]:
+    scanned = 0
+    pending = np.empty((0, k.dim))  # drawn, outside the ball, not yet judged
+    size = 1
+    while count < n:
+        if not len(pending):
+            chunk = list(itertools.islice(stream, _LOOKAHEAD))
+            if not chunk:
+                break
+            scanned += len(chunk)
+            rows = np.array(chunk)
+            pending = rows[~excl.contains(rows)]
             continue
-        if count:
-            vals = k.block(cand[None, :], accepted[:count])
-            if float(np.max(np.abs(vals))) > eps:
-                continue
-        accepted[count] = cand
+        if not count:
+            hit = 0
+        else:
+            batch = pending[:size]
+            worst = np.abs(k.block(batch, accepted[:count])).max(axis=1)
+            # a nan row maximum is accepted, as `nan > eps` is false
+            ok = ~(worst > eps)
+            if ok[0]:
+                hit = 0
+            else:
+                hits = np.flatnonzero(ok)
+                if not hits.size:
+                    pending = pending[len(batch):]
+                    if k.rowwise:
+                        size = min(2 * size, max(TILE_ENTRIES // count, 1))
+                    continue
+                hit = int(hits[0])
+            size = max(size // 2, 1)
+        accepted[count] = pending[hit]
         count += 1
-        if count == n:
-            break
+        pending = pending[hit + 1 :]
     if count < n:
         failed = count + 1
         raise SearchFailureError(
-            f"could not place point {failed} of {n} within {max_candidates} "
-            f"candidates (eps={eps!r}, strategy={dom.strategy!r})",
+            f"could not place point {failed} of {n} after scanning {scanned} "
+            f"of at most {max_candidates} candidates (eps={eps!r}, "
+            f"strategy={dom.strategy!r})",
             failed_index=failed,
+            candidates_scanned=scanned,
         )
     return SignedDiscreteMeasure(accepted, np.full(n, 1.0 / n), k.dim)
 

@@ -32,11 +32,22 @@ class SupportSizeError(ValueError):
 
 
 class SearchFailureError(RuntimeError):
-    """The candidate budget ran out before a point set was completed."""
+    """The candidate budget ran out before a point set was completed.
 
-    def __init__(self, message: str, failed_index: int | None = None):
+    ``failed_index`` is the 1-based index of the first point that could not
+    be placed; ``candidates_scanned`` counts every candidate drawn, those
+    inside the exclusion ball included.
+    """
+
+    def __init__(
+        self,
+        message: str,
+        failed_index: int | None = None,
+        candidates_scanned: int | None = None,
+    ):
         super().__init__(message)
         self.failed_index = failed_index
+        self.candidates_scanned = candidates_scanned
 
 
 class UsageError(ValueError):

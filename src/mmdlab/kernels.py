@@ -30,8 +30,18 @@ BASE_FAMILIES = ("gaussian", "laplacian", "inverse_multiquadric")
 
 
 def _sqdist(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    # broadcasting keeps (i, j) and (j, i) bit-identical for X is Y
-    return ((X[:, None, :] - Y[None, :, :]) ** 2).sum(axis=-1)
+    # (a - b)**2 == (b - a)**2, so (i, j) and (j, i) are bit-identical for X is Y
+    d = X.shape[1]
+    if d >= 8:
+        # numpy sums a last axis of 8 or more terms pairwise, which a
+        # left-to-right loop over the coordinates would not reproduce
+        return ((X[:, None, :] - Y[None, :, :]) ** 2).sum(axis=-1)
+    # below 8 terms numpy adds left to right; one column at a time gives the
+    # same bits without the (n, m, d) temporary
+    out = (X[:, None, 0] - Y[None, :, 0]) ** 2
+    for j in range(1, d):
+        out += (X[:, None, j] - Y[None, :, j]) ** 2
+    return out
 
 
 @dataclass(frozen=True)

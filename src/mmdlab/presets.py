@@ -67,10 +67,6 @@ def _scaler_field(cfg: ExperimentConfig, xi: np.ndarray):
     return builder(xi)
 
 
-def _dyadic_sizes(n_max: int) -> tuple[int, ...]:
-    return cons.default_indices(n_max)
-
-
 def _report_outcome(report, extras: tuple[tuple[str, str], ...] = ()) -> PresetOutcome:
     actual = {k: v for k, v in report.verdicts.as_dict().items() if v is not None}
     return PresetOutcome(
@@ -121,7 +117,7 @@ def run_escape_demo(cfg: ExperimentConfig) -> PresetOutcome:
         )
     excl = cons.ExclusionRegion(np.zeros(cfg.dim), max(cfg.radii) + 1.0)
     dom = _domain(cfg)
-    sizes = _dyadic_sizes(cfg.n_max)
+    sizes = cons.default_indices(cfg.n_max)
     items = [cons.diffusing_sequence(k, n, 1.0 / n, excl, dom) for n in sizes]
     seq = MeasureSequence(tuple(items), label="diffusing", indices=sizes)
     # |P_n| ~ 1/sqrt(n): 0.127 at the default n_max of 64, so the settling
@@ -147,7 +143,7 @@ def run_flaw_counterexample(cfg: ExperimentConfig) -> PresetOutcome:
 
     excl = cons.ExclusionRegion(xi, max(cfg.radii) + 1.0)
     dom = _domain(cfg)
-    sizes = _dyadic_sizes(cfg.n_max)
+    sizes = cons.default_indices(cfg.n_max)
     parts = [cons.diffusing_sequence(null_k, n, 1.0 / n, excl, dom) for n in sizes]
     seq = MeasureSequence(tuple(parts), label="diffusing", indices=sizes)
     target = dirac(xi)
@@ -215,7 +211,7 @@ def run_signed_witness_escape(cfg: ExperimentConfig) -> PresetOutcome:
     construction = cons.escape_sequence(
         kernel,
         witness,
-        n_values=_dyadic_sizes(cfg.n_max),
+        n_values=cons.default_indices(cfg.n_max),
         dom=_domain(cfg),
         excl=cons.ExclusionRegion(mid, radius),
     )

@@ -172,6 +172,60 @@ class TestConfigFile:
 
 
     @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("pairs", 2.5),
+            ("pairs", "3"),
+            ("pairs", True),
+            ("n_max", 64.5),
+            ("n_max", 64.0),
+            ("n_max", "64"),
+            ("n_max", False),
+            ("seed", 1.5),
+            ("seed", "1"),
+            ("seed", True),
+            ("seed", -1),
+            ("dim", 1.0),
+            ("dim", "1"),
+            ("dim", True),
+            ("radii", [True, "4"]),
+            ("radii", [2.0, True]),
+            ("radii", ["4"]),
+            ("radii", "48"),
+            ("radii", {"2": 1}),
+            ("xi", [True]),
+            ("xi", ["0"]),
+            ("xi", "0"),
+            ("xi", 0.0),
+            ("xi", [1e999]),
+            ("xi2", [False]),
+            ("xi2", ["nan"]),
+            ("xi2", [float("nan")]),
+            ("xi2", [1.0, None]),
+        ],
+        ids=repr,
+    )
+    def test_mistyped_values_are_usage_errors(self, tmp_path, capsys, key, value):
+        cfg_path = tmp_path / "cfg.json"
+        preset = "center_invariance" if key == "pairs" else "dirac_null_witness"
+        cfg_path.write_text(json.dumps({"preset": preset, key: value}))
+        code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "o").exists()
+
+    def test_integers_and_number_lists_are_normalized(self):
+        cfg = build_config(
+            {"preset": "escape_demo", "radii": [2, 4.5], "xi": [0], "xi2": [1]},
+            n_max=np.int64(16),
+        )
+        assert cfg.radii == (2.0, 4.5) and cfg.xi == (0.0,) and cfg.xi2 == (1.0,)
+        assert all(type(v) is float for v in cfg.radii + cfg.xi + cfg.xi2)
+        assert type(cfg.n_max) is int and cfg.n_max == 16
+
+    @pytest.mark.parametrize(
         "thresholds",
         [
             '{"final_tol": "abc"}',

@@ -1,5 +1,6 @@
 """Tests for diffusing sequences, escape constructions and witness kernels."""
 
+import itertools
 import math
 import tracemalloc
 from dataclasses import astuple
@@ -11,6 +12,7 @@ from mmdlab import (
     DegenerateMeasureError,
     DiffusionCertificate,
     ExclusionRegion,
+    Kernel,
     MeasureError,
     NotAWitnessError,
     ParameterError,
@@ -41,6 +43,8 @@ from mmdlab import (
     suggested_spacing,
     verify_diffusing,
 )
+from mmdlab import constructions
+from mmdlab.accumulate import TILE_ENTRIES
 
 
 def ball(center, radius, dim=1):
@@ -126,6 +130,18 @@ class TestDiffusingSequence:
         assert 1 <= err.value.failed_index <= 5
         assert str(err.value.failed_index) in str(err.value)
 
+    def test_budget_exhaustion_reports_candidates_scanned(self):
+        # the grid's first shell holds 8 points, 4 of them inside the ball;
+        # every pair among the first 20 points has a kernel value far above
+        # 1e-300, so one atom is all that fits
+        excl = ExclusionRegion(np.zeros(2), 1.0)
+        dom = SearchDomain(dim=2, strategy="grid")
+        with pytest.raises(SearchFailureError) as err:
+            diffusing_sequence(gaussian(1.0, dim=2), 3, 1e-300, excl, dom, max_candidates=20)
+        assert err.value.failed_index == 2
+        assert err.value.candidates_scanned == 20
+        assert "scanning 20 " in str(err.value)
+
     @pytest.mark.parametrize("strategy", ["grid", "random"])
     def test_alternative_strategies_certify(self, strategy):
         k = gaussian(1.0, dim=2)
@@ -144,6 +160,161 @@ class TestDiffusingSequence:
         for n in (2, 4, 8, 16):
             p = diffusing_sequence(k, n, 1.0 / n, excl)
             assert norm(k, p) ** 2 <= diffusing_norm_bound(1.0, n, 1.0 / n) + 1e-15
+
+
+def grid_reference(dom, excl):
+    """Grid shells walked point by point with itertools.product."""
+    for shell in itertools.count(1):
+        for z in itertools.product(range(-shell, shell + 1), repeat=dom.dim):
+            if max(abs(c) for c in z) == shell:
+                yield excl.center + dom.step * np.asarray(z, dtype=np.float64)
+
+
+def greedy_oracle(k, n, eps, excl, dom, max_candidates=200_000):
+    """One candidate at a time: (atoms, failed index or None, candidates drawn)."""
+    spacing = suggested_spacing(k, eps) or dom.step
+    if dom.strategy == "grid":
+        stream = grid_reference(dom, excl)
+    else:
+        stream = constructions._candidates(dom, excl, spacing)
+    accepted = []
+    drawn = 0
+    for cand in itertools.islice(stream, max_candidates):
+        drawn += 1
+        if excl.contains(cand[None, :])[0]:
+            continue
+        if accepted:
+            vals = k.block(cand[None, :], np.array(accepted))
+            if float(np.max(np.abs(vals))) > eps:
+                continue
+        accepted.append(cand)
+        if len(accepted) == n:
+            return np.array(accepted), None, drawn
+    return np.array(accepted), len(accepted) + 1, drawn
+
+
+def nan_gaussian(dim):
+    """A rowwise gaussian that returns nan for pairs 2.5 to 3.5 apart."""
+    g = gaussian(1.0, dim=dim)
+
+    def block(X, Y):
+        out = g.block_fn(X, Y)
+        sq = ((X[:, None, :] - Y[None, :, :]) ** 2).sum(axis=-1)
+        out[(sq > 6.25) & (sq < 12.25)] = np.nan
+        return out
+
+    return Kernel(block, dim, 1.0, True, {"family": "nan_gaussian"}, rowwise=True)
+
+
+def search_kernels(dim):
+    g = gaussian(1.0, dim=dim)
+    return {
+        "gaussian": g,
+        "laplacian": laplacian(0.7, dim=dim),
+        "null": dirac_null_kernel(g, np.zeros(dim)),
+        # a custom kernel is not rowwise, so it is judged one row per call
+        "custom": Kernel(g.block_fn, dim, 1.0, True, {"family": "custom"}),
+        "nan": nan_gaussian(dim),
+    }
+
+
+@pytest.fixture
+def block_shapes(monkeypatch):
+    """Shapes of every Kernel.block result, in call order."""
+    shapes = []
+    block = Kernel.block
+
+    def recording_block(self, X, Y):
+        out = block(self, X, Y)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(Kernel, "block", recording_block)
+    return shapes
+
+
+class TestBatchedSearch:
+    """The batched greedy search decides exactly as a one-at-a-time loop."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("strategy", ["ray", "grid", "random"])
+    @pytest.mark.parametrize("kernel", ["gaussian", "laplacian", "null", "custom", "nan"])
+    def test_atoms_equal_the_one_at_a_time_loop(self, dim, strategy, kernel):
+        k = search_kernels(dim)[kernel]
+        excl = ExclusionRegion(np.full(dim, 0.3), 1.5)
+        # a step below the kernel's reach makes the grid and random streams
+        # reject most candidates, so batches grow and end mid-batch
+        dom = SearchDomain(dim=dim, strategy=strategy, step=0.6, seed=dim)
+        n = 48 if dim < 3 or strategy == "ray" else 24
+        want, failed, _ = greedy_oracle(k, n, 1.0 / n, excl, dom)
+        assert failed is None
+        got = diffusing_sequence(k, n, 1.0 / n, excl, dom)
+        assert got.atoms.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("strategy", ["ray", "grid", "random"])
+    def test_small_tiles_cap_the_batch(self, monkeypatch, block_shapes, strategy):
+        monkeypatch.setattr(constructions, "TILE_ENTRIES", 64)
+        k = gaussian(1.0, dim=2)
+        excl = ExclusionRegion(np.zeros(2), 1.0)
+        dom = SearchDomain(dim=2, strategy=strategy, step=0.5, seed=5)
+        want, _, _ = greedy_oracle(k, 40, 1.0 / 40, excl, dom)
+        block_shapes.clear()
+        got = diffusing_sequence(k, 40, 1.0 / 40, excl, dom)
+        assert got.atoms.tobytes() == want.tobytes()
+        assert all(r * c <= 64 for r, c in block_shapes)
+
+    @pytest.mark.parametrize("kernel", ["gaussian", "laplacian", "custom"])
+    def test_budget_exhaustion_fails_at_the_same_index(self, kernel):
+        k = search_kernels(2)[kernel]
+        excl = ExclusionRegion(np.zeros(2), 1.0)
+        dom = SearchDomain(dim=2, strategy="grid", step=0.5)
+        _, failed, drawn = greedy_oracle(k, 64, 1.0 / 64, excl, dom, max_candidates=900)
+        assert failed is not None
+        with pytest.raises(SearchFailureError) as err:
+            diffusing_sequence(k, 64, 1.0 / 64, excl, dom, max_candidates=900)
+        assert err.value.failed_index == failed
+        assert err.value.candidates_scanned == drawn == 900
+
+    def test_nan_pairs_are_accepted(self):
+        k = nan_gaussian(1)
+        excl = ExclusionRegion(np.zeros(1), 1.0)
+        dom = SearchDomain(dim=1, strategy="grid", step=1.0)
+        # after -2 and 2, the candidates -3 .. 4 are too close to one of them;
+        # -5 is 3 from -2, a nan pair, and nan > eps is false
+        p = diffusing_sequence(k, 3, 0.01, excl, dom)
+        assert p.atoms[:, 0].tolist() == [-2.0, 2.0, -5.0]
+        want, _, _ = greedy_oracle(k, 3, 0.01, excl, dom)
+        assert p.atoms.tobytes() == want.tobytes()
+
+    def test_all_accepting_ray_makes_one_block_call_per_candidate(self, block_shapes):
+        k = gaussian(1.0)
+        n = 300
+        p = diffusing_sequence(k, n, 1.0 / n, ball(0.0, 2.0))
+        assert p.support_size == n
+        assert block_shapes == [(1, c) for c in range(1, n)]
+
+    def test_batches_grow_but_stay_within_a_tile(self, block_shapes):
+        k = gaussian(1.0, dim=2)
+        excl = ExclusionRegion(np.zeros(2), 2.0)
+        dom = SearchDomain(dim=2, strategy="grid", step=0.25)
+        diffusing_sequence(k, 256, 1.0 / 256, excl, dom)
+        assert max(r for r, _ in block_shapes) > 1
+        assert max(r * c for r, c in block_shapes) <= TILE_ENTRIES
+
+
+class TestGridCandidates:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("chunk", [5, 4096])
+    def test_equal_the_product_walk(self, monkeypatch, dim, chunk):
+        monkeypatch.setattr(constructions, "_GRID_CHUNK", chunk)
+        # a one-dimensional shell holds two points, so fewer points suffice
+        count = 400 if dim == 1 else 3000
+        for center, step in ((0.0, 1.0), (0.37, 2.5), (-1e3, 0.1)):
+            excl = ExclusionRegion(np.full(dim, center) + 0.1 * np.arange(dim), 1.0)
+            dom = SearchDomain(dim=dim, strategy="grid", step=step)
+            got = list(itertools.islice(constructions._grid_candidates(dom, excl), count))
+            want = list(itertools.islice(grid_reference(dom, excl), count))
+            assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 def dense_certificate(k, p, eps, excl):

@@ -26,6 +26,7 @@ from mmdlab import (
     scale_kernel,
     shift_kernel,
 )
+from mmdlab.kernels import _sqdist
 
 # closed forms computed independently of the library (math.exp, not np.exp)
 EXP_HALF = math.exp(-0.5)
@@ -114,6 +115,28 @@ class TestSymmetryAndBounds:
             pts = random_points(rng, 40, k.dim)
             G = gram(k, pts)
             assert np.max(np.abs(G)) <= k.sup_bound + 1e-12, name
+
+
+class TestSquaredDistances:
+    @pytest.mark.parametrize("dim", range(1, 10))
+    def test_equal_the_last_axis_sum_bit_for_bit(self, dim):
+        rng = np.random.default_rng(dim)
+        for n, m in [(1, 1), (1, 7), (3, 5), (17, 33), (64, 1), (100, 100), (2, 2048)]:
+            for scale in (1e-3, 1.0, 1e3):
+                # coordinates of different magnitudes make the order of the
+                # additions visible in the last bits
+                X = rng.standard_normal((n, dim)) * scale * rng.uniform(0.1, 10, dim)
+                Y = rng.standard_normal((m, dim)) * scale
+                want = ((X[:, None] - Y[None]) ** 2).sum(-1)
+                assert _sqdist(X, Y).tobytes() == want.tobytes(), (n, m, scale)
+
+    def test_self_distances_are_exactly_symmetric(self):
+        rng = np.random.default_rng(9)
+        for dim in (1, 3, 7, 8):
+            X = rng.standard_normal((40, dim))
+            D = _sqdist(X, X)
+            assert np.array_equal(D, D.T)
+            assert not D.diagonal().any()
 
 
 class TestShift:
