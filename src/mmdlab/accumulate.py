@@ -139,6 +139,19 @@ def exact_sum(values) -> float:
     return acc.value()
 
 
+def exact_row_sums(rows: np.ndarray) -> list[float]:
+    """:func:`exact_sum` of each row of a 2-D array, bit for bit.
+
+    Short rows take the same ``math.fsum`` over ``tolist()`` that
+    :func:`exact_sum` takes, one ``tolist`` for the whole array; overflow
+    errors and inf/nan results therefore match too.
+    """
+    arr = np.asarray(rows, dtype=np.float64)
+    if arr.shape[1] < SMALL_INPUT:
+        return list(map(math.fsum, arr.tolist()))
+    return [exact_sum(row) for row in arr]
+
+
 def tiled_gram_sum(
     w: np.ndarray, gram_rows: Callable[[slice], np.ndarray], v: np.ndarray
 ) -> float:

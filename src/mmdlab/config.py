@@ -51,15 +51,16 @@ def measure_to_rows(mu: SignedDiscreteMeasure) -> list:
 
 def measure_from_rows(rows, dim: int | None = None) -> SignedDiscreteMeasure:
     try:
-        atoms = [row[0] for row in rows]
-        weights = [row[1] for row in rows]
-    except (TypeError, IndexError) as exc:
+        atoms = np.asarray([row[0] for row in rows], dtype=np.float64)
+        weights = np.asarray([row[1] for row in rows], dtype=np.float64)
+    except (TypeError, IndexError, ValueError) as exc:
+        # ValueError: a coordinate or weight that is not a number, or ragged atoms
         raise ParameterError(f"malformed measure rows: {exc}") from exc
-    if not atoms:
+    if not len(atoms):
         if dim is None:
             raise ParameterError("an empty measure needs an explicit dimension")
         return SignedDiscreteMeasure(np.empty((0, dim)), np.empty(0), dim)
-    return SignedDiscreteMeasure(np.asarray(atoms, dtype=np.float64), weights, dim or -1)
+    return SignedDiscreteMeasure(atoms, weights, dim or -1)
 
 
 def field_from_descriptor(desc: dict):

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .accumulate import exact_sum
+from .accumulate import exact_row_sums, exact_sum
 from .embedding import mmd
 from .errors import DimensionMismatchError, ParameterError
 from .kernels import Kernel
@@ -32,7 +32,8 @@ from .measures import (
     SignedDiscreteMeasure,
     as_point,
     dirac,
-    mass_in_ball,
+    in_balls,
+    support_union,
 )
 
 TAG_BUMP = "bump_cc"
@@ -48,6 +49,13 @@ class TestFunction:
 
     Tags: ``bump_cc`` compactly supported, ``c0`` vanishing at infinity,
     ``cb`` bounded continuous, ``rkhs`` a kernel mean embedding.
+
+    ``fn`` maps an (n, d) array to n values.  It must be pointwise:
+    ``values(X[rows])`` equals ``values(X)[rows]`` bit for bit, so a value
+    does not depend on which other points are evaluated with it.
+    :func:`probe_sequence` relies on this to evaluate the function once on
+    the atoms of a whole sequence.  A function that cannot promise it sets
+    ``pointwise=False`` and is evaluated on each measure's atoms instead.
     """
 
     fn: object = field(repr=False)
@@ -56,6 +64,7 @@ class TestFunction:
     name: str
     descriptor: dict = field(default_factory=dict)
     bound: float | None = None
+    pointwise: bool = True
 
     def values(self, X: np.ndarray) -> np.ndarray:
         return np.asarray(self.fn(X), dtype=np.float64)
@@ -107,15 +116,16 @@ def kme_probe(k: Kernel, nu: SignedDiscreteMeasure, name: str = "kme") -> TestFu
     """The embedding of ``nu`` as a test function.
 
     Integrating a measure against this function equals the embedding inner
-    product with ``nu`` (one code path for the weak-RKHS probe).
+    product with ``nu`` (one code path for the weak-RKHS probe).  Each value
+    is a last-axis row sum of ``k(x, nu.atoms) * nu.weights``, which depends
+    on x alone when the kernel is rowwise; a matrix-vector product would
+    round a point differently by its position in X.
     """
     if nu.dim != k.dim:
         raise DimensionMismatchError("reference measure dimension mismatch")
 
     def fn(X):
-        if nu.support_size == 0:
-            return np.zeros(X.shape[0])
-        return nu.weights @ k.block(nu.atoms, X)
+        return (k.block(X, nu.atoms) * nu.weights).sum(axis=1)
 
     return TestFunction(
         fn=fn,
@@ -124,6 +134,7 @@ def kme_probe(k: Kernel, nu: SignedDiscreteMeasure, name: str = "kme") -> TestFu
         name=name,
         descriptor={"kind": "kme", "kernel": k.descriptor},
         bound=None,
+        pointwise=k.rowwise,
     )
 
 
@@ -375,17 +386,35 @@ def probe_sequence(
 
     target_vals = np.array([integrate(target, f) for f in battery])
     count = len(seq)
-    mmd_trace = np.empty(count)
+    mmd_trace = np.array([mmd(k, mu_n, target) for mu_n in seq])
+
+    # each pointwise function, the constant 1 (whose sums are the total
+    # masses) and ball membership are evaluated once on the distinct atoms
+    # of the whole sequence; each index gathers its atoms' values and sums
+    # the very terms integrate, total_mass and mass_in_ball sum
+    atoms, slots = support_union(seq.items, seq.dim)
+    table = np.ones((len(battery) + 1, atoms.shape[0]))
+    per_measure = [j for j, f in enumerate(battery) if not f.pointwise]
+    if atoms.shape[0]:
+        for j, f in enumerate(battery):
+            if f.pointwise:
+                table[j] = f.values(atoms)
+    inside = in_balls(atoms, center, r)
     disc = np.empty((count, len(battery)))
     balls = np.empty((count, r.size))
     totals = np.empty(count)
-    for i, mu_n in enumerate(seq):
-        mmd_trace[i] = mmd(k, mu_n, target)
-        disc[i] = [
-            abs(integrate(mu_n, f) - tv) for f, tv in zip(battery, target_vals)
-        ]
-        balls[i] = [mass_in_ball(mu_n, center, radius) for radius in r]
-        totals[i] = mu_n.total_mass
+    for i, (mu_n, idx) in enumerate(zip(seq, slots)):
+        w = mu_n.weights
+        vals = table[:, idx]
+        if idx.size:
+            for j in per_measure:
+                vals[j] = battery[j].values(mu_n.atoms)
+        sums = exact_row_sums(vals * w)
+        disc[i] = sums[:-1]
+        totals[i] = sums[-1]
+        balls[i] = [exact_sum(w[mask]) for mask in inside[:, idx]]
+    disc -= target_vals
+    np.abs(disc, out=disc)
 
     fn_tags = tuple(f.tag for f in battery)
     verdicts = compute_verdicts(mmd_trace, list(fn_tags), disc, balls, totals, thresholds)

@@ -13,7 +13,7 @@ deliberately, so distance-based snapping would silently change a measure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -32,7 +32,7 @@ def as_point(x, dim: int | None = None) -> np.ndarray:
     p = np.atleast_1d(np.asarray(x, dtype=np.float64))
     if p.ndim != 1:
         raise ParameterError(f"a point must be one-dimensional, got shape {p.shape}")
-    if not np.all(np.isfinite(p)):
+    if not np.isfinite(p).all():
         raise ParameterError("point coordinates must be finite")
     if dim is not None and p.shape[0] != dim:
         raise DimensionMismatchError(f"expected dimension {dim}, got {p.shape[0]}")
@@ -52,11 +52,21 @@ def as_points(pts, dim: int | None = None) -> np.ndarray:
         arr = arr.reshape(-1, dim) if dim is not None and dim > 1 else arr.reshape(-1, 1)
     if arr.ndim != 2:
         raise ParameterError(f"points must form an (n, d) array, got shape {arr.shape}")
-    if arr.size and not np.all(np.isfinite(arr)):
+    if arr.size and not np.isfinite(arr).all():
         raise ParameterError("point coordinates must be finite")
     if dim is not None and arr.shape[1] != dim:
         raise DimensionMismatchError(f"expected dimension {dim}, got {arr.shape[1]}")
     return arr
+
+
+def _row_keys(atoms: np.ndarray) -> list[bytes]:
+    """The bytes of each row: equal keys are bit-identical rows, so 0.0 and
+    -0.0 differ."""
+    size = atoms.shape[1] * atoms.itemsize
+    if size == 0:
+        return [b""] * atoms.shape[0]
+    buf = atoms.tobytes()
+    return [buf[i : i + size] for i in range(0, len(buf), size)]
 
 
 @dataclass(frozen=True)
@@ -79,32 +89,32 @@ class SignedDiscreteMeasure:
             raise ParameterError(
                 f"{atoms.shape[0]} atoms but {weights.shape[0]} weights"
             )
-        if weights.size and not np.all(np.isfinite(weights)):
+        if weights.size and not np.isfinite(weights).all():
             raise ParameterError("weights must be finite")
         dim = atoms.shape[1] if self.dim < 0 else self.dim
 
-        merged: dict[bytes, int] = {}
-        out_rows: list[np.ndarray] = []
-        out_w: list[list[float]] = []
-        for row, w in zip(atoms, weights):
-            key = row.tobytes()
-            slot = merged.get(key)
-            if slot is None:
-                merged[key] = len(out_rows)
-                out_rows.append(row)
-                out_w.append([float(w)])
-            else:
-                out_w[slot].append(float(w))
-        # a single weight is its own exact sum
-        summed = [ws[0] if len(ws) == 1 else exact_sum(ws) for ws in out_w]
-        keep = [i for i, w in enumerate(summed) if w != 0.0]
-
-        new_atoms = (
-            np.array([out_rows[i] for i in keep], dtype=np.float64)
-            if keep
-            else np.empty((0, dim), dtype=np.float64)
-        )
-        new_weights = np.array([summed[i] for i in keep], dtype=np.float64)
+        keys = _row_keys(atoms)
+        if len(set(keys)) < len(keys):
+            # repeated rows: sum each atom's weights exactly, in input order
+            grouped: dict[bytes, list[float]] = {}
+            firsts = []
+            for i, (key, w) in enumerate(zip(keys, weights.tolist())):
+                ws = grouped.get(key)
+                if ws is None:
+                    grouped[key] = [w]
+                    firsts.append(i)
+                else:
+                    ws.append(w)
+            # a single weight is its own exact sum
+            summed = [
+                ws[0] if len(ws) == 1 else exact_sum(ws) for ws in grouped.values()
+            ]
+            atoms = atoms[firsts]
+            weights = np.array(summed, dtype=np.float64)
+        # boolean indexing copies, so the caller's arrays are never frozen
+        keep = weights != 0.0
+        new_atoms = np.ascontiguousarray(atoms[keep])
+        new_weights = weights[keep]
         new_atoms.setflags(write=False)
         new_weights.setflags(write=False)
         object.__setattr__(self, "atoms", new_atoms)
@@ -235,8 +245,46 @@ def mass_in_ball(mu: SignedDiscreteMeasure, center, radius: float) -> float:
     if mu.support_size == 0:
         return 0.0
     c = as_point(center, mu.dim)
-    dist = np.sqrt(((mu.atoms - c[None, :]) ** 2).sum(axis=1))
-    return exact_sum(mu.weights[dist <= radius])
+    return exact_sum(mu.weights[in_balls(mu.atoms, c, [radius])[0]])
+
+
+def in_balls(atoms: np.ndarray, center: np.ndarray, radii) -> np.ndarray:
+    """``inside[j, i]``: atom i lies in the closed ball of radius ``radii[j]``.
+
+    Each atom's distance to ``center`` depends on its own row alone.
+    """
+    dist = np.sqrt(((atoms - center[None, :]) ** 2).sum(axis=1))
+    return dist[None, :] <= np.asarray(radii, dtype=np.float64)[:, None]
+
+
+def support_union(
+    measures: Sequence[SignedDiscreteMeasure], dim: int
+) -> tuple[np.ndarray, Iterator[np.ndarray]]:
+    """The distinct atoms of several measures, and where each measure's are.
+
+    Atoms are told apart by their bytes, as merging does, so 0.0 and -0.0
+    stay apart, and kept in order of first occurrence.  Returns
+    ``(atoms, slots)``: ``slots`` yields, for each measure in turn, the
+    indices ``idx`` with ``atoms[idx]`` equal to its atoms bit for bit.
+    They are made as they are read, so a long sequence never holds the
+    index arrays of all its measures at once.
+    """
+    slot_of: dict[bytes, int] = {}
+    new_rows = []
+    for mu in measures:
+        keys = _row_keys(mu.atoms)
+        # a measure's atoms are distinct, so each new key is new once
+        new = [j for j, key in enumerate(keys) if key not in slot_of]
+        for j in new:
+            slot_of[keys[j]] = len(slot_of)
+        if new:
+            new_rows.append(mu.atoms[new])
+    atoms = np.concatenate(new_rows) if new_rows else np.empty((0, dim))
+    slots = (
+        np.array([slot_of[key] for key in _row_keys(mu.atoms)], dtype=np.intp)
+        for mu in measures
+    )
+    return atoms, slots
 
 
 @dataclass(frozen=True)

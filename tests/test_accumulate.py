@@ -9,6 +9,7 @@ from mmdlab import accumulate
 from mmdlab.accumulate import (
     SMALL_INPUT,
     ExactAccumulator,
+    exact_row_sums,
     exact_sum,
     symmetric_gram_sum,
     tiled_gram_sum,
@@ -85,6 +86,52 @@ class TestBitIdentity:
         rng = np.random.default_rng(5)
         same_as_fsum(rng.standard_normal((64, 128)))
         assert exact_sum([]) == 0.0
+
+
+def special_rows(n, seed):
+    """Rows of n terms: normal, wide range, cancelling, signed zeros, subnormal,
+    non-finite and overflowing."""
+    rng = np.random.default_rng(seed)
+    rows = [
+        rng.standard_normal(n),
+        rng.standard_normal(n) * np.exp(rng.uniform(-300, 300, n)),
+        np.concatenate([np.full(n - n // 2, 1e300), np.full(n // 2, -1e300)]),
+        np.full(n, -0.0),
+        rng.standard_normal(n) * 2.0**-1070,
+    ]
+    for specials in ([np.inf], [-np.inf], [np.nan], [np.inf, -np.inf], [1e308, 1e308]):
+        row = rng.standard_normal(n)
+        row[: len(specials)] = specials[:n]
+        rows.append(row)
+    return np.stack(rows)
+
+
+def same_or_raise_alike(fn, row):
+    """fn(row) is exact_sum(row) bit for bit, or both raise alike."""
+    try:
+        want = exact_sum(row)
+    except (OverflowError, ValueError) as exc:
+        with pytest.raises(type(exc)):
+            fn(row)
+        return
+    got = fn(row)
+    assert math.isnan(want) and math.isnan(got) or got.hex() == want.hex()
+
+
+class TestRowSums:
+    @pytest.mark.parametrize("n", (1, 2, 7, 40, SMALL_INPUT - 1, SMALL_INPUT, 3000))
+    def test_each_row_is_its_exact_sum(self, n):
+        rows = special_rows(n, n)
+        for row in rows:
+            same_or_raise_alike(lambda r: exact_row_sums(r[None, :])[0], row)
+        # the rows that neither raise nor overflow, summed in one call
+        good = rows[[np.isfinite(r).all() and np.abs(r).max() < 1e300 for r in rows]]
+        got = exact_row_sums(good)
+        assert [v.hex() for v in got] == [exact_sum(r).hex() for r in good]
+
+    def test_empty_rows(self):
+        assert exact_row_sums(np.empty((3, 0))) == [0.0, 0.0, 0.0]
+        assert exact_row_sums(np.empty((0, 5))) == []
 
 
 class TestAccumulator:
@@ -253,11 +300,18 @@ def test_permutation_invariance_property():
         size = SMALL_INPUT + extra
         terms = np.resize(np.asarray(values), size)
         shuffled = np.random.default_rng(seed).permutation(terms)
-        try:
-            want = math.fsum(terms.tolist())
-        except OverflowError:
-            return
-        assert exact_sum(terms).hex() == want.hex()
-        assert exact_sum(shuffled).hex() == want.hex()
+        sums = set()
+        for order in (terms, shuffled):
+            try:
+                want = math.fsum(order.tolist())
+            except OverflowError:
+                # whether fsum overflows depends on term order; exact_sum
+                # hands such terms to fsum whole, so it raises as well
+                with pytest.raises(OverflowError):
+                    exact_sum(order)
+                continue
+            assert exact_sum(order).hex() == want.hex()
+            sums.add(want.hex())
+        assert len(sums) <= 1
 
     check()

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mmdlab import UsageError, gaussian
+from mmdlab import ParameterError, UsageError, gaussian
 from mmdlab.cli import main
 from mmdlab.config import (
     ExperimentConfig,
@@ -215,6 +215,30 @@ class TestConfigFile:
         assert err.startswith("error: ") and key in err
         assert "Traceback" not in err and len(err.strip().splitlines()) == 1
         assert not (tmp_path / "o").exists()
+
+    def test_non_numeric_measure_rows_are_usage_errors(self, tmp_path, capsys):
+        kernel = {
+            "op": "center",
+            "p": [["a", 1]],
+            "child": {"family": "gaussian", "sigma": 1.0, "dim": 1},
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"preset": "metrize_demo", "kernel": kernel}))
+        code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "malformed measure rows" in err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[["a", 1]], [[[0.0], "w"]], [[[0.0, 1.0], 1.0], [[0.0], 1.0]], [[[0.0]]]],
+        ids=repr,
+    )
+    def test_malformed_measure_rows_raise_parameter_error(self, rows):
+        with pytest.raises(ParameterError, match="malformed measure rows"):
+            measure_from_rows(rows, 1)
 
     def test_integers_and_number_lists_are_normalized(self):
         cfg = build_config(

@@ -10,17 +10,27 @@ from mmdlab import (
     SignedDiscreteMeasure,
     Thresholds,
     bump,
+    center_kernel,
     compute_verdicts,
     constant_one,
     default_battery,
     dirac,
+    empty_measure,
     gaussian,
     integrate,
+    kme_eval,
+    kme_probe,
+    laplacian,
+    mass_in_ball,
     mixture,
+    mmd,
     probe_sequence,
+    scale_kernel,
     shift_kernel,
     trace_settles,
 )
+from mmdlab.diagnostics import TestFunction as ProbeFunction
+from mmdlab.kernels import c0_bump_at
 
 
 def geometric_dirac_sequence(dim=1, rho=0.75, count=40, start=1.0):
@@ -82,6 +92,39 @@ class TestIntegrate:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             integrate(dirac([0.0, 0.0]), bump([0.0], 1.0, 2.0))
+
+
+class TestKmeProbe:
+    def test_pointwise_for_rowwise_kernels(self):
+        rng = np.random.default_rng(4)
+        scaled = scale_kernel(laplacian(1.0, dim=2), c0_bump_at([0.5, 0.0]))
+        for k in (gaussian(0.7, dim=2), scaled):
+            nu = SignedDiscreteMeasure(rng.normal(size=(37, 2)), rng.normal(size=37), 2)
+            f = kme_probe(k, nu)
+            assert f.pointwise
+            X = rng.normal(size=(300, 2))
+            whole = f.values(X)
+            for rows in (slice(1, 2), slice(7, 250, 3), rng.permutation(300)[:40]):
+                assert f.values(X[rows]).tobytes() == whole[rows].tobytes()
+            for i in (0, 123, 299):
+                assert f.values(X[i : i + 1])[0].hex() == whole[i].hex()
+
+    def test_values_are_the_embedding(self):
+        rng = np.random.default_rng(5)
+        k = gaussian(1.0, dim=3)
+        nu = SignedDiscreteMeasure(rng.normal(size=(12, 3)), rng.random(12), 3)
+        X = rng.normal(size=(20, 3))
+        got = kme_probe(k, nu).values(X)
+        want = [kme_eval(k, nu, x) for x in X]
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
+
+    def test_empty_reference_measure_embeds_to_zero(self):
+        f = kme_probe(gaussian(1.0), empty_measure(1))
+        assert f.values(np.array([[0.0], [2.0]])).tolist() == [0.0, 0.0]
+
+    def test_recentred_kernels_are_not_pointwise(self):
+        k = center_kernel(gaussian(1.0), dirac(0.5))
+        assert not kme_probe(k, dirac(0.0)).pointwise
 
 
 class TestBattery:
@@ -247,3 +290,183 @@ class TestCsv:
         assert keys["verdict_mass_escapes"] == "false"
         assert "threshold_final_tol" in keys
         assert keys["rows"] == "40"
+
+
+def probe_oracle(seq, target, k, battery, radii, center):
+    """The per-index loop: one integrate per (index, function), one
+    mass_in_ball per (index, radius) and one total_mass per index."""
+    target_vals = [integrate(target, f) for f in battery]
+    mmds, disc, balls, totals = [], [], [], []
+    for mu_n in seq:
+        mmds.append(mmd(k, mu_n, target))
+        disc.append([abs(integrate(mu_n, f) - tv) for f, tv in zip(battery, target_vals)])
+        balls.append([mass_in_ball(mu_n, center, r) for r in sorted(radii)])
+        totals.append(mu_n.total_mass)
+    return [np.array(v, dtype=np.float64) for v in (mmds, disc, balls, totals)]
+
+
+def assert_probe_matches_oracle(
+    seq, target, k, battery=None, radii=(2.0, 4.0, 8.0), center=None
+):
+    battery = default_battery(k, target) if battery is None else battery
+    center = np.zeros(seq.dim) if center is None else np.asarray(center, dtype=np.float64)
+    report = probe_sequence(
+        seq, target, k, battery=battery, radii=radii, ball_center=center
+    )
+    want = probe_oracle(seq, target, k, battery, radii, center)
+    got = (
+        report.mmd_to_target,
+        report.fn_discrepancies,
+        report.ball_masses,
+        report.total_masses,
+    )
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        # bytes, so the sign of a zero counts too
+        assert g.tobytes() == w.tobytes()
+
+
+def sign_of_first(dim):
+    """A pointwise function that tells 0.0 from -0.0."""
+    return ProbeFunction(
+        fn=lambda X: np.copysign(1.0, X[:, 0]), dim=dim, tag="cb", name="sign"
+    )
+
+
+def position_dependent(dim):
+    """A function that is not pointwise: its values shift with row position."""
+    return ProbeFunction(
+        fn=lambda X: X[:, 0] + 1e-3 * np.arange(X.shape[0]),
+        dim=dim,
+        tag="cb",
+        name="by_position",
+        pointwise=False,
+    )
+
+
+class TestProbeEqualsPerIndexLoop:
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_mixtures_sharing_atoms(self, dim):
+        rng = np.random.default_rng(10 + dim)
+        k = gaussian(1.0, dim=dim)
+        # atoms on a small integer grid, so the parts share some
+        parts = [
+            SignedDiscreteMeasure(rng.integers(-3, 4, (6, dim)) * 1.0, rng.random(6), dim)
+            for _ in range(3)
+        ]
+        items = [mixture(rng.normal(size=3), parts) for _ in range(25)]
+        target = parts[0]
+        nu = SignedDiscreteMeasure(rng.normal(size=(9, dim)), rng.normal(size=9), dim)
+        battery = default_battery(k, target) + [kme_probe(k, nu, name="kme_multi")]
+        assert_probe_matches_oracle(MeasureSequence(tuple(items)), target, k, battery)
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_signed_zeros_stay_distinct(self, dim):
+        k = gaussian(1.0, dim=dim)
+        pos, neg = np.zeros(dim), np.zeros(dim)
+        neg[0] = -0.0
+        items = (
+            dirac(pos),
+            dirac(neg),
+            SignedDiscreteMeasure(np.stack([neg, pos]), [0.25, -0.75], dim),
+            SignedDiscreteMeasure(np.stack([pos, neg]), [-2.0, 0.5], dim),
+        )
+        target = dirac(neg)
+        battery = default_battery(k, target) + [sign_of_first(dim)]
+        report = probe_sequence(MeasureSequence(items), target, k, battery=battery)
+        # the sign function sees 0.0 at index 1 and -0.0 in the target
+        assert report.column("sign").tolist() == [2.0, 0.0, 0.0, 1.5]
+        assert_probe_matches_oracle(MeasureSequence(items), target, k, battery)
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_empty_measures_inside_the_sequence(self, dim):
+        k = gaussian(1.0, dim=dim)
+        a = np.full(dim, 0.5)
+        items = (
+            dirac(a),
+            empty_measure(dim),
+            # cancels to the empty measure at construction
+            SignedDiscreteMeasure(np.stack([a, a]), [1.0, -1.0], dim),
+            dirac(2 * a) - dirac(a),
+        )
+        battery = default_battery(k, dirac(a)) + [position_dependent(dim)]
+        assert_probe_matches_oracle(MeasureSequence(items), dirac(a), k, battery)
+        only_empty = MeasureSequence((empty_measure(dim), empty_measure(dim)))
+        assert_probe_matches_oracle(only_empty, dirac(a), k)
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_atoms_on_ball_boundaries(self, dim):
+        # integer points at distance exactly 2 and 4 from the centre
+        k = laplacian(1.0, dim=dim)
+        center = np.ones(dim)
+        items = []
+        for r in (2.0, 4.0, 8.0, 2.5):
+            a = center.copy()
+            a[-1] += r
+            items.append(dirac(a) + dirac(center))
+        assert_probe_matches_oracle(
+            MeasureSequence(tuple(items)), dirac(center), k, center=center
+        )
+
+    def test_not_pointwise_functions_are_evaluated_per_measure(self):
+        rng = np.random.default_rng(3)
+        k = scale_kernel(center_kernel(gaussian(1.0), dirac(0.25)), c0_bump_at([0.0]))
+        nu = SignedDiscreteMeasure(rng.normal(size=(5, 1)), rng.random(5), 1)
+        pool = rng.normal(size=(12, 1))
+        items = [
+            SignedDiscreteMeasure(pool[rng.permutation(12)[:7]], rng.random(7), 1)
+            for _ in range(10)
+        ]
+        battery = default_battery(k, dirac(0.0)) + [
+            kme_probe(k, nu, name="kme_centred"),
+            position_dependent(1),
+        ]
+        assert not battery[-2].pointwise
+        assert_probe_matches_oracle(MeasureSequence(tuple(items)), dirac(0.0), k, battery)
+
+    def test_large_supports_take_the_binned_sums(self):
+        # supports above accumulate.SMALL_INPUT sum through ExactAccumulator
+        rng = np.random.default_rng(8)
+        pool = rng.normal(size=(2600, 1))
+        sizes = (2100, 2300, 2500)
+        items = [SignedDiscreteMeasure(pool[:n], rng.normal(size=n), 1) for n in sizes]
+        k = gaussian(1.0)
+        assert_probe_matches_oracle(MeasureSequence(tuple(items)), dirac(0.0), k)
+
+    def test_random_mixtures_property(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @hypothesis.settings(max_examples=40, deadline=None)
+        @hypothesis.given(
+            st.integers(1, 3),
+            st.integers(0, 2**32 - 1),
+            st.integers(1, 12),
+            st.integers(1, 8),
+        )
+        def check(dim, seed, count, pool_size):
+            rng = np.random.default_rng(seed)
+            # a small pool of points on a half-integer grid, with signed
+            # zeros, so atoms repeat, merge and sit on ball boundaries
+            pool = rng.integers(-6, 7, (pool_size, dim)) / 2.0
+            pool[rng.random((pool_size, dim)) < 0.2] = -0.0
+            parts = []
+            for _ in range(3):
+                n = int(rng.integers(0, 6))
+                rows = pool[rng.integers(0, pool_size, n)]
+                w = rng.normal(size=n)
+                w[rng.random(n) < 0.2] = 0.0
+                parts.append(SignedDiscreteMeasure(rows, w, dim))
+            items = [mixture(rng.normal(size=3), parts) for _ in range(count)]
+            k = gaussian(float(rng.uniform(0.3, 2.0)), dim=dim)
+            target = parts[0] if parts[0].support_size else dirac(np.zeros(dim))
+            nu = SignedDiscreteMeasure(pool, rng.normal(size=pool_size), dim)
+            battery = default_battery(k, target) + [
+                kme_probe(k, nu, name="kme_pool"),
+                sign_of_first(dim),
+            ]
+            assert_probe_matches_oracle(
+                MeasureSequence(tuple(items)), target, k, battery, radii=(1.0, 1.5, 3.0)
+            )
+
+        check()

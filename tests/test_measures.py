@@ -16,6 +16,8 @@ from mmdlab import (
     mixture,
     normalize_positive_part,
 )
+from mmdlab.accumulate import exact_sum
+from mmdlab.measures import in_balls, support_union
 
 
 def measure_1d(spec):
@@ -75,6 +77,123 @@ class TestConstruction:
         mu = dirac(0.0)
         with pytest.raises(ValueError):
             mu.atoms[0, 0] = 1.0
+
+
+def merged_by_loop(atoms, weights):
+    """The row-by-row merge: first occurrence order, weights summed exactly,
+    zero sums dropped."""
+    atoms = np.asarray(atoms, dtype=np.float64)
+    slots, rows, ws = {}, [], []
+    for row, w in zip(atoms, np.asarray(weights, dtype=np.float64).ravel()):
+        key = row.tobytes()
+        if key not in slots:
+            slots[key] = len(rows)
+            rows.append(row)
+            ws.append([])
+        ws[slots[key]].append(float(w))
+    summed = [exact_sum(w) for w in ws]
+    keep = [i for i, w in enumerate(summed) if w != 0.0]
+    kept = np.array([rows[i] for i in keep]).reshape(len(keep), atoms.shape[1])
+    return kept, np.array([summed[i] for i in keep])
+
+
+class TestMerge:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("repeats", [False, True])
+    def test_equals_the_row_by_row_merge(self, dim, repeats):
+        rng = np.random.default_rng(dim + 10 * repeats)
+        for n in (0, 1, 2, 9, 60):
+            if repeats:
+                atoms = (rng.integers(-2, 3, (n, dim)) / 2.0).astype(float)
+                atoms[rng.random((n, dim)) < 0.2] = -0.0
+            else:
+                atoms = rng.normal(size=(n, dim))
+            weights = rng.normal(size=n) * np.exp2(rng.integers(-40, 41, n))
+            weights[rng.random(n) < 0.2] = 0.0
+            weights[rng.random(n) < 0.1] = -0.0
+            mu = SignedDiscreteMeasure(atoms, weights, dim)
+            want_atoms, want_weights = merged_by_loop(atoms, weights)
+            assert mu.atoms.shape == (want_atoms.shape[0], dim)
+            assert mu.atoms.tobytes() == want_atoms.tobytes()
+            assert mu.weights.tobytes() == want_weights.tobytes()
+            assert mu.atoms.flags.c_contiguous
+
+    def test_signed_zero_atoms_stay_distinct(self):
+        mu = SignedDiscreteMeasure(np.array([[0.0], [-0.0], [0.0]]), [1.0, 2.0, 4.0], 1)
+        assert mu.weights.tolist() == [5.0, 2.0]
+        assert np.signbit(mu.atoms[:, 0]).tolist() == [False, True]
+
+    def test_caller_arrays_are_not_frozen(self):
+        atoms = np.array([[0.0], [1.0]])
+        weights = np.array([0.5, 0.5])
+        mu = SignedDiscreteMeasure(atoms, weights, 1)
+        assert atoms.flags.writeable and weights.flags.writeable
+        atoms[0, 0] = 7.0
+        weights[0] = 3.0
+        assert mu.atoms[0, 0] == 0.0 and mu.weights[0] == 0.5
+        with pytest.raises(ValueError):
+            mu.weights[0] = 1.0
+
+    def test_fortran_ordered_input(self):
+        atoms = np.asfortranarray(np.arange(12.0).reshape(4, 3))
+        mu = SignedDiscreteMeasure(atoms, [1.0, 0.0, 2.0, 3.0], 3)
+        assert mu.atoms.tolist() == atoms[[0, 2, 3]].tolist()
+        assert mu.atoms.flags.c_contiguous
+
+
+class TestSupportUnion:
+    def test_slots_gather_each_measure(self):
+        rng = np.random.default_rng(2)
+        pool = rng.integers(-2, 3, (7, 2)) / 2.0
+        pool[0] = [0.0, -0.0]
+        pool[1] = [0.0, 0.0]
+        items = [
+            SignedDiscreteMeasure(pool[rng.integers(0, 7, 5)], rng.random(5) + 0.1, 2)
+            for _ in range(20)
+        ] + [empty_measure(2)]
+        atoms, slots = support_union(items, 2)
+        slots = list(slots)
+        assert len(slots) == len(items)
+        for mu, idx in zip(items, slots):
+            assert idx.dtype == np.intp
+            assert atoms[idx].tobytes() == mu.atoms.tobytes()
+        keys = [row.tobytes() for row in atoms]
+        assert len(set(keys)) == len(keys)
+        # first occurrence order
+        seen = []
+        for mu in items:
+            for row in mu.atoms:
+                if row.tobytes() not in seen:
+                    seen.append(row.tobytes())
+        assert keys == seen
+
+    def test_signed_zeros_get_their_own_slots(self):
+        atoms, slots = support_union([dirac(0.0), dirac(-0.0), dirac(0.0)], 1)
+        assert atoms.shape == (2, 1)
+        assert [idx.tolist() for idx in slots] == [[0], [1], [0]]
+        assert np.signbit(atoms[:, 0]).tolist() == [False, True]
+
+    def test_only_empty_measures(self):
+        atoms, slots = support_union([empty_measure(3)] * 2, 3)
+        assert atoms.shape == (0, 3)
+        assert [idx.size for idx in slots] == [0, 0]
+
+
+class TestInBalls:
+    def test_closed_balls_match_mass_in_ball(self):
+        rng = np.random.default_rng(6)
+        atoms = rng.integers(-4, 5, (40, 2)).astype(float)
+        w = rng.normal(size=40)
+        mu = SignedDiscreteMeasure(atoms, w, 2)
+        center = np.array([0.5, -1.0])
+        radii = [0.5, 2.5, 3.0, 20.0]
+        inside = in_balls(mu.atoms, center, radii)
+        assert inside.shape == (4, mu.support_size)
+        for r, mask in zip(radii, inside):
+            assert exact_sum(mu.weights[mask]).hex() == mass_in_ball(mu, center, r).hex()
+        # the boundary is closed: (0.5, 1.5) is at distance 2.5 exactly
+        on_edge = in_balls(np.array([[0.5, 1.5]]), center, [2.5])
+        assert on_edge.tolist() == [[True]]
 
 
 class TestArithmetic:
