@@ -5,7 +5,7 @@ Walks through the core objects:
 
   1. finitely supported signed measures (atoms + weights, exact merging),
   2. the mean embedding of a measure under a kernel,
-  3. the MMD between two measures, computed two independent ways,
+  3. the MMD between two measures, computed two ways (expand or merge),
   4. the integral identity mu(f_nu) = <mu, nu>.
 
 Everything here is exact or near machine precision; the printed deltas

@@ -8,8 +8,8 @@ Usage::
 ``run`` executes one preset, writes ``trace.csv`` and ``summary.txt`` into
 the output directory, and exits 0 when the preset's expected verdict
 pattern holds, 1 on a verdict mismatch (printing the diff), 2 on a usage
-error, including parameters or measures a preset rejects.  Identical config
-and seed produce byte-identical CSV output.
+error, including parameters, measures or dimensions a preset rejects.
+Identical config and seed produce byte-identical CSV output.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import time
 from pathlib import Path
 
 from .config import build_config, load_config_file
-from .errors import MeasureError, ParameterError, SearchFailureError, UsageError
+from .errors import DimensionMismatchError, MeasureError, ParameterError, SearchFailureError, UsageError
 from .presets import PRESETS, preset_table
 
 EXIT_OK = 0
@@ -87,7 +87,7 @@ def cmd_run(args) -> int:
         f"dim={cfg.dim}",
         f"n_max={cfg.n_max}",
         f"seed={cfg.seed}",
-        f"kernel={json.dumps(cfg.kernel or {'family': 'gaussian', 'sigma': 1.0, 'dim': cfg.dim}, sort_keys=True)}",
+        f"kernel={json.dumps(cfg.kernel, sort_keys=True)}",
         f"radii={','.join(repr(float(r)) for r in cfg.radii)}",
     ]
     lines += [f"{k}={v}" for k, v in outcome.extras]
@@ -134,7 +134,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             return cmd_run(args)
         return cmd_list(args)
-    except (UsageError, ParameterError, MeasureError) as exc:
+    except (UsageError, ParameterError, MeasureError, DimensionMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SearchFailureError as exc:

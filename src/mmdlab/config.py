@@ -28,33 +28,37 @@ from pathlib import Path
 
 import numpy as np
 
+from .constructions import STRATEGIES
 from .diagnostics import Thresholds
 from .errors import ParameterError, UsageError
 from .kernels import FIELD_BUILDERS, Kernel, center_kernel, make_base_kernel, scale_kernel, shift_kernel
 from .measures import SignedDiscreteMeasure
-
-PRESET_NAMES = (
-    "metrize_demo",
-    "escape_demo",
-    "flaw_counterexample",
-    "shift_invariance",
-    "center_invariance",
-    "compact_regime",
-    "dirac_null_witness",
-    "signed_witness_escape",
-)
+from .presets import PRESETS
 
 
 def measure_to_rows(mu: SignedDiscreteMeasure) -> list:
     return [[[float(v) for v in atom], float(w)] for atom, w in zip(mu.atoms, mu.weights)]
 
 
+def _refuse_text_and_bools(val) -> None:
+    # numpy would read "0.5" as 0.5 and true as 1.0
+    if isinstance(val, (str, bytes, bool, np.bool_)):
+        raise TypeError(f"{val!r} is not a number")
+    if isinstance(val, (list, tuple)):
+        for v in val:
+            _refuse_text_and_bools(v)
+
+
 def measure_from_rows(rows, dim: int | None = None) -> SignedDiscreteMeasure:
     try:
-        atoms = np.asarray([row[0] for row in rows], dtype=np.float64)
-        weights = np.asarray([row[1] for row in rows], dtype=np.float64)
+        atoms = [row[0] for row in rows]
+        weights = [row[1] for row in rows]
+        _refuse_text_and_bools([atoms, weights])
+        atoms = np.asarray(atoms, dtype=np.float64)
+        weights = np.asarray(weights, dtype=np.float64)
     except (TypeError, IndexError, ValueError) as exc:
-        # ValueError: a coordinate or weight that is not a number, or ragged atoms
+        # TypeError or ValueError: a coordinate or weight that is not a number,
+        # or ragged atoms
         raise ParameterError(f"malformed measure rows: {exc}") from exc
     if not len(atoms):
         if dim is None:
@@ -161,9 +165,9 @@ class ExperimentConfig:
     scaler: str = "c0_bump_at"
 
     def __post_init__(self):
-        if self.preset not in PRESET_NAMES:
+        if self.preset not in PRESETS:
             raise UsageError(
-                f"unknown preset {self.preset!r}; available: {', '.join(PRESET_NAMES)}"
+                f"unknown preset {self.preset!r}; available: {', '.join(PRESETS)}"
             )
         for name in ("dim", "n_max", "seed", "pairs"):
             setattr(self, name, _checked_int(name, getattr(self, name)))
@@ -177,19 +181,22 @@ class ExperimentConfig:
             raise UsageError("pairs must be at least 1")
         if self.seed < 0:
             raise UsageError("seed must be nonnegative")
-        if self.strategy not in ("ray", "grid", "random"):
+        if self.strategy not in STRATEGIES:
             raise UsageError(f"unknown search strategy {self.strategy!r}")
+        if self.scaler not in FIELD_BUILDERS:
+            raise UsageError(f"unknown scaler {self.scaler!r}")
         if not self.radii or not all(r > 0 for r in self.radii):
             raise UsageError("radii must be a non-empty list of finite positive numbers")
         self.thresholds = _checked_thresholds(self.thresholds)
         if not self.out:
             self.out = str(Path("out") / self.preset)
+        if not self.kernel:
+            self.kernel = {"family": "gaussian", "sigma": 1.0, "dim": self.dim}
 
     def make_kernel(self) -> Kernel:
-        """The configured kernel, defaulting to a unit-bandwidth gaussian."""
-        desc = self.kernel or {"family": "gaussian", "sigma": 1.0, "dim": self.dim}
+        """The configured kernel, by default a unit-bandwidth gaussian."""
         try:
-            k = kernel_from_descriptor(desc)
+            k = kernel_from_descriptor(self.kernel)
         except (ParameterError, KeyError, TypeError) as exc:
             raise UsageError(f"bad kernel descriptor: {exc}") from exc
         if k.dim != self.dim:
@@ -207,23 +214,6 @@ class ExperimentConfig:
         return p
 
 
-_CONFIG_KEYS = {
-    "preset",
-    "dim",
-    "n_max",
-    "seed",
-    "out",
-    "kernel",
-    "thresholds",
-    "radii",
-    "xi",
-    "xi2",
-    "pairs",
-    "strategy",
-    "scaler",
-}
-
-
 def load_config_file(path) -> dict:
     p = Path(path)
     try:
@@ -234,7 +224,7 @@ def load_config_file(path) -> dict:
         raise UsageError(f"config file {p} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise UsageError("config file must hold a JSON object")
-    unknown = set(raw) - _CONFIG_KEYS
+    unknown = set(raw) - {f.name for f in fields(ExperimentConfig)}
     if unknown:
         raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
     return raw

@@ -39,7 +39,6 @@ from .errors import (
     SearchFailureError,
 )
 from .kernels import (
-    C0_BUMP_SUP,
     Kernel,
     ScalarField,
     c0_bump_at,
@@ -100,7 +99,7 @@ class SearchDomain:
     seed: int = 0
 
     def __post_init__(self):
-        if self.strategy not in ("ray", "grid", "random"):
+        if self.strategy not in STRATEGIES:
             raise ParameterError(f"unknown search strategy {self.strategy!r}")
         if self.step <= 0:
             raise ParameterError("search step must be positive")
@@ -155,69 +154,26 @@ def _random_candidates(dom: SearchDomain, excl: ExclusionRegion):
         yield excl.center + (radius / n) * v
 
 
-def _candidates(dom: SearchDomain, excl: ExclusionRegion, spacing: float):
-    if dom.strategy == "ray":
-        return _ray_candidates(dom, excl, spacing)
-    if dom.strategy == "grid":
-        return _grid_candidates(dom, excl)
-    return _random_candidates(dom, excl)
-
-
-# spacing is shaved slightly below the analytic solution of k(s) = eps so
-# the greedy acceptance test is not decided by the last ulp
-_SPACING_MARGIN = 1.0 - 1e-9
+# each strategy's candidate stream, given the domain, the exclusion ball and
+# the ray spacing
+STRATEGIES = {
+    "ray": _ray_candidates,
+    "grid": lambda dom, excl, spacing: _grid_candidates(dom, excl),
+    "random": lambda dom, excl, spacing: _random_candidates(dom, excl),
+}
 
 
 def suggested_spacing(k: Kernel, eps: float) -> float | None:
     """Analytic ray spacing so consecutive points have |k| <= eps.
 
-    Works down the descriptor tree for translation-invariant bases wrapped
-    in scalings with a declared sup; returns None when no analytic rule
-    applies (the greedy verification still guards correctness).
+    Returns ``k.spacing(eps)``: the base families solve k(s) = eps, and a
+    scaling by a field with a declared sup passes a tightened eps to its
+    child; None when no analytic rule applies (the greedy verification
+    still guards correctness).
     """
     if eps <= 0:
         raise ParameterError("eps must be positive")
-    return _spacing_from_descriptor(k.descriptor, eps)
-
-
-def _spacing_from_descriptor(desc: dict, eps: float) -> float | None:
-    target = eps * _SPACING_MARGIN
-    family = desc.get("family")
-    if family == "gaussian":
-        if target >= 1.0:
-            return None
-        return desc["sigma"] * math.sqrt(2.0 * math.log(1.0 / target))
-    if family == "laplacian":
-        if target >= 1.0:
-            return None
-        return math.log(1.0 / target) / desc["gamma"]
-    if family == "inverse_multiquadric":
-        if target >= 1.0:
-            return None
-        return desc["c"] * math.sqrt(target ** (-1.0 / desc["beta"]) - 1.0)
-    op = desc.get("op")
-    if op == "scale":
-        sup = _field_sup(desc.get("field", {}))
-        if sup is None:
-            return None
-        # |g(x) k g(y)| <= sup^2 |k|; a bound >= 1 means no constraint at all
-        child_eps = eps / (sup * sup)
-        if child_eps >= 1.0:
-            return None
-        return _spacing_from_descriptor(desc["child"], child_eps)
-    return None
-
-
-def _field_sup(field_desc: dict) -> float | None:
-    name = field_desc.get("g")
-    if name == "c0_bump_at":
-        return C0_BUMP_SUP
-    if name == "c0_null_at":
-        return C0_BUMP_SUP ** max(1, len(field_desc.get("xis", [])))
-    if name == "saturating_at":
-        return 1.0
-    sup = field_desc.get("sup")
-    return float(sup) if sup is not None else None
+    return k.spacing(eps)
 
 
 def diffusing_sequence(
@@ -270,7 +226,7 @@ def diffusing_sequence(
         raise DimensionMismatchError("exclusion center dimension mismatch")
 
     spacing = suggested_spacing(k, eps) or dom.step
-    stream = itertools.islice(_candidates(dom, excl, spacing), max_candidates)
+    stream = itertools.islice(STRATEGIES[dom.strategy](dom, excl, spacing), max_candidates)
     accepted = np.empty((n, k.dim))
     count = 0
     scanned = 0

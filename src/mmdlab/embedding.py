@@ -2,21 +2,21 @@
 
 For a finitely supported signed measure the embedding is a finite sum, the
 inner product of two embeddings is a double sum over atom pairs, and the MMD
-is the norm of a difference of embeddings.  Two independent routes compute
-the same distance:
+is the norm of a difference of embeddings.  Two routes compute the same
+distance:
 
 * :func:`mmd` expands |mu - nu|^2 into three inner products over the
-  original supports;
+  original supports, each self term summed over the upper triangle of its
+  Gram for a rowwise kernel;
 * :func:`mmd_oracle` first forms mu - nu explicitly (merging atoms) and
-  evaluates one double sum.
+  sums the whole Gram of the merged support once.
 
-They share no intermediate results, which is the point: agreement between
-them is a meaningful check.  All double sums are exactly rounded (see
-:mod:`mmdlab.accumulate`), and large Gram blocks of rowwise kernels are
-evaluated one row tile at a time, so memory stays O(tile).  A self inner
-product ``inner(k, mu, mu)`` of a rowwise kernel evaluates and sums only the
-upper triangle of its Gram, which gives the same bits with about half the
-kernel evaluations.
+They share no sums, so their agreement checks the expansion, the merge and
+the triangle path.  They do share the kernel: both sum the same rounded
+values k(x, y), so an error in those values is invisible to the check.  All
+double sums are exactly rounded (see :mod:`mmdlab.accumulate`), and large
+Gram blocks of rowwise kernels are evaluated one row tile at a time, so
+memory stays O(tile) on both routes.
 """
 
 from __future__ import annotations
@@ -24,12 +24,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .accumulate import exact_sum, symmetric_gram_sum, tiled_gram_sum, weighted_gram_sum
-from .errors import DimensionMismatchError, SupportSizeError
+from .accumulate import exact_sum, symmetric_gram_sum, tiled_gram_sum
+from .errors import DimensionMismatchError
 from .kernels import Kernel
 from .measures import SignedDiscreteMeasure, as_point
-
-ORACLE_SUPPORT_LIMIT = 2000
 
 
 def _check_dims(k: Kernel, *measures: SignedDiscreteMeasure) -> None:
@@ -55,12 +53,18 @@ def inner(k: Kernel, mu: SignedDiscreteMeasure, nu: SignedDiscreteMeasure) -> fl
     _check_dims(k, mu, nu)
     if mu.support_size == 0 or nu.support_size == 0:
         return 0.0
-    X, Y = mu.atoms, nu.atoms
     if k.rowwise and mu is nu:
         # a rowwise kernel is exactly symmetric: sum the upper triangle
+        X = mu.atoms
         return symmetric_gram_sum(
             mu.weights, lambda start, stop: k.block(X[start:stop], X[start:])
         )
+    return _full_gram_sum(k, mu, nu)
+
+
+def _full_gram_sum(k: Kernel, mu: SignedDiscreteMeasure, nu: SignedDiscreteMeasure) -> float:
+    """Exact sum of w_i v_j k(a_i, b_j) over every (i, j), by row tiles."""
+    X, Y = mu.atoms, nu.atoms
     # a kernel that is not rowwise is evaluated whole, then read by rows
     gram_rows = (lambda rows: k.block(X[rows], Y)) if k.rowwise else k.block(X, Y).__getitem__
     return tiled_gram_sum(mu.weights, gram_rows, nu.weights)
@@ -113,21 +117,15 @@ def mmd(k: Kernel, mu: SignedDiscreteMeasure, nu: SignedDiscreteMeasure) -> floa
 def mmd_oracle(k: Kernel, mu: SignedDiscreteMeasure, nu: SignedDiscreteMeasure) -> float:
     """Brute-force MMD: merge mu - nu, then one double sum over its support.
 
-    Kept deliberately independent of :func:`mmd`; limited to combined
-    supports of 2000 atoms.
+    Kept apart from :func:`mmd`: no expansion into inner products and no
+    triangle, but every entry of the merged support's Gram, read in row
+    tiles for a rowwise kernel, so memory is O(tile) at any support size.
     """
     _check_dims(k, mu, nu)
-    if mu.support_size + nu.support_size > ORACLE_SUPPORT_LIMIT:
-        raise SupportSizeError(
-            f"combined support {mu.support_size + nu.support_size} exceeds "
-            f"oracle limit {ORACLE_SUPPORT_LIMIT}"
-        )
     diff = mu - nu
     if diff.support_size == 0:
         return 0.0
-    G = k.block(diff.atoms, diff.atoms)
-    sq = weighted_gram_sum(diff.weights, G, diff.weights)
-    return math.sqrt(max(0.0, sq))
+    return math.sqrt(max(0.0, _full_gram_sum(k, diff, diff)))
 
 
 def self_inner_tolerance(mu: SignedDiscreteMeasure, sup_bound: float) -> float:

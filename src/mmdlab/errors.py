@@ -27,10 +27,6 @@ class NotAWitnessError(MeasureError):
     where an annihilated witness is required."""
 
 
-class SupportSizeError(ValueError):
-    """Combined support exceeds the size limit of a brute-force path."""
-
-
 class SearchFailureError(RuntimeError):
     """The candidate budget ran out before a point set was completed.
 

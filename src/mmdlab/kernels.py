@@ -2,11 +2,13 @@
 
 A :class:`Kernel` pairs a vectorized evaluation rule with the metadata the
 rest of the package relies on: a bound on the diagonal (``sup_bound``), a
-claim that sections vanish at infinity (``claims_c0``), and a ``descriptor``
-recording how the kernel was built.  Kernels compose: :func:`shift_kernel`
-adds a constant, :func:`scale_kernel` conjugates by a scalar field, and
-:func:`center_kernel` recenters the feature map at a probability measure.
-Descriptors nest accordingly, so provenance survives composition.
+claim that sections vanish at infinity (``claims_c0``), a ``spacing`` rule
+for the diffusing search, and a ``descriptor`` recording how the kernel was
+built.  Kernels compose: :func:`shift_kernel` adds a constant,
+:func:`scale_kernel` conjugates by a scalar field, and :func:`center_kernel`
+recenters the feature map at a probability measure.  Descriptors nest
+accordingly, so provenance survives composition; the other metadata is
+composed by the same functions.
 
 Evaluation is pure and lazy: nothing is tabulated at construction, and the
 same two points always produce the same float, which several exact-equality
@@ -27,6 +29,20 @@ from .errors import DimensionMismatchError, MeasureError, ParameterError
 from .measures import SignedDiscreteMeasure, as_point, as_points
 
 BASE_FAMILIES = ("gaussian", "laplacian", "inverse_multiquadric")
+
+# spacing is shaved slightly below the analytic solution of k(s) = eps so
+# the greedy acceptance test is not decided by the last ulp
+_SPACING_MARGIN = 1.0 - 1e-9
+
+
+def _base_spacing(solve: Callable[[float], float]) -> Callable[[float], float | None]:
+    """A base family's spacing rule from its solution s of k(s) = target < 1."""
+
+    def spacing(eps):
+        target = eps * _SPACING_MARGIN
+        return None if target >= 1.0 else solve(target)
+
+    return spacing
 
 
 def _sqdist(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -56,7 +72,9 @@ class Kernel:
     ``block_fn(X[rows], Y[cols])`` equals ``block_fn(X, Y)[rows, cols]`` bit
     for bit and that ``block_fn(X, X)`` is exactly symmetric.  A large block
     may then be evaluated one tile at a time, and a self inner product may
-    evaluate and sum only the upper triangle of its Gram.
+    evaluate and sum only the upper triangle of its Gram.  ``spacing(eps)``
+    is a distance s such that points s or more apart have ``|k| <= eps``, or
+    None when no analytic rule is known.
     """
 
     block_fn: Callable[[np.ndarray, np.ndarray], np.ndarray] = field(repr=False)
@@ -65,6 +83,7 @@ class Kernel:
     claims_c0: bool
     descriptor: dict
     rowwise: bool = False
+    spacing: Callable[[float], float | None] = field(default=lambda eps: None, repr=False)
 
     def block(self, X, Y) -> np.ndarray:
         """Matrix of values k(X_i, Y_j)."""
@@ -102,6 +121,7 @@ def gaussian(sigma: float = 1.0, dim: int = 1) -> Kernel:
         claims_c0=True,
         rowwise=True,
         descriptor={"family": "gaussian", "sigma": float(sigma), "dim": int(dim)},
+        spacing=_base_spacing(lambda t: float(sigma) * math.sqrt(2.0 * math.log(1.0 / t))),
     )
 
 
@@ -121,6 +141,7 @@ def laplacian(gamma: float = 1.0, dim: int = 1) -> Kernel:
         claims_c0=True,
         rowwise=True,
         descriptor={"family": "laplacian", "gamma": g, "dim": int(dim)},
+        spacing=_base_spacing(lambda t: math.log(1.0 / t) / g),
     )
 
 
@@ -146,6 +167,7 @@ def inverse_multiquadric(c: float = 1.0, beta: float = 0.5, dim: int = 1) -> Ker
             "beta": b,
             "dim": int(dim),
         },
+        spacing=_base_spacing(lambda t: float(c) * math.sqrt(t ** (-1.0 / b) - 1.0)),
     )
 
 
@@ -320,6 +342,13 @@ def scale_kernel(k: Kernel, g: ScalarField) -> Kernel:
         gy = g.fn(Y)
         return (gx[:, None] * gy[None, :]) * child(X, Y)
 
+    def spacing(eps):
+        if g.sup is None:
+            return None
+        # |g(x) k g(y)| <= sup^2 |k|; a bound >= 1 means no constraint at all
+        child_eps = eps / (g.sup * g.sup)
+        return None if child_eps >= 1.0 else k.spacing(child_eps)
+
     bounded = math.isfinite(k.sup_bound)
     sup = k.sup_bound * g.sup * g.sup if g.sup is not None else math.inf
     return Kernel(
@@ -329,6 +358,7 @@ def scale_kernel(k: Kernel, g: ScalarField) -> Kernel:
         claims_c0=k.claims_c0 or (g.is_c0 and bounded),
         descriptor={"op": "scale", "field": dict(g.descriptor), "child": k.descriptor},
         rowwise=k.rowwise,
+        spacing=spacing,
     )
 
 
@@ -398,12 +428,6 @@ def psd_tolerance(n: int, sup_bound: float) -> float:
     """Eigenvalue drift allowance: floating-point eigensolvers produce
     O(n * eps * |G|) negative noise on genuinely PSD matrices."""
     return 1e-8 * n * sup_bound
-
-
-def gram_min_eigenvalue(k: Kernel, pts) -> float:
-    """Smallest eigenvalue of the (symmetrized) Gram matrix on ``pts``."""
-    G = gram(k, pts)
-    return float(np.linalg.eigvalsh(G)[0])
 
 
 @dataclass(frozen=True)

@@ -11,16 +11,15 @@ the claim it demonstrates.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from . import constructions as cons
-from .config import ExperimentConfig
 from .diagnostics import Thresholds, probe_sequence
 from .embedding import mmd, norm
 from .errors import ParameterError, UsageError
-from .kernels import FIELD_BUILDERS, center_kernel, c0_null_at, c0_probe, shift_kernel
+from .kernels import FIELD_BUILDERS, Kernel, center_kernel, c0_null_at, c0_probe, shift_kernel
 from .measures import (
     MeasureSequence,
     SignedDiscreteMeasure,
@@ -29,6 +28,9 @@ from .measures import (
     mass_in_ball,
     mixture,
 )
+
+if TYPE_CHECKING:
+    from .config import ExperimentConfig
 
 INVARIANCE_TOL = 1e-12
 IDENTITY_TOL = 1e-10
@@ -60,15 +62,23 @@ def _domain(cfg: ExperimentConfig) -> cons.SearchDomain:
     return cons.SearchDomain(dim=cfg.dim, strategy=cfg.strategy, seed=cfg.seed)
 
 
-def _scaler_field(cfg: ExperimentConfig, xi: np.ndarray):
-    builder = FIELD_BUILDERS.get(cfg.scaler)
-    if builder is None:
-        raise UsageError(f"unknown scaler {cfg.scaler!r}")
-    return builder(xi)
+def _null_kernel(cfg: ExperimentConfig) -> tuple[Kernel, np.ndarray]:
+    """The configured kernel scaled by the configured field, which vanishes
+    at xi, and xi itself."""
+    base = cfg.make_kernel()
+    xi = cfg.xi_point()
+    try:
+        g = FIELD_BUILDERS[cfg.scaler](xi, dim=cfg.dim)
+        return cons.dirac_null_kernel(base, xi, g), xi
+    except ParameterError as exc:
+        raise UsageError(str(exc)) from exc
 
 
-def _report_outcome(report, extras: tuple[tuple[str, str], ...] = ()) -> PresetOutcome:
+def _report_outcome(
+    report, extras: tuple[tuple[str, str], ...] = (), **more_actual: bool
+) -> PresetOutcome:
     actual = {k: v for k, v in report.verdicts.as_dict().items() if v is not None}
+    actual.update(more_actual)
     return PresetOutcome(
         actual=actual,
         csv_text=report.csv_text(),
@@ -133,12 +143,7 @@ def run_escape_demo(cfg: ExperimentConfig) -> PresetOutcome:
 
 
 def run_flaw_counterexample(cfg: ExperimentConfig) -> PresetOutcome:
-    base = cfg.make_kernel()
-    xi = cfg.xi_point()
-    try:
-        null_k = cons.dirac_null_kernel(base, xi, _scaler_field(cfg, xi))
-    except ParameterError as exc:
-        raise UsageError(str(exc)) from exc
+    null_k, xi = _null_kernel(cfg)
     kappa = shift_kernel(null_k, 1.0)
 
     excl = cons.ExclusionRegion(xi, max(cfg.radii) + 1.0)
@@ -160,13 +165,11 @@ def run_flaw_counterexample(cfg: ExperimentConfig) -> PresetOutcome:
         abs(mmd(kappa, p_n, target) - norm(null_k, p_n)) for p_n in parts
     ]
     max_resid = max(residuals)
-    actual = {k_: v for k_, v in report.verdicts.as_dict().items() if v is not None}
-    actual["identity_holds"] = max_resid <= IDENTITY_TOL
-    extras = tuple(report.summary_items()) + (
+    extras = (
         ("identity_max_residual", repr(float(max_resid))),
         ("identity_tol", repr(IDENTITY_TOL)),
     )
-    return PresetOutcome(actual=actual, csv_text=report.csv_text(), extras=extras)
+    return _report_outcome(report, extras, identity_holds=max_resid <= IDENTITY_TOL)
 
 
 def run_compact_regime(cfg: ExperimentConfig) -> PresetOutcome:
@@ -231,17 +234,19 @@ def run_signed_witness_escape(cfg: ExperimentConfig) -> PresetOutcome:
     target_ball = mass_in_ball(
         construction.target, construction.center, construction.probe_radius
     )
-    actual = {k_: v for k_, v in report.verdicts.as_dict().items() if v is not None}
-    actual["identity_holds"] = float(residuals.max()) <= IDENTITY_TOL
-    actual["portmanteau_violation"] = max(probe_ball) < target_ball
-    extras = tuple(report.summary_items()) + (
+    extras = (
         ("identity_max_residual", repr(float(residuals.max()))),
         ("identity_tol", repr(IDENTITY_TOL)),
         ("residual_mass", repr(construction.residual.total_mass)),
         ("probe_ball_target_mass", repr(float(target_ball))),
         ("probe_ball_sequence_mass_max", repr(float(max(probe_ball)))),
     )
-    return PresetOutcome(actual=actual, csv_text=report.csv_text(), extras=extras)
+    return _report_outcome(
+        report,
+        extras,
+        identity_holds=float(residuals.max()) <= IDENTITY_TOL,
+        portmanteau_violation=max(probe_ball) < target_ball,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -309,12 +314,7 @@ def run_center_invariance(cfg: ExperimentConfig) -> PresetOutcome:
 
 
 def run_dirac_null_witness(cfg: ExperimentConfig) -> PresetOutcome:
-    base = cfg.make_kernel()
-    xi = cfg.xi_point()
-    try:
-        kernel = cons.dirac_null_kernel(base, xi, _scaler_field(cfg, xi))
-    except ParameterError as exc:
-        raise UsageError(str(exc)) from exc
+    kernel, xi = _null_kernel(cfg)
 
     null_norm = norm(kernel, dirac(xi))
     rng = np.random.default_rng(cfg.seed)

@@ -1,7 +1,7 @@
 """Tests for the experiment runner: flags, config files, exit codes, output."""
 
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -232,6 +232,75 @@ class TestConfigFile:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
+        "p", [[[["0.5"], "1"]], [[[True], 1]], [[[0.5], False]], [[["0.5", 1.0], 1]]], ids=repr
+    )
+    def test_text_and_bools_in_measure_rows_are_usage_errors(self, tmp_path, capsys, p):
+        # numpy would read "0.5" as 0.5 and true as 1.0
+        kernel = {"op": "center", "p": p, "child": {"family": "gaussian", "sigma": 1.0, "dim": 1}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"preset": "metrize_demo", "kernel": kernel}))
+        code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "malformed measure rows" in err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {
+                "preset": "center_invariance",
+                "kernel": {"op": "center", "p": [[[0.5, 1.0], 1]], "child": {"family": "gaussian"}},
+            },
+            {
+                "preset": "metrize_demo",
+                "kernel": {
+                    "op": "scale",
+                    "g": "c0_bump_at",
+                    "xi": [0.0, 1.0],
+                    "child": {"family": "gaussian"},
+                },
+            },
+            {
+                "preset": "flaw_counterexample",
+                "kernel": {
+                    "op": "scale",
+                    "field": {"g": "c0_null_at", "xis": [[0.0, 0.0]]},
+                    "child": {"family": "gaussian"},
+                },
+            },
+        ],
+        ids=["center-2d-atom", "scale-2d-xi", "scale-2d-xis"],
+    )
+    def test_dimension_errors_are_usage_errors(self, tmp_path, capsys, config):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "dimension" in err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "o").exists()
+
+    def test_unknown_scaler_is_usage_error(self, tmp_path, capsys):
+        # refused by the config, before any preset reads it
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"preset": "metrize_demo", "scaler": "bogus"}))
+        code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: unknown scaler 'bogus'\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("preset", ["flaw_counterexample", "dirac_null_witness"])
+    def test_c0_null_at_scaler_in_two_dimensions(self, tmp_path, preset):
+        # xi is one point of R^2, not two points of R
+        cfg_path = tmp_path / "cfg.json"
+        config = {"preset": preset, "dim": 2, "n_max": 64, "pairs": 20, "scaler": "c0_null_at"}
+        cfg_path.write_text(json.dumps(config))
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize(
         "rows",
         [[["a", 1]], [[[0.0], "w"]], [[[0.0, 1.0], 1.0], [[0.0], 1.0]], [[[0.0]]]],
         ids=repr,
@@ -377,6 +446,29 @@ class TestBuildConfig:
         cfg = build_config({"preset": "metrize_demo", "n_max": 8}, n_max=16, seed=None)
         assert cfg.n_max == 16
         assert cfg.seed == 0
+
+    def test_presets_are_read_from_the_registry(self, monkeypatch):
+        # entries replaced or added in place are seen, so no copy is kept
+        monkeypatch.setitem(PRESETS, "extra", replace(PRESETS["metrize_demo"], name="extra"))
+        assert build_config({"preset": "extra"}).preset == "extra"
+
+    def test_every_config_field_is_a_file_key(self, tmp_path):
+        values = {
+            "preset": "escape_demo", "dim": 1, "n_max": 8, "seed": 1, "out": "o",
+            "kernel": {"family": "laplacian", "gamma": 1.0, "dim": 1},
+            "thresholds": {"final_tol": 0.5}, "radii": [1.0], "xi": [0.0], "xi2": [1.0],
+            "pairs": 3, "strategy": "grid", "scaler": "c0_null_at",
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(values))
+        cfg = build_config(load_config_file(cfg_path))
+        assert {f.name for f in fields(ExperimentConfig)} == set(values)
+        assert cfg.strategy == "grid" and cfg.scaler == "c0_null_at"
+
+    def test_default_kernel_is_in_the_config(self):
+        cfg = build_config({"preset": "metrize_demo", "dim": 2})
+        assert cfg.kernel == {"family": "gaussian", "sigma": 1.0, "dim": 2}
+        assert cfg.make_kernel().descriptor == cfg.kernel
 
     def test_default_out_dir_derives_from_preset(self):
         cfg = build_config({"preset": "escape_demo"})

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from mmdlab import (
+    C0_BUMP_SUP,
     DegenerateMeasureError,
     DiffusionCertificate,
     ExclusionRegion,
@@ -18,7 +19,9 @@ from mmdlab import (
     ParameterError,
     SearchDomain,
     SearchFailureError,
+    ScalarField,
     SignedDiscreteMeasure,
+    c0_bump_at,
     c0_null_at,
     c0_probe,
     center_kernel,
@@ -39,6 +42,8 @@ from mmdlab import (
     mmd,
     norm,
     saturating_at,
+    scale_kernel,
+    shift_kernel,
     shifted_dirac_null_kernel,
     suggested_spacing,
     verify_diffusing,
@@ -61,7 +66,109 @@ class TestSearchDomain:
             SearchDomain(dim=0)
 
 
+def descriptor_spacing(desc, eps):
+    """The ray spacing recovered by walking a kernel's descriptor: the rule
+    ``suggested_spacing`` followed before kernels carried it."""
+    target = eps * (1.0 - 1e-9)
+    family = desc.get("family")
+    if family == "gaussian":
+        if target >= 1.0:
+            return None
+        return desc["sigma"] * math.sqrt(2.0 * math.log(1.0 / target))
+    if family == "laplacian":
+        if target >= 1.0:
+            return None
+        return math.log(1.0 / target) / desc["gamma"]
+    if family == "inverse_multiquadric":
+        if target >= 1.0:
+            return None
+        return desc["c"] * math.sqrt(target ** (-1.0 / desc["beta"]) - 1.0)
+    if desc.get("op") == "scale":
+        field = desc.get("field", {})
+        name = field.get("g")
+        if name == "c0_bump_at":
+            sup = C0_BUMP_SUP
+        elif name == "c0_null_at":
+            sup = C0_BUMP_SUP ** max(1, len(field.get("xis", [])))
+        elif name == "saturating_at":
+            sup = 1.0
+        elif field.get("sup") is not None:
+            sup = float(field["sup"])
+        else:
+            return None
+        child_eps = eps / (sup * sup)
+        if child_eps >= 1.0:
+            return None
+        return descriptor_spacing(desc["child"], child_eps)
+    return None
+
+
+SPACING_BASES = [
+    gaussian(1.0),
+    gaussian(0.3),
+    laplacian(1.0),
+    laplacian(2.5),
+    inverse_multiquadric(1.0, 0.5),
+    inverse_multiquadric(2.0, 1.5),
+    inverse_multiquadric(0.7, 3.0),
+]
+SPACING_WRAPS = {
+    "plain": lambda k: k,
+    "shift": lambda k: shift_kernel(k, 1.0),
+    "center": lambda k: center_kernel(k, dirac(0.5), 0.0),
+    "bump": lambda k: scale_kernel(k, c0_bump_at(0.0)),
+    "null1": lambda k: scale_kernel(k, c0_null_at([0.0])),
+    "null3": lambda k: scale_kernel(k, c0_null_at([-1.0, 0.0, 2.0])),
+    "saturating": lambda k: scale_kernel(k, saturating_at(0.0)),
+    "nested": lambda k: scale_kernel(
+        scale_kernel(k, c0_bump_at(1.0)), c0_null_at([0.0, 3.0])
+    ),
+}
+SPACING_EPS = [
+    5e-324, 1e-300, 1e-12, 1e-6, 1.0 / 4096, 1.0 / 64, 0.1, 0.25, 0.5,
+    1.0 - 1e-9, 1.0, 1.5, 1e300, math.inf,
+]
+
+
+def spacing_bits(rule, k, eps):
+    """The bits of a spacing, None, or the error it raises (a tiny eps can
+    overflow the inverse multiquadric's power)."""
+    try:
+        s = rule(k, eps)
+    except ArithmeticError as exc:
+        return type(exc)
+    return None if s is None else s.hex()
+
+
 class TestSpacing:
+    @pytest.mark.parametrize("wrap", SPACING_WRAPS)
+    def test_equals_the_descriptor_walk_bit_for_bit(self, wrap):
+        for base in SPACING_BASES:
+            k = SPACING_WRAPS[wrap](base)
+            for eps in SPACING_EPS + [math.nan]:
+                new = spacing_bits(suggested_spacing, k, eps)
+                old = spacing_bits(lambda k, e: descriptor_spacing(k.descriptor, e), k, eps)
+                assert new == old, (k.descriptor, eps)
+
+    def test_scaled_spacing_uses_the_field_sup(self):
+        # a custom field declares its sup on the object, not in a descriptor
+        g = ScalarField(fn=lambda X: np.full(X.shape[0], 0.5), dim=1, is_c0=True, sup=0.5)
+        k = scale_kernel(gaussian(1.0), g)
+        assert suggested_spacing(k, 0.01) == gaussian(1.0).spacing(0.01 / 0.25)
+        assert suggested_spacing(k, 0.3) is None
+        no_sup = scale_kernel(gaussian(1.0), ScalarField(fn=g.fn, dim=1, is_c0=True))
+        assert suggested_spacing(no_sup, 0.01) is None
+
+    def test_descriptor_alone_gives_no_spacing(self):
+        base = gaussian(1.0)
+        k = Kernel(base.block_fn, 1, 1.0, True, dict(base.descriptor), rowwise=True)
+        assert suggested_spacing(k, 0.01) is None
+
+    @pytest.mark.parametrize("eps", [0.0, -1.0, -math.inf])
+    def test_nonpositive_eps_rejected(self, eps):
+        with pytest.raises(ParameterError):
+            suggested_spacing(gaussian(1.0), eps)
+
     def test_gaussian_spacing_solves_kernel_equation(self):
         # spec'd worked value: exp(-s^2/2) = 1/4  =>  s = sqrt(2 ln 4)
         s = suggested_spacing(gaussian(1.0), 0.25)
@@ -176,7 +283,7 @@ def greedy_oracle(k, n, eps, excl, dom, max_candidates=200_000):
     if dom.strategy == "grid":
         stream = grid_reference(dom, excl)
     else:
-        stream = constructions._candidates(dom, excl, spacing)
+        stream = constructions.STRATEGIES[dom.strategy](dom, excl, spacing)
     accepted = []
     drawn = 0
     for cand in itertools.islice(stream, max_candidates):

@@ -11,7 +11,6 @@ from mmdlab import (
     ExclusionRegion,
     Kernel,
     SignedDiscreteMeasure,
-    SupportSizeError,
     accumulate,
     c0_bump_at,
     c0_null_at,
@@ -194,15 +193,39 @@ class TestOracle:
                 b = mmd_oracle(k, mu, nu)
                 assert abs(a - b) <= 1e-10 * (1.0 + a)
 
-    def test_support_limit_enforced(self):
-        big = SignedDiscreteMeasure(
-            np.arange(1501, dtype=float)[:, None], np.ones(1501), 1
-        )
-        other = SignedDiscreteMeasure(
-            (np.arange(500, dtype=float) + 0.5)[:, None], np.ones(500), 1
-        )
-        with pytest.raises(SupportSizeError):
-            mmd_oracle(gaussian(1.0), big, other)
+    @pytest.mark.parametrize(
+        "kernel",
+        [gaussian(1.0), scale_kernel(gaussian(1.0), c0_bump_at(0.0))],
+        ids=["gaussian", "scaled"],
+    )
+    def test_whole_merged_gram_past_the_old_limit(self, kernel):
+        # 2,600 + 2,600 atoms used to exceed a 2,000-atom limit; the merged
+        # support's dense Gram would take 206 MiB.  The atoms are spread so
+        # wide that most Gram entries underflow to exact zeros, which the
+        # fsum reference drops to stay fast; they are scattered over every
+        # row tile, since the merged atoms are not sorted
+        rng = np.random.default_rng(5)
+        mu = SignedDiscreteMeasure(rng.uniform(-500, 500, (2600, 1)), rng.random(2600), 1)
+        nu = SignedDiscreteMeasure(rng.uniform(-500, 500, (2600, 1)), rng.random(2600), 1)
+        tracemalloc.start()
+        try:
+            value = mmd_oracle(kernel, mu, nu)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
+        diff = mu - nu
+        X, w = diff.atoms, diff.weights
+        assert diff.support_size == 5200
+
+        def nonzero_terms():
+            for start in range(0, len(w), 64):
+                rows = slice(start, start + 64)
+                terms = (np.multiply.outer(w[rows], w) * kernel.block(X[rows], X)).ravel()
+                yield from terms[terms != 0.0].tolist()
+
+        assert value == math.sqrt(max(0.0, math.fsum(nonzero_terms())))
 
 
 class TestPettisIdentity:
