@@ -16,7 +16,11 @@ from mmdlab.cli import main as mmdlab_main
 
 
 def main():
-    workdir = Path(tempfile.mkdtemp(prefix="mmdlab_demo_"))
+    with tempfile.TemporaryDirectory(prefix="mmdlab_demo_") as tmp:
+        run_demo(Path(tmp))
+
+
+def run_demo(workdir: Path):
     config = {
         "preset": "signed_witness_escape",
         "dim": 1,

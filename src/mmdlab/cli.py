@@ -8,7 +8,9 @@ Usage::
 ``run`` executes one preset, writes ``trace.csv`` and ``summary.txt`` into
 the output directory, and exits 0 when the preset's expected verdict
 pattern holds, 1 on a verdict mismatch (printing the diff), 2 on a usage
-error, including parameters, measures or dimensions a preset rejects.
+error, including parameters, measures or dimensions a preset rejects, and
+3 on an internal error: an exception the package did not expect, reported
+as one ``internal error:`` line, so a crash never reads as a mismatch.
 Identical config and seed produce byte-identical CSV output.
 """
 
@@ -27,6 +29,7 @@ from .presets import PRESETS, preset_table
 EXIT_OK = 0
 EXIT_VERDICT_MISMATCH = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -140,6 +143,10 @@ def main(argv=None) -> int:
     except SearchFailureError as exc:
         print(f"construction failed: {exc}", file=sys.stderr)
         return EXIT_VERDICT_MISMATCH
+    except Exception as exc:
+        message = " ".join(str(exc).splitlines())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def entry() -> None:

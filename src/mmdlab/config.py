@@ -67,26 +67,60 @@ def measure_from_rows(rows, dim: int | None = None) -> SignedDiscreteMeasure:
     return SignedDiscreteMeasure(atoms, weights, dim or -1)
 
 
+def _is_finite_number(val) -> bool:
+    # bool is an int subclass; the bound rejects inf, nan and huge ints
+    return (
+        isinstance(val, numbers.Real)
+        and not isinstance(val, bool)
+        and abs(val) <= sys.float_info.max
+    )
+
+
+def _descriptor_number(desc: dict, key: str, default: float | None = None) -> float:
+    val = desc.get(key, default)
+    if not _is_finite_number(val):
+        raise ParameterError(f"kernel descriptor {key} must be a finite number, not {val!r}")
+    return float(val)
+
+
+def _descriptor_coordinates(desc: dict, key: str):
+    val = desc[key]
+    try:
+        _refuse_text_and_bools(val)
+    except TypeError as exc:
+        raise ParameterError(f"kernel descriptor {key}: {exc}") from exc
+    return val
+
+
 def field_from_descriptor(desc: dict):
     name = desc.get("g")
     builder = FIELD_BUILDERS.get(name)
     if builder is None:
         raise ParameterError(f"unknown scalar field {name!r}")
     if name == "c0_null_at":
-        return builder(desc["xis"])
-    return builder(desc["xi"])
+        return builder(_descriptor_coordinates(desc, "xis"))
+    return builder(_descriptor_coordinates(desc, "xi"))
 
 
 def kernel_from_descriptor(desc: dict) -> Kernel:
-    """Rebuild a kernel from its (possibly nested) descriptor."""
+    """Rebuild a kernel from its (possibly nested) descriptor.
+
+    Parameters must be JSON numbers, and ``dim`` a JSON integer: booleans,
+    strings and non-finite values raise :class:`ParameterError`, where
+    numpy or a comparison would read ``true`` as 1.
+    """
     if not isinstance(desc, dict):
         raise ParameterError("kernel descriptor must be a mapping")
     if "family" in desc:
-        params = {k: v for k, v in desc.items() if k not in ("family", "dim")}
-        return make_base_kernel(desc["family"], dim=int(desc.get("dim", 1)), **params)
+        dim = desc.get("dim", 1)
+        if isinstance(dim, bool) or not isinstance(dim, numbers.Integral):
+            raise ParameterError(f"kernel descriptor dim must be an integer, not {dim!r}")
+        params = {k: _descriptor_number(desc, k) for k in desc if k not in ("family", "dim")}
+        return make_base_kernel(desc["family"], dim=int(dim), **params)
     op = desc.get("op")
     if op == "shift":
-        return shift_kernel(kernel_from_descriptor(desc["child"]), desc.get("c", 0.0))
+        child = kernel_from_descriptor(desc["child"])
+        return shift_kernel(child, _descriptor_number(desc, "c", 0.0))
     if op == "scale":
         child = kernel_from_descriptor(desc["child"])
         # the field may be nested under "field" or spelled inline (g/xi keys)
@@ -97,17 +131,8 @@ def kernel_from_descriptor(desc: dict) -> Kernel:
     if op == "center":
         child = kernel_from_descriptor(desc["child"])
         p = measure_from_rows(desc.get("p", []), child.dim)
-        return center_kernel(child, p, desc.get("a", 0.0))
+        return center_kernel(child, p, _descriptor_number(desc, "a", 0.0))
     raise ParameterError(f"unrecognized kernel descriptor: {desc!r}")
-
-
-def _is_finite_number(val) -> bool:
-    # bool is an int subclass; the bound rejects inf, nan and huge ints
-    return (
-        isinstance(val, numbers.Real)
-        and not isinstance(val, bool)
-        and abs(val) <= sys.float_info.max
-    )
 
 
 def _checked_int(name: str, val) -> int:

@@ -192,7 +192,10 @@ def diffusing_sequence(
     against all previously accepted points; enumeration order and budget
     come from ``dom``.
 
-    Candidates are drawn in look-ahead chunks and, for a rowwise kernel,
+    Candidates are drawn in look-ahead chunks, each made into one point
+    table (:meth:`Kernel.table`), and the accepted atoms are copied into
+    another, so per-point work such as a scaling field runs once per
+    candidate outside the ball.  For a rowwise kernel candidates are
     judged a batch of rows per :meth:`Kernel.block` call.  A batch ends at
     its first accepted row and the search resumes right after it, so every
     candidate is judged against exactly the atoms accepted before it, as in
@@ -227,10 +230,11 @@ def diffusing_sequence(
 
     spacing = suggested_spacing(k, eps) or dom.step
     stream = itertools.islice(STRATEGIES[dom.strategy](dom, excl, spacing), max_candidates)
-    accepted = np.empty((n, k.dim))
+    # point tables: drawn, outside the ball, not yet judged; and accepted
+    pending = k.table(np.empty((0, k.dim)))
+    accepted = pending.reserve(n)
     count = 0
     scanned = 0
-    pending = np.empty((0, k.dim))  # drawn, outside the ball, not yet judged
     size = 1
     while count < n:
         if not len(pending):
@@ -239,7 +243,7 @@ def diffusing_sequence(
                 break
             scanned += len(chunk)
             rows = np.array(chunk)
-            pending = rows[~excl.contains(rows)]
+            pending = k.table(rows[~excl.contains(rows)])
             continue
         if not count:
             hit = 0
@@ -271,7 +275,7 @@ def diffusing_sequence(
             failed_index=failed,
             candidates_scanned=scanned,
         )
-    return SignedDiscreteMeasure(accepted, np.full(n, 1.0 / n), k.dim)
+    return SignedDiscreteMeasure(accepted.points, np.full(n, 1.0 / n), k.dim)
 
 
 @dataclass(frozen=True)
@@ -299,7 +303,8 @@ def verify_diffusing(
     """O(n^2) recheck of the diffusing-sequence guarantees.
 
     A rowwise kernel is checked in one pass over the upper-triangle tiles
-    of the Gram, so memory stays O(tile); any other kernel's Gram is built
+    of the Gram, read from one point table, so memory stays O(tile) and
+    per-point work runs once per atom; any other kernel's Gram is built
     whole.  Both give the same certificate bit for bit.
     """
     n = p.support_size
@@ -340,7 +345,7 @@ def _offdiag_max_and_norm_sq(k: Kernel, p: SignedDiscreteMeasure) -> tuple[float
     value.  Diagonal entries count as ``G_ii - G_ii``, as in the dense
     ``|G - diag(diag(G))|``.
     """
-    X = p.atoms
+    X = k.table(p.atoms)
     max_off = np.float64(0.0)
 
     def upper_rows(start: int, stop: int) -> np.ndarray:

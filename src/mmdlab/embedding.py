@@ -14,9 +14,17 @@ distance:
 They share no sums, so their agreement checks the expansion, the merge and
 the triangle path.  They do share the kernel: both sum the same rounded
 values k(x, y), so an error in those values is invisible to the check.  All
-double sums are exactly rounded (see :mod:`mmdlab.accumulate`), and large
-Gram blocks of rowwise kernels are evaluated one row tile at a time, so
+double sums are exactly rounded (see :mod:`mmdlab.accumulate`), and Gram
+blocks of rowwise kernels larger than one tile are evaluated one row tile at
+a time, from point tables built once per sum (:meth:`Kernel.table`), so
 memory stays O(tile) on both routes.
+
+A self inner product whose Gram spans more than one tile is kept in one
+slot on the measure, with the kernel object that computed it, and returned
+when the same kernel object asks again: evaluation is pure, so the value
+is the same bits.  A different kernel object, even one with an equal
+descriptor, recomputes and takes the slot.  :func:`mmd_oracle` does not
+read the slot.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .accumulate import exact_sum, symmetric_gram_sum, tiled_gram_sum
+from .accumulate import TILE_ENTRIES, exact_sum, symmetric_gram_sum, tiled_gram_sum
 from .errors import DimensionMismatchError
 from .kernels import Kernel
 from .measures import SignedDiscreteMeasure, as_point
@@ -53,21 +61,36 @@ def inner(k: Kernel, mu: SignedDiscreteMeasure, nu: SignedDiscreteMeasure) -> fl
     _check_dims(k, mu, nu)
     if mu.support_size == 0 or nu.support_size == 0:
         return 0.0
-    if k.rowwise and mu is nu:
-        # a rowwise kernel is exactly symmetric: sum the upper triangle
-        X = mu.atoms
-        return symmetric_gram_sum(
-            mu.weights, lambda start, stop: k.block(X[start:stop], X[start:])
-        )
-    return _full_gram_sum(k, mu, nu)
+    if mu is not nu:
+        return _full_gram_sum(k, mu, nu)
+    if mu.support_size**2 <= TILE_ENTRIES:
+        return _self_gram_sum(k, mu)
+    memo = mu._self_inner
+    if memo is not None and memo[0] is k:
+        return memo[1]
+    value = _self_gram_sum(k, mu)
+    object.__setattr__(mu, "_self_inner", (k, value))
+    return value
+
+
+def _self_gram_sum(k: Kernel, mu: SignedDiscreteMeasure) -> float:
+    if not k.rowwise:
+        return _full_gram_sum(k, mu, mu)
+    # a rowwise kernel is exactly symmetric: sum the upper triangle, read
+    # from a point table when the Gram spans more than one tile
+    X = k.table(mu.atoms) if mu.support_size**2 > TILE_ENTRIES else mu.atoms
+    return symmetric_gram_sum(mu.weights, lambda start, stop: k.block(X[start:stop], X[start:]))
 
 
 def _full_gram_sum(k: Kernel, mu: SignedDiscreteMeasure, nu: SignedDiscreteMeasure) -> float:
     """Exact sum of w_i v_j k(a_i, b_j) over every (i, j), by row tiles."""
-    X, Y = mu.atoms, nu.atoms
-    # a kernel that is not rowwise is evaluated whole, then read by rows
-    gram_rows = (lambda rows: k.block(X[rows], Y)) if k.rowwise else k.block(X, Y).__getitem__
-    return tiled_gram_sum(mu.weights, gram_rows, nu.weights)
+    if k.rowwise and mu.support_size * nu.support_size > TILE_ENTRIES:
+        X = k.table(mu.atoms)
+        Y = X if nu is mu else k.table(nu.atoms)
+        return tiled_gram_sum(mu.weights, lambda rows: k.block(X[rows], Y), nu.weights)
+    # a Gram of one tile, or of a kernel that is not rowwise, is evaluated
+    # whole, then read by rows
+    return tiled_gram_sum(mu.weights, k.block(mu.atoms, nu.atoms).__getitem__, nu.weights)
 
 
 def norm(k: Kernel, mu: SignedDiscreteMeasure) -> float:

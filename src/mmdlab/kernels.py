@@ -14,6 +14,12 @@ Evaluation is pure and lazy: nothing is tabulated at construction, and the
 same two points always produce the same float, which several exact-equality
 invariants downstream depend on.  Composite rules are arranged so that
 ``k(x, y)`` and ``k(y, x)`` run the identical sequence of float operations.
+
+A caller that evaluates many blocks over one point set builds a
+:class:`PointTable` with :meth:`Kernel.table`: the points, validated once,
+and the per-point values the kernel reads (the field column of each
+:func:`scale_kernel`).  Slices of a table feed :meth:`Kernel.block` with no
+further validation or per-point work, and give the same bits as the points.
 """
 
 from __future__ import annotations
@@ -75,6 +81,13 @@ class Kernel:
     evaluate and sum only the upper triangle of its Gram.  ``spacing(eps)``
     is a distance s such that points s or more apart have ``|k| <= eps``, or
     None when no analytic rule is known.
+
+    ``table_fn`` and ``table_block_fn`` let a kernel keep per-point values
+    in a :class:`PointTable`: ``table_fn(X)`` maps validated points to a
+    tuple of columns, the first X itself, each with one row per point, and
+    ``table_block_fn(a, b)`` evaluates the block from two such tuples, with
+    the bits of ``block_fn``.  Left None, a table holds the points alone and
+    is evaluated by ``block_fn``.
     """
 
     block_fn: Callable[[np.ndarray, np.ndarray], np.ndarray] = field(repr=False)
@@ -84,20 +97,90 @@ class Kernel:
     descriptor: dict
     rowwise: bool = False
     spacing: Callable[[float], float | None] = field(default=lambda eps: None, repr=False)
+    table_fn: Callable[[np.ndarray], tuple] | None = field(default=None, repr=False)
+    table_block_fn: Callable[[tuple, tuple], np.ndarray] | None = field(
+        default=None, repr=False
+    )
+
+    def table(self, X) -> PointTable:
+        """The points X, validated once, with the per-point values k reads."""
+        return PointTable(self, self._columns_of(X))
 
     def block(self, X, Y) -> np.ndarray:
-        """Matrix of values k(X_i, Y_j)."""
-        Xa = as_points(X, self.dim)
-        Ya = as_points(Y, self.dim)
-        if Xa.shape[0] == 0 or Ya.shape[0] == 0:
-            return np.zeros((Xa.shape[0], Ya.shape[0]))
-        return self.block_fn(Xa, Ya)
+        """Matrix of values k(X_i, Y_j).
+
+        X and Y are points, validated on every call, or tables built by this
+        kernel's :meth:`table` (or slices of them), which are used as they
+        are.  A table built by any other kernel object is refused.
+        """
+        a, b = self._columns_of(X), self._columns_of(Y)
+        n, m = a[0].shape[0], b[0].shape[0]
+        if not n or not m:
+            return np.zeros((n, m))
+        return self._block_columns(a, b)
 
     def __call__(self, x, y) -> float:
         """Single pairwise value k(x, y)."""
         xa = as_point(x, self.dim)
         ya = as_point(y, self.dim)
         return float(self.block_fn(xa[None, :], ya[None, :])[0, 0])
+
+    def _columns_of(self, X) -> tuple:
+        """The columns of a table this kernel built, or of validated points."""
+        if not isinstance(X, PointTable):
+            return self._columns(as_points(X, self.dim))
+        if X.kernel is not self:
+            raise ParameterError("point table was built by another kernel")
+        return X.columns
+
+    def _columns(self, X: np.ndarray) -> tuple:
+        return (X,) if self.table_fn is None else self.table_fn(X)
+
+    def _block_columns(self, a: tuple, b: tuple) -> np.ndarray:
+        if self.table_block_fn is None:
+            return self.block_fn(a[0], b[0])
+        return self.table_block_fn(a, b)
+
+
+class PointTable:
+    """Points validated for one kernel, with the per-point values it reads.
+
+    Built by :meth:`Kernel.table` and accepted by that kernel's
+    :meth:`Kernel.block` alone.  ``columns[0]`` holds the (n, d) points and
+    every column has one row per point, so ``table[rows]`` is the table of
+    ``points[rows]`` bit for bit.  ``table[i] = other[j]`` copies a row into
+    the table's arrays, which may be the caller's points: write only into a
+    table from :meth:`reserve`.
+    """
+
+    __slots__ = ("kernel", "columns")
+
+    def __init__(self, kernel: Kernel, columns: tuple):
+        self.kernel = kernel
+        self.columns = columns
+
+    @property
+    def points(self) -> np.ndarray:
+        return self.columns[0]
+
+    def __len__(self) -> int:
+        return self.columns[0].shape[0]
+
+    def __getitem__(self, rows) -> PointTable:
+        return PointTable(self.kernel, tuple([c[rows] for c in self.columns]))
+
+    def __setitem__(self, rows, other: PointTable) -> None:
+        if other.kernel is not self.kernel:
+            raise ParameterError("point table was built by another kernel")
+        for mine, theirs in zip(self.columns, other.columns):
+            mine[rows] = theirs
+
+    def reserve(self, n: int) -> PointTable:
+        """A table of n unset rows laid out like this one, to fill by rows."""
+        return PointTable(
+            self.kernel,
+            tuple(np.empty((n,) + c.shape[1:], dtype=c.dtype) for c in self.columns),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +283,8 @@ class ScalarField:
 
     ``is_c0`` declares decay at infinity, ``sup`` (if known) bounds |g|, and
     ``zero_set`` lists points where g is exactly zero.  ``fn`` maps an (n, d)
-    array to the n values of g and is evaluated pointwise, so
-    ``fn(X[rows])`` equals ``fn(X)[rows]`` bit for bit.
+    array, n = 0 included, to the n values of g and is evaluated pointwise,
+    so ``fn(X[rows])`` equals ``fn(X)[rows]`` bit for bit.
     """
 
     fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
@@ -313,6 +396,10 @@ def shift_kernel(k: Kernel, c: float) -> Kernel:
     def block(X, Y):
         return k.block_fn(X, Y) + cc
 
+    def table_block(a, b):
+        return k._block_columns(a, b) + cc
+
+    # a shift reads no per-point values of its own: its tables are its child's
     return Kernel(
         block_fn=block,
         dim=k.dim,
@@ -320,6 +407,8 @@ def shift_kernel(k: Kernel, c: float) -> Kernel:
         claims_c0=k.claims_c0 and cc == 0.0,
         descriptor={"op": "shift", "c": cc, "child": k.descriptor},
         rowwise=k.rowwise,
+        table_fn=k.table_fn,
+        table_block_fn=table_block,
     )
 
 
@@ -329,18 +418,23 @@ def scale_kernel(k: Kernel, g: ScalarField) -> Kernel:
     The (i, j) entry is computed as ``(g_i * g_j) * k_ij`` so symmetry is
     exact.  Sections inherit decay either from the kernel or from a C0
     field, and the declared sup of g (when present) propagates to
-    ``sup_bound``.
+    ``sup_bound``.  A table holds the child's columns and then the column
+    g(X), which has the bits of g at each point alone (the
+    :class:`ScalarField` contract), so g runs once per point of a table.
     """
     if g.dim != k.dim:
         raise DimensionMismatchError(
             f"field dimension {g.dim} != kernel dimension {k.dim}"
         )
-    child = k.block_fn
+
+    def table(X):
+        return k._columns(X) + (g.fn(X),)
+
+    def table_block(a, b):
+        return (a[-1][:, None] * b[-1][None, :]) * k._block_columns(a[:-1], b[:-1])
 
     def block(X, Y):
-        gx = g.fn(X)
-        gy = g.fn(Y)
-        return (gx[:, None] * gy[None, :]) * child(X, Y)
+        return table_block(table(X), table(Y))
 
     def spacing(eps):
         if g.sup is None:
@@ -359,6 +453,8 @@ def scale_kernel(k: Kernel, g: ScalarField) -> Kernel:
         descriptor={"op": "scale", "field": dict(g.descriptor), "child": k.descriptor},
         rowwise=k.rowwise,
         spacing=spacing,
+        table_fn=table,
+        table_block_fn=table_block,
     )
 
 
@@ -419,9 +515,8 @@ def center_kernel(k: Kernel, p: SignedDiscreteMeasure, a: float = 0.0) -> Kernel
 
 def gram(k: Kernel, pts_a, pts_b=None) -> np.ndarray:
     """Dense matrix k(a_i, b_j); exactly symmetric when pts_b is omitted."""
-    A = as_points(pts_a, k.dim)
-    B = A if pts_b is None else as_points(pts_b, k.dim)
-    return k.block(A, B)
+    A = k.table(pts_a)
+    return k.block(A, A if pts_b is None else pts_b)
 
 
 def psd_tolerance(n: int, sup_bound: float) -> float:
@@ -464,7 +559,7 @@ def c0_probe(
         raise ParameterError("radii must be positive and strictly increasing")
     if samples_per_radius < 1:
         raise ParameterError("samples_per_radius must be at least 1")
-    xa = as_point(x, k.dim)
+    row = k.table(as_point(x, k.dim)[None, :])
     rng = np.random.default_rng(seed)
     dirs = rng.standard_normal((samples_per_radius, k.dim))
     norms = np.sqrt((dirs**2).sum(axis=1))
@@ -474,5 +569,5 @@ def c0_probe(
     values = np.empty_like(r)
     for i, radius in enumerate(r):
         sphere = radius * dirs
-        values[i] = float(np.max(np.abs(k.block(xa[None, :], sphere))))
+        values[i] = float(np.max(np.abs(k.block(row, sphere))))
     return DecayTrace(radii=r, values=values, eps=float(eps), passed=bool(values[-1] <= eps))

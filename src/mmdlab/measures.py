@@ -76,11 +76,16 @@ class SignedDiscreteMeasure:
     Duplicate atoms are merged (weights summed) and zero-weight atoms are
     dropped at construction, so ``atoms`` are pairwise distinct and every
     stored weight is nonzero.  First occurrence determines atom order.
+
+    ``_self_inner`` is one memo slot of :func:`mmdlab.embedding.inner`: the
+    last self inner product of a support whose Gram spans more than one
+    tile, as (kernel object, value).
     """
 
     atoms: np.ndarray
     weights: np.ndarray
     dim: int = field(default=-1)
+    _self_inner: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         atoms = as_points(self.atoms, None if self.dim < 0 else self.dim)

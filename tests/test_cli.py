@@ -112,6 +112,17 @@ class TestRun:
             assert code == 2
             assert capsys.readouterr().err == f"error: {exc}\n"
 
+    def test_unexpected_exception_is_an_internal_error(self, tmp_path, capsys, monkeypatch):
+        # a crash is neither a verdict mismatch (1) nor a usage error (2)
+        def run(cfg):
+            raise RuntimeError("boom\nsecond line")
+
+        monkeypatch.setitem(PRESETS, "metrize_demo", replace(PRESETS["metrize_demo"], run=run))
+        code = main(["run", "--preset", "metrize_demo", "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert capsys.readouterr().err == "internal error: RuntimeError: boom second line\n"
+        assert not (tmp_path / "o").exists()
+
     def test_summary_names_claim_and_thresholds(self, tmp_path):
         main(["run", "--preset", "escape_demo", "--out", str(tmp_path)])
         summary = read_summary(tmp_path / "summary.txt")
@@ -280,6 +291,46 @@ class TestConfigFile:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "dimension" in err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            {"family": "gaussian", "sigma": True},
+            {"family": "gaussian", "sigma": 1.0, "dim": True},
+            {"family": "gaussian", "dim": 1.0},
+            {"family": "gaussian", "sigma": "1.0"},
+            {"family": "gaussian", "sigma": None},
+            {"family": "gaussian", "sigma": [1.0]},
+            {"family": "gaussian", "sigma": float("nan")},
+            {"family": "laplacian", "gamma": True},
+            {"family": "inverse_multiquadric", "c": True},
+            {"family": "inverse_multiquadric", "beta": "0.5"},
+            {"op": "shift", "c": True, "child": {"family": "gaussian"}},
+            {"op": "shift", "c": "1", "child": {"family": "gaussian"}},
+            {"op": "center", "a": True, "p": [[[0.0], 1.0]], "child": {"family": "gaussian"}},
+            {"op": "center", "a": "0", "p": [[[0.0], 1.0]], "child": {"family": "gaussian"}},
+            {"op": "scale", "g": "c0_bump_at", "xi": [True], "child": {"family": "gaussian"}},
+            {"op": "scale", "g": "c0_bump_at", "xi": ["0.5"], "child": {"family": "gaussian"}},
+            {
+                "op": "scale",
+                "field": {"g": "c0_null_at", "xis": [[False]]},
+                "child": {"family": "gaussian"},
+            },
+        ],
+        ids=repr,
+    )
+    def test_non_numbers_in_descriptors_are_usage_errors(self, tmp_path, capsys, kernel):
+        # JSON true would be read as 1, "0.5" as 0.5
+        with pytest.raises(ParameterError):
+            kernel_from_descriptor(kernel)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"preset": "metrize_demo", "kernel": kernel}))
+        code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad kernel descriptor: ")
         assert "Traceback" not in err and len(err.strip().splitlines()) == 1
         assert not (tmp_path / "o").exists()
 

@@ -3,7 +3,7 @@
 import itertools
 import math
 import tracemalloc
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -407,6 +407,46 @@ class TestBatchedSearch:
         diffusing_sequence(k, 256, 1.0 / 256, excl, dom)
         assert max(r for r, _ in block_shapes) > 1
         assert max(r * c for r, c in block_shapes) <= TILE_ENTRIES
+
+
+def counted_bump(dim):
+    """c0_bump_at(0) whose fn records how many rows it evaluates per call."""
+    g = c0_bump_at(np.zeros(dim))
+    rows = []
+
+    def fn(X):
+        rows.append(X.shape[0])
+        return g.fn(X)
+
+    return replace(g, fn=fn), rows
+
+
+class TestFieldEvaluations:
+    """A scaled kernel's field runs once per candidate and once per atom."""
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("strategy", ["ray", "grid", "random"])
+    def test_search_evaluates_the_field_once_per_drawn_candidate(self, dim, strategy):
+        g, rows = counted_bump(dim)
+        k = dirac_null_kernel(gaussian(1.0, dim=dim), np.zeros(dim), g)
+        excl = ExclusionRegion(np.full(dim, 0.2), 1.5)
+        dom = SearchDomain(dim=dim, strategy=strategy, step=0.6, seed=dim)
+        n = 40
+        want, failed, drawn = greedy_oracle(k, n, 1.0 / n, excl, dom)
+        assert failed is None
+        # the search draws whole look-ahead chunks and drops those in the ball
+        chunks = math.ceil(drawn / constructions._LOOKAHEAD)
+        spacing = suggested_spacing(k, 1.0 / n) or dom.step
+        stream = constructions.STRATEGIES[strategy](dom, excl, spacing)
+        cands = np.array(list(itertools.islice(stream, chunks * constructions._LOOKAHEAD)))
+        outside = int((~excl.contains(cands)).sum())
+        rows.clear()
+        got = diffusing_sequence(k, n, 1.0 / n, excl, dom)
+        assert got.atoms.tobytes() == want.tobytes()
+        assert sum(rows) == outside
+        rows.clear()
+        assert verify_diffusing(k, got, 1.0 / n, excl).ok
+        assert sum(rows) == n
 
 
 class TestGridCandidates:

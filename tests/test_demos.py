@@ -19,9 +19,11 @@ def test_demos_found():
 def test_demo_exits_zero(script, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    # the runner demo writes its config and outputs under a temporary directory
+    # the runner demo writes its config and outputs under a temporary
+    # directory, which it must remove again
     env["TMPDIR"] = str(tmp_path)
     proc = subprocess.run(
         [sys.executable, str(script)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+    assert not list(tmp_path.glob("mmdlab_demo_*"))

@@ -395,3 +395,92 @@ class TestTiledInner:
         # a dense 4096 x 4096 Gram alone would take 128 MiB
         assert peak < 64 * 2**20
         assert 0.0 < value < kappa.sup_bound
+
+
+class TestSelfTermMemo:
+    """A self term over more than one Gram tile is kept in one slot on the
+    measure, for the kernel object that computed it."""
+
+    @staticmethod
+    def recording(monkeypatch):
+        """Entries of every Kernel.block call from now on."""
+        entries = []
+        block = Kernel.block
+
+        def recording_block(self, X, Y):
+            out = block(self, X, Y)
+            entries.append(out.size)
+            return out
+
+        monkeypatch.setattr(Kernel, "block", recording_block)
+        return entries
+
+    @staticmethod
+    def large(seed=0, n=300):
+        # 300^2 entries span several 16384-entry tiles
+        rng = np.random.default_rng(seed)
+        return SignedDiscreteMeasure(rng.uniform(-3, 3, (n, 1)), rng.standard_normal(n), 1)
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            gaussian(1.0),
+            shifted_dirac_null_kernel(gaussian(1.0), [0.0]),
+            center_kernel(gaussian(1.0), dirac(0.5), 1.0),
+        ],
+        ids=["gaussian", "shifted_null", "center"],
+    )
+    def test_the_same_kernel_object_reads_the_slot(self, kernel, monkeypatch):
+        mu = self.large()
+        first = inner(kernel, mu, mu)
+        assert mu._self_inner == (kernel, first)
+        entries = self.recording(monkeypatch)
+        assert inner(kernel, mu, mu).hex() == first.hex()
+        assert norm(kernel, mu) == math.sqrt(max(0.0, first))
+        assert entries == []
+
+    def test_an_equal_kernel_object_recomputes(self, monkeypatch):
+        mu = self.large(1)
+        k = gaussian(1.0)
+        twin = gaussian(1.0)
+        assert twin.descriptor == k.descriptor
+        first = inner(k, mu, mu)
+        entries = self.recording(monkeypatch)
+        assert inner(twin, mu, mu).hex() == first.hex()
+        assert entries and mu._self_inner[0] is twin
+        # one slot: the first kernel now recomputes too
+        entries.clear()
+        assert inner(k, mu, mu).hex() == first.hex()
+        assert entries and mu._self_inner[0] is k
+
+    def test_small_supports_and_cross_terms_keep_no_slot(self):
+        k = gaussian(1.0)
+        small = self.large(2, n=128)  # 128^2 entries: one tile
+        inner(k, small, small)
+        assert small._self_inner is None
+        mu, nu = self.large(3), self.large(4)
+        inner(k, mu, nu)
+        assert mu._self_inner is None and nu._self_inner is None
+
+    def test_mmd_reuses_both_self_terms(self, monkeypatch):
+        k = gaussian(1.0)
+        mu, nu = self.large(5), self.large(6, n=200)
+        first = mmd_detail(k, mu, nu)
+        entries = self.recording(monkeypatch)
+        again = mmd_detail(k, mu, nu)
+        assert again.squared_raw.hex() == first.squared_raw.hex()
+        # only the cross term is evaluated again, all of it
+        assert sum(entries) == 300 * 200
+
+    def test_oracle_never_reads_the_slot(self, monkeypatch):
+        k = gaussian(1.0)
+        mu, nu = self.large(7), self.large(8, n=250)
+        want = mmd_oracle(k, mu, nu)
+        # a wrong value in the slots shows in mmd but not in the oracle
+        for m in (mu, nu):
+            object.__setattr__(m, "_self_inner", (k, 1e6))
+        assert mmd(k, mu, nu) > 1e3
+        entries = self.recording(monkeypatch)
+        assert mmd_oracle(k, mu, nu).hex() == want.hex()
+        merged = (mu - nu).support_size
+        assert sum(entries) == merged * merged

@@ -26,7 +26,7 @@ from mmdlab import (
     scale_kernel,
     shift_kernel,
 )
-from mmdlab.kernels import _sqdist
+from mmdlab.kernels import PointTable, _sqdist
 
 # closed forms computed independently of the library (math.exp, not np.exp)
 EXP_HALF = math.exp(-0.5)
@@ -312,3 +312,90 @@ def test_descriptor_tree_survives_composition():
     assert d["child"]["op"] == "scale"
     assert d["child"]["field"]["g"] == "c0_bump_at"
     assert d["child"]["child"] == {"family": "gaussian", "sigma": 1.0, "dim": 1}
+
+
+def table_specimens(dim):
+    """Each base family plain, shifted, scaled, scaled twice, and shifted
+    after a scaling, as (name, kernel) pairs."""
+    xi = np.zeros(dim)
+    xi2 = np.full(dim, 0.5)
+    out = []
+    for family in ("gaussian", "laplacian", "inverse_multiquadric"):
+        base = make_base_kernel(family, dim=dim)
+        scaled = scale_kernel(base, c0_bump_at(xi))
+        out += [
+            (f"{family}", base),
+            (f"shift-{family}", shift_kernel(base, 0.5)),
+            (f"scale-{family}", scaled),
+            (f"scale-scale-{family}", scale_kernel(scaled, c0_null_at(np.stack([xi, xi2])))),
+            (f"shift-scale-{family}", shift_kernel(scaled, 1.0)),
+        ]
+    return out
+
+
+class TestPointTables:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_table_blocks_equal_point_blocks_bit_for_bit(self, dim):
+        rng = np.random.default_rng(60 + dim)
+        X = random_points(rng, 53, dim)
+        Y = random_points(rng, 31, dim)
+        for name, k in table_specimens(dim):
+            TX, TY = k.table(X), k.table(Y)
+            assert np.array_equal(TX.points, X), name
+            for rows in (slice(None), slice(0, 1), slice(7, 30), slice(30, None), [4, 0, 52]):
+                want = k.block(X[rows], Y).tobytes()
+                assert k.block(TX[rows], TY).tobytes() == want, name
+                # a table on one side only
+                assert k.block(TX[rows], Y).tobytes() == want, name
+            assert k.block(TX[5:20], TX[10:]).tobytes() == k.block(X[5:20], X[10:]).tobytes(), name
+
+    def test_tables_of_other_kernels_are_refused(self):
+        X = np.linspace(-2.0, 2.0, 9)[:, None]
+        k = gaussian(1.0)
+        twin = gaussian(1.0)  # an equal descriptor, another object
+        assert twin.descriptor == k.descriptor
+        for other in (twin, shift_kernel(k, 0.0), scale_kernel(k, c0_bump_at(0.0))):
+            with pytest.raises(ParameterError, match="another kernel"):
+                k.block(other.table(X), X)
+            with pytest.raises(ParameterError, match="another kernel"):
+                k.block(X, other.table(X)[2:4])
+            table = k.table(X).reserve(2)
+            with pytest.raises(ParameterError, match="another kernel"):
+                table[0] = other.table(X)[3]
+
+    def test_tables_validate_their_points_once(self):
+        k = scale_kernel(gaussian(1.0, dim=2), c0_bump_at([0.0, 0.0]))
+        with pytest.raises(ParameterError):
+            k.table([[0.0, np.inf]])
+        with pytest.raises(DimensionMismatchError):
+            k.table(np.zeros((3, 3)))
+        T = k.table(np.zeros((0, 2)))
+        assert len(T) == 0
+        assert k.block(T, np.ones((4, 2))).shape == (0, 4)
+        assert k.block(np.ones((4, 2)), T).shape == (4, 0)
+
+    def test_scaled_table_holds_the_field_column(self):
+        g = c0_bump_at([1.0])
+        k = shift_kernel(scale_kernel(gaussian(1.0), g), 1.0)
+        X = np.array([[0.0], [1.0], [3.0]])
+        T = k.table(X)
+        assert isinstance(T, PointTable) and T.kernel is k
+        assert len(T.columns) == 2
+        assert T.columns[1].tobytes() == g.fn(X).tobytes()
+
+    def test_rows_are_copied_into_a_reserved_table(self):
+        k = scale_kernel(gaussian(1.0), c0_bump_at(0.0))
+        X = np.array([[0.5], [1.5], [2.5]])
+        T = k.table(X)
+        R = T.reserve(2)
+        R[0] = T[2]
+        R[1] = T[0]
+        assert R.kernel is k
+        assert k.block(R, T).tobytes() == k.block(X[[2, 0]], X).tobytes()
+
+    def test_gram_and_probe_read_tables(self):
+        k = scale_kernel(gaussian(1.0, dim=2), c0_bump_at([0.0, 0.0]))
+        X = random_points(np.random.default_rng(7), 12, 2)
+        assert gram(k, X).tobytes() == k.block(X, X).tobytes()
+        trace = c0_probe(k, [0.5, 0.5], radii=(1.0, 2.0), samples_per_radius=4)
+        assert trace.values.shape == (2,)
