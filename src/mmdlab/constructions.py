@@ -230,26 +230,30 @@ def diffusing_sequence(
 
     spacing = suggested_spacing(k, eps) or dom.step
     stream = itertools.islice(STRATEGIES[dom.strategy](dom, excl, spacing), max_candidates)
-    # point tables: drawn, outside the ball, not yet judged; and accepted
+    # point tables: the drawn candidates outside the ball, of which
+    # pending[start:end] are not yet judged, and the accepted atoms
     pending = k.table(np.empty((0, k.dim)))
     accepted = pending.reserve(n)
+    judged_against = accepted[:0]
+    start = end = 0
     count = 0
     scanned = 0
     size = 1
     while count < n:
-        if not len(pending):
+        if start == end:
             chunk = list(itertools.islice(stream, _LOOKAHEAD))
             if not chunk:
                 break
             scanned += len(chunk)
             rows = np.array(chunk)
             pending = k.table(rows[~excl.contains(rows)])
+            start, end = 0, len(pending)
             continue
         if not count:
             hit = 0
         else:
-            batch = pending[:size]
-            worst = np.abs(k.block(batch, accepted[:count])).max(axis=1)
+            batch = pending[start : start + size]
+            worst = np.abs(k.block(batch, judged_against)).max(axis=1)
             # a nan row maximum is accepted, as `nan > eps` is false
             ok = ~(worst > eps)
             if ok[0]:
@@ -257,15 +261,16 @@ def diffusing_sequence(
             else:
                 hits = np.flatnonzero(ok)
                 if not hits.size:
-                    pending = pending[len(batch):]
+                    start += ok.size
                     if k.rowwise:
                         size = min(2 * size, max(TILE_ENTRIES // count, 1))
                     continue
                 hit = int(hits[0])
             size = max(size // 2, 1)
-        accepted[count] = pending[hit]
+        accepted[count] = pending[start + hit]
         count += 1
-        pending = pending[hit + 1 :]
+        judged_against = accepted[:count]
+        start += hit + 1
     if count < n:
         failed = count + 1
         raise SearchFailureError(
