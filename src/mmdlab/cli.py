@@ -8,8 +8,9 @@ Usage::
 ``run`` executes one preset, writes ``trace.csv`` and ``summary.txt`` into
 the output directory, and exits 0 when the preset's expected verdict
 pattern holds, 1 on a verdict mismatch (printing the diff), 2 on a usage
-error, including parameters, measures or dimensions a preset rejects, and
-3 on an internal error: an exception the package did not expect, reported
+error, including parameters, measures or dimensions a preset rejects and
+config or output paths that cannot be read or written, and 3 on an
+internal error: an exception the package did not expect, reported
 as one ``internal error:`` line, so a crash never reads as a mismatch.
 Identical config and seed produce byte-identical CSV output.
 """
@@ -56,6 +57,16 @@ def _format_value(v) -> str:
     return str(v)
 
 
+def _write_text(path: Path, text: str) -> None:
+    # an output path that cannot be written is the user's to fix
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", newline="\n") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def cmd_run(args) -> int:
     file_values = load_config_file(args.config) if args.config else None
     cfg = build_config(
@@ -72,10 +83,8 @@ def cmd_run(args) -> int:
     wall_ms = (time.perf_counter() - start) * 1000.0
 
     out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     trace_path = out_dir / "trace.csv"
-    with open(trace_path, "w", newline="\n") as handle:
-        handle.write(outcome.csv_text)
+    _write_text(trace_path, outcome.csv_text)
 
     mismatches = {
         key: (want, outcome.actual.get(key))
@@ -99,8 +108,7 @@ def cmd_run(args) -> int:
     lines.append(f"wall_time_ms={wall_ms:.3f}")
     lines.append(f"status={status}")
     summary_path = out_dir / "summary.txt"
-    with open(summary_path, "w", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+    _write_text(summary_path, "\n".join(lines) + "\n")
 
     print(f"wrote {trace_path}")
     print(f"wrote {summary_path}")

@@ -245,6 +245,8 @@ def load_config_file(path) -> dict:
         raw = json.loads(p.read_text())
     except FileNotFoundError:
         raise UsageError(f"config file not found: {p}") from None
+    except OSError as exc:
+        raise UsageError(f"cannot read config file {p}: {exc.strerror or exc}") from None
     except json.JSONDecodeError as exc:
         raise UsageError(f"config file {p} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):

@@ -231,10 +231,9 @@ def diffusing_sequence(
     spacing = suggested_spacing(k, eps) or dom.step
     stream = itertools.islice(STRATEGIES[dom.strategy](dom, excl, spacing), max_candidates)
     # point tables: the drawn candidates outside the ball, of which
-    # pending[start:end] are not yet judged, and the accepted atoms
-    pending = k.table(np.empty((0, k.dim)))
-    accepted = pending.reserve(n)
-    judged_against = accepted[:0]
+    # pending[start:end] are not yet judged, and the accepted atoms, laid
+    # out from the first chunk that has a candidate outside the ball
+    pending = accepted = None
     start = end = 0
     count = 0
     scanned = 0
@@ -246,8 +245,12 @@ def diffusing_sequence(
                 break
             scanned += len(chunk)
             rows = np.array(chunk)
-            pending = k.table(rows[~excl.contains(rows)])
-            start, end = 0, len(pending)
+            rows = rows[~excl.contains(rows)]
+            if len(rows):
+                pending = k.table(rows)
+                if accepted is None:
+                    accepted = pending.reserve(n)
+                start, end = 0, len(pending)
             continue
         if not count:
             hit = 0
@@ -267,7 +270,7 @@ def diffusing_sequence(
                     continue
                 hit = int(hits[0])
             size = max(size // 2, 1)
-        accepted[count] = pending[start + hit]
+        accepted[count : count + 1] = pending[start + hit : start + hit + 1]
         count += 1
         judged_against = accepted[:count]
         start += hit + 1

@@ -83,11 +83,11 @@ class Kernel:
     None when no analytic rule is known.
 
     ``table_fn`` and ``table_block_fn`` let a kernel keep per-point values
-    in a :class:`PointTable`: ``table_fn(X)`` maps validated points to a
-    tuple of columns, the first X itself, each with one row per point, and
-    ``table_block_fn(a, b)`` evaluates the block from two such tuples, with
-    the bits of ``block_fn``.  Left None, a table holds the points alone and
-    is evaluated by ``block_fn``.
+    in a :class:`PointTable`: ``table_fn(X)`` maps validated points, at
+    least one, to a tuple of columns, the first X itself, each with one row
+    per point, and ``table_block_fn(a, b)`` evaluates the block from two
+    such tuples, with the bits of ``block_fn``.  Left None, a table holds
+    the points alone and is evaluated by ``block_fn``.
     """
 
     block_fn: Callable[[np.ndarray, np.ndarray], np.ndarray] = field(repr=False)
@@ -103,8 +103,13 @@ class Kernel:
     )
 
     def table(self, X) -> PointTable:
-        """The points X, validated once, with the per-point values k reads."""
-        return PointTable(self, self._columns_of(X))
+        """The points X, validated once, with the per-point values k reads.
+
+        A table of no points holds the points alone: it is never evaluated,
+        so no per-point rule sees an empty array.
+        """
+        X = as_points(X, self.dim)
+        return PointTable(self, self._columns(X) if len(X) else (X,))
 
     def block(self, X, Y) -> np.ndarray:
         """Matrix of values k(X_i, Y_j).
@@ -113,11 +118,11 @@ class Kernel:
         kernel's :meth:`table` (or slices of them), which are used as they
         are.  A table built by any other kernel object is refused.
         """
-        a, b = self._columns_of(X), self._columns_of(Y)
-        n, m = a[0].shape[0], b[0].shape[0]
+        X, Y = self._rows_of(X), self._rows_of(Y)
+        n, m = len(X), len(Y)
         if not n or not m:
             return np.zeros((n, m))
-        return self._block_columns(a, b)
+        return self._block_columns(self._columns_of(X), self._columns_of(Y))
 
     def __call__(self, x, y) -> float:
         """Single pairwise value k(x, y)."""
@@ -125,13 +130,16 @@ class Kernel:
         ya = as_point(y, self.dim)
         return float(self.block_fn(xa[None, :], ya[None, :])[0, 0])
 
-    def _columns_of(self, X) -> tuple:
-        """The columns of a table this kernel built, or of validated points."""
+    def _rows_of(self, X) -> PointTable | np.ndarray:
+        """A table this kernel built, or X validated as points."""
         if not isinstance(X, PointTable):
-            return self._columns(as_points(X, self.dim))
+            return as_points(X, self.dim)
         if X.kernel is not self:
             raise ParameterError("point table was built by another kernel")
-        return X.columns
+        return X
+
+    def _columns_of(self, X: PointTable | np.ndarray) -> tuple:
+        return X.columns if isinstance(X, PointTable) else self._columns(X)
 
     def _columns(self, X: np.ndarray) -> tuple:
         return (X,) if self.table_fn is None else self.table_fn(X)
@@ -148,9 +156,11 @@ class PointTable:
     Built by :meth:`Kernel.table` and accepted by that kernel's
     :meth:`Kernel.block` alone.  ``columns[0]`` holds the (n, d) points and
     every column has one row per point, so ``table[rows]`` is the table of
-    ``points[rows]`` bit for bit.  ``table[i] = other[j]`` copies a row into
-    the table's arrays, which may be the caller's points: write only into a
-    table from :meth:`reserve`.
+    ``points[rows]`` bit for bit.  ``rows`` is a slice or a 1-d array of
+    row indices, never a single index, so a table always has rows of
+    points.  ``table[rows] = other`` copies rows into the table's arrays,
+    which may be the caller's points: write only into a table from
+    :meth:`reserve`.
     """
 
     __slots__ = ("kernel", "columns")
@@ -167,20 +177,33 @@ class PointTable:
         return self.columns[0].shape[0]
 
     def __getitem__(self, rows) -> PointTable:
+        _check_rows(rows)
         return PointTable(self.kernel, tuple([c[rows] for c in self.columns]))
 
     def __setitem__(self, rows, other: PointTable) -> None:
+        _check_rows(rows)
         if other.kernel is not self.kernel:
             raise ParameterError("point table was built by another kernel")
         for mine, theirs in zip(self.columns, other.columns):
             mine[rows] = theirs
 
     def reserve(self, n: int) -> PointTable:
-        """A table of n unset rows laid out like this one, to fill by rows."""
+        """A table of n unset rows laid out like this one, to fill by rows.
+
+        The layout is read from this table's columns, so it needs at least
+        one point (a table of none holds the points alone).
+        """
+        if not len(self):
+            raise ParameterError("reserve needs a table of at least one point")
         return PointTable(
             self.kernel,
             tuple(np.empty((n,) + c.shape[1:], dtype=c.dtype) for c in self.columns),
         )
+
+
+def _check_rows(rows) -> None:
+    if not isinstance(rows, slice) and np.ndim(rows) != 1:
+        raise TypeError("index a point table by a slice or a 1-d array of rows")
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +306,8 @@ class ScalarField:
 
     ``is_c0`` declares decay at infinity, ``sup`` (if known) bounds |g|, and
     ``zero_set`` lists points where g is exactly zero.  ``fn`` maps an (n, d)
-    array, n = 0 included, to the n values of g and is evaluated pointwise,
-    so ``fn(X[rows])`` equals ``fn(X)[rows]`` bit for bit.
+    array to the n values of g and is evaluated pointwise, so
+    ``fn(X[rows])`` equals ``fn(X)[rows]`` bit for bit.
     """
 
     fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
@@ -393,11 +416,11 @@ def shift_kernel(k: Kernel, c: float) -> Kernel:
         raise ParameterError("shift constant must be nonnegative")
     cc = float(c)
 
-    def block(X, Y):
-        return k.block_fn(X, Y) + cc
-
     def table_block(a, b):
         return k._block_columns(a, b) + cc
+
+    def block(X, Y):
+        return table_block(k._columns(X), k._columns(Y))
 
     # a shift reads no per-point values of its own: its tables are its child's
     return Kernel(

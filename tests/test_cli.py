@@ -123,6 +123,25 @@ class TestRun:
         assert capsys.readouterr().err == "internal error: RuntimeError: boom second line\n"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("blocked", ["out", "out/trace.csv"])
+    def test_unwritable_output_is_a_usage_error(self, tmp_path, capsys, blocked):
+        # an --out that is a file, or a trace.csv that is a directory
+        target = tmp_path / blocked
+        target.parent.mkdir(parents=True, exist_ok=True)
+        if blocked == "out":
+            target.write_text("not a directory")
+        else:
+            target.mkdir()
+        code = main(["run", "--preset", "metrize_demo", "--nmax", "16", "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write ") and err.count("\n") == 1
+
+    def test_unreadable_config_is_a_usage_error(self, tmp_path, capsys):
+        assert main(["run", "--config", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read config file ") and err.count("\n") == 1
+
     def test_summary_names_claim_and_thresholds(self, tmp_path):
         main(["run", "--preset", "escape_demo", "--out", str(tmp_path)])
         summary = read_summary(tmp_path / "summary.txt")

@@ -448,6 +448,21 @@ class TestFieldEvaluations:
         assert verify_diffusing(k, got, 1.0 / n, excl).ok
         assert sum(rows) == n
 
+    def test_search_never_evaluates_the_field_on_no_points(self, monkeypatch):
+        # the first look-ahead chunks lie wholly in the ball, so they leave
+        # no candidate to make a table of
+        g, rows = counted_bump(1)
+        monkeypatch.setattr(constructions, "_LOOKAHEAD", 4)
+        k = dirac_null_kernel(gaussian(1.0), np.zeros(1), g)
+        excl = ExclusionRegion(np.zeros(1), 3.0)
+        dom = SearchDomain(dim=1, strategy="grid", step=0.6)
+        want, failed, _ = greedy_oracle(k, 12, 1.0 / 12, excl, dom)
+        assert failed is None
+        rows.clear()
+        got = diffusing_sequence(k, 12, 1.0 / 12, excl, dom)
+        assert got.atoms.tobytes() == want.tobytes()
+        assert rows and 0 not in rows
+
 
 class TestGridCandidates:
     @pytest.mark.parametrize("dim", [1, 2, 3])

@@ -361,7 +361,7 @@ class TestPointTables:
                 k.block(X, other.table(X)[2:4])
             table = k.table(X).reserve(2)
             with pytest.raises(ParameterError, match="another kernel"):
-                table[0] = other.table(X)[3]
+                table[0:1] = other.table(X)[3:4]
 
     def test_tables_validate_their_points_once(self):
         k = scale_kernel(gaussian(1.0, dim=2), c0_bump_at([0.0, 0.0]))
@@ -388,10 +388,38 @@ class TestPointTables:
         X = np.array([[0.5], [1.5], [2.5]])
         T = k.table(X)
         R = T.reserve(2)
-        R[0] = T[2]
-        R[1] = T[0]
+        R[0:1] = T[2:3]
+        R[1:2] = T[0:1]
         assert R.kernel is k
         assert k.block(R, T).tobytes() == k.block(X[[2, 0]], X).tobytes()
+
+    def test_a_single_index_is_refused(self):
+        # X[i] is one point, not a table of one row, so tables take no int
+        k = scale_kernel(gaussian(1.0), c0_bump_at(0.0))
+        T = k.table(np.array([[0.5], [1.5], [2.5]]))
+        R = T.reserve(2)
+        for i in (1, np.int64(1), np.array(1)):
+            with pytest.raises(TypeError, match="slice"):
+                T[i]
+            with pytest.raises(TypeError, match="slice"):
+                R[i] = T[0:1]
+        with pytest.raises(ParameterError, match="at least one point"):
+            T[:0].reserve(2)
+
+    def test_empty_sides_never_evaluate_the_field(self):
+        # a field may reduce over its rows, so it is never given none
+        def fn(X):
+            if not len(X):
+                raise AssertionError("field evaluated on no points")
+            return np.exp(-(X**2).sum(axis=1) / X.shape[0])
+
+        k = scale_kernel(gaussian(1.0, dim=2), ScalarField(fn=fn, dim=2, is_c0=True, sup=1.0))
+        X = np.ones((3, 2))
+        empty = k.table(np.zeros((0, 2)))
+        assert len(empty) == 0 and len(empty.columns) == 1
+        for a, b in ((empty, X), (X, empty), (np.zeros((0, 2)), X), (k.table(X)[3:], X)):
+            assert k.block(a, b).shape == (len(a), len(b))
+        assert gram(k, np.zeros((0, 2))).shape == (0, 0)
 
     def test_gram_and_probe_read_tables(self):
         k = scale_kernel(gaussian(1.0, dim=2), c0_bump_at([0.0, 0.0]))
