@@ -76,36 +76,32 @@ def inner(k: Kernel, mu: SignedDiscreteMeasure, nu: SignedDiscreteMeasure) -> fl
 def _spans_tiles(entries: int) -> bool:
     """Whether a Gram of ``entries`` values spans more than one tile.
 
-    Only such a Gram is read from point tables: a Gram of one tile is one
-    :meth:`Kernel.block` call, which a table would only make dearer.  Only
-    such a self term is kept in the measure's slot: a slot on every small
-    measure, of which a run makes thousands, costs memory.
+    Only such a Gram of a rowwise kernel is read from point tables: a Gram
+    of one tile is one :meth:`Kernel.block` call on the points, which a
+    table would only make dearer.  Only such a self term is kept in the
+    measure's slot: a slot on every small measure, of which a run makes
+    thousands, costs memory.
     """
     return entries > TILE_ENTRIES
-
-
-def _gram_rows(k: Kernel, mu: SignedDiscreteMeasure, entries: int):
-    """mu's atoms as a rowwise Gram of ``entries`` values reads them."""
-    return k.table(mu.atoms) if _spans_tiles(entries) else mu.atoms
 
 
 def _self_gram_sum(k: Kernel, mu: SignedDiscreteMeasure) -> float:
     if not k.rowwise:
         return _full_gram_sum(k, mu, mu)
     # a rowwise kernel is exactly symmetric: sum the upper triangle
-    X = _gram_rows(k, mu, mu.support_size**2)
+    X = k.table(mu.atoms) if _spans_tiles(mu.support_size**2) else mu.atoms
     return symmetric_gram_sum(mu.weights, lambda start, stop: k.block(X[start:stop], X[start:]))
 
 
 def _full_gram_sum(k: Kernel, mu: SignedDiscreteMeasure, nu: SignedDiscreteMeasure) -> float:
     """Exact sum of w_i v_j k(a_i, b_j) over every (i, j), by row tiles."""
-    if not k.rowwise:
-        # not rowwise: the Gram is evaluated whole, then read by rows
-        return tiled_gram_sum(mu.weights, k.block(mu.atoms, nu.atoms).__getitem__, nu.weights)
-    entries = mu.support_size * nu.support_size
-    X = _gram_rows(k, mu, entries)
-    Y = X if nu is mu else _gram_rows(k, nu, entries)
-    return tiled_gram_sum(mu.weights, lambda rows: k.block(X[rows], Y), nu.weights)
+    if k.rowwise and _spans_tiles(mu.support_size * nu.support_size):
+        X = k.table(mu.atoms)
+        Y = X if nu is mu else k.table(nu.atoms)
+        return tiled_gram_sum(mu.weights, lambda rows: k.block(X[rows], Y), nu.weights)
+    # a Gram of one tile, or of a kernel that is not rowwise, is evaluated
+    # whole, then read by rows
+    return tiled_gram_sum(mu.weights, k.block(mu.atoms, nu.atoms).__getitem__, nu.weights)
 
 
 def norm(k: Kernel, mu: SignedDiscreteMeasure) -> float:

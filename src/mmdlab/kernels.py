@@ -103,13 +103,8 @@ class Kernel:
     )
 
     def table(self, X) -> PointTable:
-        """The points X, validated once, with the per-point values k reads.
-
-        A table of no points holds the points alone: it is never evaluated,
-        so no per-point rule sees an empty array.
-        """
-        X = as_points(X, self.dim)
-        return PointTable(self, self._columns(X) if len(X) else (X,))
+        """The points X, validated once, with the per-point values k reads."""
+        return PointTable(self, self._point_columns(X))
 
     def block(self, X, Y) -> np.ndarray:
         """Matrix of values k(X_i, Y_j).
@@ -118,11 +113,11 @@ class Kernel:
         kernel's :meth:`table` (or slices of them), which are used as they
         are.  A table built by any other kernel object is refused.
         """
-        X, Y = self._rows_of(X), self._rows_of(Y)
-        n, m = len(X), len(Y)
+        a, b = self._columns_of(X), self._columns_of(Y)
+        n, m = a[0].shape[0], b[0].shape[0]
         if not n or not m:
             return np.zeros((n, m))
-        return self._block_columns(self._columns_of(X), self._columns_of(Y))
+        return self._block_columns(a, b)
 
     def __call__(self, x, y) -> float:
         """Single pairwise value k(x, y)."""
@@ -130,16 +125,19 @@ class Kernel:
         ya = as_point(y, self.dim)
         return float(self.block_fn(xa[None, :], ya[None, :])[0, 0])
 
-    def _rows_of(self, X) -> PointTable | np.ndarray:
-        """A table this kernel built, or X validated as points."""
+    def _columns_of(self, X) -> tuple:
+        """The columns of a table this kernel built, or of validated points."""
         if not isinstance(X, PointTable):
-            return as_points(X, self.dim)
+            return self._point_columns(X)
         if X.kernel is not self:
             raise ParameterError("point table was built by another kernel")
-        return X
+        return X.columns
 
-    def _columns_of(self, X: PointTable | np.ndarray) -> tuple:
-        return X.columns if isinstance(X, PointTable) else self._columns(X)
+    def _point_columns(self, X) -> tuple:
+        X = as_points(X, self.dim)
+        # a block with no points is zeros, so the columns of no points are
+        # the points alone: no per-point rule ever sees an empty array
+        return self._columns(X) if len(X) else (X,)
 
     def _columns(self, X: np.ndarray) -> tuple:
         return (X,) if self.table_fn is None else self.table_fn(X)
