@@ -57,12 +57,10 @@ def _format_value(v) -> str:
     return str(v)
 
 
-def _write_text(path: Path, text: str) -> None:
+def _output(path: Path, write) -> None:
     # an output path that cannot be written is the user's to fix
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", newline="\n") as handle:
-            handle.write(text)
+        write(path)
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
 
@@ -77,14 +75,22 @@ def cmd_run(args) -> int:
         out=args.out,
     )
     preset = PRESETS[cfg.preset]
-
+    # made before the run, so an unwritable output costs no run, and
+    # removed if the run fails, so a failed run leaves nothing behind
+    out_dir = Path(cfg.out)
+    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
+    _output(out_dir, lambda d: d.mkdir(parents=True, exist_ok=True))
     start = time.perf_counter()
-    outcome = preset.run(cfg)
+    try:
+        outcome = preset.run(cfg)
+    except BaseException:
+        for d in made:
+            d.rmdir()
+        raise
     wall_ms = (time.perf_counter() - start) * 1000.0
 
-    out_dir = Path(cfg.out)
     trace_path = out_dir / "trace.csv"
-    _write_text(trace_path, outcome.csv_text)
+    _output(trace_path, lambda p: p.write_text(outcome.csv_text, newline="\n"))
 
     mismatches = {
         key: (want, outcome.actual.get(key))
@@ -108,7 +114,7 @@ def cmd_run(args) -> int:
     lines.append(f"wall_time_ms={wall_ms:.3f}")
     lines.append(f"status={status}")
     summary_path = out_dir / "summary.txt"
-    _write_text(summary_path, "\n".join(lines) + "\n")
+    _output(summary_path, lambda p: p.write_text("\n".join(lines) + "\n", newline="\n"))
 
     print(f"wrote {trace_path}")
     print(f"wrote {summary_path}")

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accumulate import TILE_ENTRIES, symmetric_gram_sum, weighted_gram_sum
+from .accumulate import TILE_ENTRIES, symmetric_gram_sum
 from .embedding import mmd, norm
 from .errors import (
     DimensionMismatchError,
@@ -195,16 +195,15 @@ def diffusing_sequence(
     Candidates are drawn in look-ahead chunks, each made into one point
     table (:meth:`Kernel.table`), and the accepted atoms are copied into
     another, so per-point work such as a scaling field runs once per
-    candidate outside the ball.  For a rowwise kernel candidates are
-    judged a batch of rows per :meth:`Kernel.block` call.  A batch ends at
-    its first accepted row and the search resumes right after it, so every
-    candidate is judged against exactly the atoms accepted before it, as in
-    a one-at-a-time loop: the rowwise contract makes each row of the batch
-    the same bits as a single-row block, and a row maximum is exact in any
-    order.  The batch doubles after a fully rejected batch, halves after an
-    accept (so a search that accepts every candidate makes one block call
-    per candidate), and holds at most ``TILE_ENTRIES`` kernel values.  Any
-    other kernel is judged one candidate per call.
+    candidate outside the ball.  Candidates are judged a batch of rows per
+    :meth:`Kernel.block` call.  A batch ends at its first accepted row and
+    the search resumes right after it, so every candidate is judged against
+    exactly the atoms accepted before it, as in a one-at-a-time loop: the
+    kernel's tiling contract makes each row of the batch the same bits as a
+    single-row block, and a row maximum is exact in any order.  The batch
+    doubles after a fully rejected batch, halves after an accept (so a
+    search that accepts every candidate makes one block call per
+    candidate), and holds at most ``TILE_ENTRIES`` kernel values.
 
     Raises :class:`SearchFailureError` naming the first index that could
     not be filled within ``max_candidates`` candidates, and the number of
@@ -265,8 +264,7 @@ def diffusing_sequence(
                 hits = np.flatnonzero(ok)
                 if not hits.size:
                     start += ok.size
-                    if k.rowwise:
-                        size = min(2 * size, max(TILE_ENTRIES // count, 1))
+                    size = min(2 * size, max(TILE_ENTRIES // count, 1))
                     continue
                 hit = int(hits[0])
             size = max(size // 2, 1)
@@ -310,21 +308,29 @@ def verify_diffusing(
 ) -> DiffusionCertificate:
     """O(n^2) recheck of the diffusing-sequence guarantees.
 
-    A rowwise kernel is checked in one pass over the upper-triangle tiles
-    of the Gram, read from one point table, so memory stays O(tile) and
-    per-point work runs once per atom; any other kernel's Gram is built
-    whole.  Both give the same certificate bit for bit.
+    The Gram is checked in one pass over its upper-triangle tiles, read
+    from one point table, so memory stays O(tile) and per-point work runs
+    once per atom.  G is exactly symmetric (the contract of :class:`Kernel`),
+    so those tiles hold every off-diagonal value; diagonal entries count as
+    ``G_ii - G_ii``, as in the dense ``|G - diag(diag(G))|``.
     """
     n = p.support_size
-    X = p.atoms
-    if k.rowwise:
-        max_off, norm_sq = _offdiag_max_and_norm_sq(k, p)
-    else:
-        G = k.block(X, X)
-        max_off = float(np.abs(G - np.diag(np.diag(G))).max())
-        norm_sq = weighted_gram_sum(p.weights, G, p.weights)
-    max_off = max_off if n > 1 else 0.0
-    dists = np.sqrt(((X - excl.center[None, :]) ** 2).sum(axis=1))
+    X = k.table(p.atoms)
+    max_off = np.float64(0.0)
+
+    def upper_rows(start: int, stop: int) -> np.ndarray:
+        nonlocal max_off
+        tile = k.block(X[start:stop], X[start:])
+        off = np.abs(tile)
+        i = np.arange(stop - start)
+        off[i, i] = np.abs(tile[i, i] - tile[i, i])
+        # np.maximum, unlike max(), keeps a nan
+        max_off = np.maximum(max_off, off.max())
+        return tile
+
+    norm_sq = symmetric_gram_sum(p.weights, upper_rows)
+    max_off = float(max_off) if n > 1 else 0.0
+    dists = np.sqrt(((p.atoms - excl.center[None, :]) ** 2).sum(axis=1))
     min_dist = float(dists.min()) if n else math.inf
     bound = diffusing_norm_bound(k.sup_bound, n, eps)
     ok = max_off <= eps and min_dist > excl.radius and norm_sq <= bound
@@ -343,31 +349,6 @@ def verify_diffusing(
 def diffusing_norm_bound(sup_bound: float, n: int, eps: float) -> float:
     """The displayed norm bound sup/n + (n-1) eps / n."""
     return sup_bound / n + (n - 1) * eps / n
-
-
-def _offdiag_max_and_norm_sq(k: Kernel, p: SignedDiscreteMeasure) -> tuple[float, float]:
-    """max |G_ij| over i != j and the exact sum of w_i G_ij w_j, in one pass.
-
-    G is exactly symmetric for a rowwise kernel, so the upper-triangle
-    tiles that :func:`symmetric_gram_sum` fetches hold every off-diagonal
-    value.  Diagonal entries count as ``G_ii - G_ii``, as in the dense
-    ``|G - diag(diag(G))|``.
-    """
-    X = k.table(p.atoms)
-    max_off = np.float64(0.0)
-
-    def upper_rows(start: int, stop: int) -> np.ndarray:
-        nonlocal max_off
-        tile = k.block(X[start:stop], X[start:])
-        off = np.abs(tile)
-        i = np.arange(stop - start)
-        off[i, i] = np.abs(tile[i, i] - tile[i, i])
-        # np.maximum, unlike max(), keeps a nan
-        max_off = np.maximum(max_off, off.max())
-        return tile
-
-    norm_sq = symmetric_gram_sum(p.weights, upper_rows)
-    return float(max_off), norm_sq
 
 
 # ---------------------------------------------------------------------------

@@ -54,8 +54,7 @@ class TestFunction:
     ``values(X[rows])`` equals ``values(X)[rows]`` bit for bit, so a value
     does not depend on which other points are evaluated with it.
     :func:`probe_sequence` relies on this to evaluate the function once on
-    the atoms of a whole sequence.  A function that cannot promise it sets
-    ``pointwise=False`` and is evaluated on each measure's atoms instead.
+    the atoms of a whole sequence.
     """
 
     fn: object = field(repr=False)
@@ -64,7 +63,6 @@ class TestFunction:
     name: str
     descriptor: dict = field(default_factory=dict)
     bound: float | None = None
-    pointwise: bool = True
 
     def values(self, X: np.ndarray) -> np.ndarray:
         return np.asarray(self.fn(X), dtype=np.float64)
@@ -118,8 +116,8 @@ def kme_probe(k: Kernel, nu: SignedDiscreteMeasure, name: str = "kme") -> TestFu
     Integrating a measure against this function equals the embedding inner
     product with ``nu`` (one code path for the weak-RKHS probe).  Each value
     is a last-axis row sum of ``k(x, nu.atoms) * nu.weights``, which depends
-    on x alone when the kernel is rowwise; a matrix-vector product would
-    round a point differently by its position in X.
+    on x alone by the kernel's tiling contract; a matrix-vector product
+    would round a point differently by its position in X.
     """
     if nu.dim != k.dim:
         raise DimensionMismatchError("reference measure dimension mismatch")
@@ -134,7 +132,6 @@ def kme_probe(k: Kernel, nu: SignedDiscreteMeasure, name: str = "kme") -> TestFu
         name=name,
         descriptor={"kind": "kme", "kernel": k.descriptor},
         bound=None,
-        pointwise=k.rowwise,
     )
 
 
@@ -388,28 +385,22 @@ def probe_sequence(
     count = len(seq)
     mmd_trace = np.array([mmd(k, mu_n, target) for mu_n in seq])
 
-    # each pointwise function, the constant 1 (whose sums are the total
+    # each test function, the constant 1 (whose sums are the total
     # masses) and ball membership are evaluated once on the distinct atoms
     # of the whole sequence; each index gathers its atoms' values and sums
     # the very terms integrate, total_mass and mass_in_ball sum
     atoms, slots = support_union(seq.items, seq.dim)
     table = np.ones((len(battery) + 1, atoms.shape[0]))
-    per_measure = [j for j, f in enumerate(battery) if not f.pointwise]
     if atoms.shape[0]:
         for j, f in enumerate(battery):
-            if f.pointwise:
-                table[j] = f.values(atoms)
+            table[j] = f.values(atoms)
     inside = in_balls(atoms, center, r)
     disc = np.empty((count, len(battery)))
     balls = np.empty((count, r.size))
     totals = np.empty(count)
     for i, (mu_n, idx) in enumerate(zip(seq, slots)):
         w = mu_n.weights
-        vals = table[:, idx]
-        if idx.size:
-            for j in per_measure:
-                vals[j] = battery[j].values(mu_n.atoms)
-        sums = exact_row_sums(vals * w)
+        sums = exact_row_sums(table[:, idx] * w)
         disc[i] = sums[:-1]
         totals[i] = sums[-1]
         balls[i] = [exact_sum(w[mask]) for mask in inside[:, idx]]

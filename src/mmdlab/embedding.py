@@ -7,7 +7,7 @@ distance:
 
 * :func:`mmd` expands |mu - nu|^2 into three inner products over the
   original supports, each self term summed over the upper triangle of its
-  Gram for a rowwise kernel;
+  Gram;
 * :func:`mmd_oracle` first forms mu - nu explicitly (merging atoms) and
   sums the whole Gram of the merged support once.
 
@@ -15,9 +15,9 @@ They share no sums, so their agreement checks the expansion, the merge and
 the triangle path.  They do share the kernel: both sum the same rounded
 values k(x, y), so an error in those values is invisible to the check.  All
 double sums are exactly rounded (see :mod:`mmdlab.accumulate`), and Gram
-blocks of rowwise kernels larger than one tile are evaluated one row tile at
-a time, from point tables built once per sum (:meth:`Kernel.table`), so
-memory stays O(tile) on both routes.
+blocks larger than one tile are evaluated one row tile at a time, from point
+tables built once per sum (:meth:`Kernel.table`), so memory stays O(tile) on
+both routes.  Tiling relies on the contract of :class:`Kernel`.
 
 A self inner product whose Gram spans more than one tile is kept in one
 slot on the measure, with the kernel object that computed it, and returned
@@ -76,9 +76,9 @@ def inner(k: Kernel, mu: SignedDiscreteMeasure, nu: SignedDiscreteMeasure) -> fl
 def _spans_tiles(entries: int) -> bool:
     """Whether a Gram of ``entries`` values spans more than one tile.
 
-    Only such a Gram of a rowwise kernel is read from point tables: a Gram
-    of one tile is one :meth:`Kernel.block` call on the points, which a
-    table would only make dearer.  Only such a self term is kept in the
+    Only such a Gram is read from point tables: a Gram of one tile is one
+    :meth:`Kernel.block` call on the points, which a table would only make
+    dearer.  Only such a self term is kept in the
     measure's slot: a slot on every small measure, of which a run makes
     thousands, costs memory.
     """
@@ -86,21 +86,25 @@ def _spans_tiles(entries: int) -> bool:
 
 
 def _self_gram_sum(k: Kernel, mu: SignedDiscreteMeasure) -> float:
-    if not k.rowwise:
-        return _full_gram_sum(k, mu, mu)
-    # a rowwise kernel is exactly symmetric: sum the upper triangle
-    X = k.table(mu.atoms) if _spans_tiles(mu.support_size**2) else mu.atoms
-    return symmetric_gram_sum(mu.weights, lambda start, stop: k.block(X[start:stop], X[start:]))
+    # a Gram of one point set is exactly symmetric: sum the upper triangle
+    n = mu.support_size
+    X = k.table(mu.atoms) if _spans_tiles(n * n) else mu.atoms
+
+    def upper_rows(start, stop):
+        # rows that reach the end are passed as one object, read once
+        rows = X[start:stop]
+        return k.block(rows, rows if stop == n else X[start:])
+
+    return symmetric_gram_sum(mu.weights, upper_rows)
 
 
 def _full_gram_sum(k: Kernel, mu: SignedDiscreteMeasure, nu: SignedDiscreteMeasure) -> float:
     """Exact sum of w_i v_j k(a_i, b_j) over every (i, j), by row tiles."""
-    if k.rowwise and _spans_tiles(mu.support_size * nu.support_size):
+    if _spans_tiles(mu.support_size * nu.support_size):
         X = k.table(mu.atoms)
         Y = X if nu is mu else k.table(nu.atoms)
         return tiled_gram_sum(mu.weights, lambda rows: k.block(X[rows], Y), nu.weights)
-    # a Gram of one tile, or of a kernel that is not rowwise, is evaluated
-    # whole, then read by rows
+    # a Gram of one tile is evaluated whole, then read by rows
     return tiled_gram_sum(mu.weights, k.block(mu.atoms, nu.atoms).__getitem__, nu.weights)
 
 
@@ -153,7 +157,7 @@ def mmd_oracle(k: Kernel, mu: SignedDiscreteMeasure, nu: SignedDiscreteMeasure) 
 
     Kept apart from :func:`mmd`: no expansion into inner products and no
     triangle, but every entry of the merged support's Gram, read in row
-    tiles for a rowwise kernel, so memory is O(tile) at any support size.
+    tiles, so memory is O(tile) at any support size.
     """
     _check_dims(k, mu, nu)
     diff = mu - nu

@@ -18,7 +18,8 @@ invariants downstream depend on.  Composite rules are arranged so that
 A caller that evaluates many blocks over one point set builds a
 :class:`PointTable` with :meth:`Kernel.table`: the points, validated once,
 and the per-point values the kernel reads (the field column of each
-:func:`scale_kernel`).  Slices of a table feed :meth:`Kernel.block` with no
+:func:`scale_kernel`, the mean embedding column of each
+:func:`center_kernel`).  Slices of a table feed :meth:`Kernel.block` with no
 further validation or per-point work, and give the same bits as the points.
 """
 
@@ -66,7 +67,7 @@ def _sqdist(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Kernel:
     """A symmetric positive-definite function with evaluation metadata.
 
@@ -74,13 +75,16 @@ class Kernel:
     pairwise values.  ``sup_bound`` bounds ``k(x, x)`` (hence ``|k(x, y)|``
     by Cauchy-Schwarz).  ``claims_c0`` asserts that every section
     ``k(x, .)`` vanishes at infinity; it is an assertion, probed empirically
-    by :func:`c0_probe`, never a certificate.  ``rowwise`` declares that
-    ``block_fn(X[rows], Y[cols])`` equals ``block_fn(X, Y)[rows, cols]`` bit
-    for bit and that ``block_fn(X, X)`` is exactly symmetric.  A large block
-    may then be evaluated one tile at a time, and a self inner product may
-    evaluate and sum only the upper triangle of its Gram.  ``spacing(eps)``
-    is a distance s such that points s or more apart have ``|k| <= eps``, or
+    by :func:`c0_probe`, never a certificate.  ``spacing(eps)`` is a
+    distance s such that points s or more apart have ``|k| <= eps``, or
     None when no analytic rule is known.
+
+    The contract: ``block_fn`` computes each entry from its two points
+    alone, so any tile equals that slice of the whole block bit for bit, and
+    ``block_fn(X, X)`` is exactly symmetric.  Large blocks are therefore
+    evaluated in tiles and self inner products over the upper triangle.  A
+    kernel that breaks it loses only bit-reproducibility between tilings.
+    Kernels compare and hash by identity, as the self-term slot assumes.
 
     ``table_fn`` and ``table_block_fn`` let a kernel keep per-point values
     in a :class:`PointTable`: ``table_fn(X)`` maps validated points, at
@@ -95,7 +99,6 @@ class Kernel:
     sup_bound: float
     claims_c0: bool
     descriptor: dict
-    rowwise: bool = False
     spacing: Callable[[float], float | None] = field(default=lambda eps: None, repr=False)
     table_fn: Callable[[np.ndarray], tuple] | None = field(default=None, repr=False)
     table_block_fn: Callable[[tuple, tuple], np.ndarray] | None = field(
@@ -111,9 +114,11 @@ class Kernel:
 
         X and Y are points, validated on every call, or tables built by this
         kernel's :meth:`table` (or slices of them), which are used as they
-        are.  A table built by any other kernel object is refused.
+        are.  A table built by any other kernel object is refused.  Y is X
+        reads the columns once.
         """
-        a, b = self._columns_of(X), self._columns_of(Y)
+        a = self._columns_of(X)
+        b = a if Y is X else self._columns_of(Y)
         n, m = a[0].shape[0], b[0].shape[0]
         if not n or not m:
             return np.zeros((n, m))
@@ -223,7 +228,6 @@ def gaussian(sigma: float = 1.0, dim: int = 1) -> Kernel:
         dim=int(dim),
         sup_bound=1.0,
         claims_c0=True,
-        rowwise=True,
         descriptor={"family": "gaussian", "sigma": float(sigma), "dim": int(dim)},
         spacing=_base_spacing(lambda t: float(sigma) * math.sqrt(2.0 * math.log(1.0 / t))),
     )
@@ -243,7 +247,6 @@ def laplacian(gamma: float = 1.0, dim: int = 1) -> Kernel:
         dim=int(dim),
         sup_bound=1.0,
         claims_c0=True,
-        rowwise=True,
         descriptor={"family": "laplacian", "gamma": g, "dim": int(dim)},
         spacing=_base_spacing(lambda t: math.log(1.0 / t) / g),
     )
@@ -264,7 +267,6 @@ def inverse_multiquadric(c: float = 1.0, beta: float = 0.5, dim: int = 1) -> Ker
         dim=int(dim),
         sup_bound=1.0,
         claims_c0=True,
-        rowwise=True,
         descriptor={
             "family": "inverse_multiquadric",
             "c": float(c),
@@ -427,7 +429,6 @@ def shift_kernel(k: Kernel, c: float) -> Kernel:
         sup_bound=k.sup_bound + cc,
         claims_c0=k.claims_c0 and cc == 0.0,
         descriptor={"op": "shift", "c": cc, "child": k.descriptor},
-        rowwise=k.rowwise,
         table_fn=k.table_fn,
         table_block_fn=table_block,
     )
@@ -472,7 +473,6 @@ def scale_kernel(k: Kernel, g: ScalarField) -> Kernel:
         sup_bound=sup,
         claims_c0=k.claims_c0 or (g.is_c0 and bounded),
         descriptor={"op": "scale", "field": dict(g.descriptor), "child": k.descriptor},
-        rowwise=k.rowwise,
         spacing=spacing,
         table_fn=table,
         table_block_fn=table_block,
@@ -487,10 +487,11 @@ def center_kernel(k: Kernel, p: SignedDiscreteMeasure, a: float = 0.0) -> Kernel
 
         k(x, y) - m(x) - m(y) + |p|^2 + a,
 
-    where m is the embedding of p under ``k``.  |p|^2 is computed once here;
-    m costs O(support of p) per evaluated point and is evaluated per block.
-    Recentering annihilates ``p`` when a = 0 and leaves the metric on
-    probability measures unchanged for any a >= 0.
+    where m is the embedding of p under ``k``.  |p|^2 is computed once here.
+    A table holds the child's columns and then m(X), a last-axis row sum
+    that numpy rounds for each point alone.  Recentering annihilates ``p``
+    when a = 0 and leaves the metric on probability measures unchanged for
+    any a >= 0.
     """
     if a < 0:
         raise ParameterError("centering offset a must be nonnegative")
@@ -501,24 +502,22 @@ def center_kernel(k: Kernel, p: SignedDiscreteMeasure, a: float = 0.0) -> Kernel
     if not p.is_probability():
         raise MeasureError("center_kernel requires a probability measure")
 
-    child = k.block_fn
-    p_atoms = p.atoms
-    p_weights = p.weights
-    norm_sq = weighted_gram_sum(p_weights, child(p_atoms, p_atoms), p_weights)
+    p_cols = k._columns(p.atoms)
+    norm_sq = weighted_gram_sum(p.weights, k._block_columns(p_cols, p_cols), p.weights)
     const = norm_sq + float(a)
 
-    # a BLAS matrix-vector product, whose rounding of a column can depend on
-    # the column's position in X: the recentred kernel is not rowwise
-    def mean_embedding(X):
-        return p_weights @ child(p_atoms, X)
+    def table(X):
+        cols = k._columns(X)
+        return cols + ((k._block_columns(cols, p_cols) * p.weights).sum(axis=1),)
+
+    def table_block(s, t):
+        # grouped as k - (m_i + m_j) + const so (i,j) and (j,i) match exactly
+        return (k._block_columns(s[:-1], t[:-1]) - (s[-1][:, None] + t[-1][None, :])) + const
 
     def block(X, Y):
-        mx = mean_embedding(X)
-        my = mean_embedding(Y)
-        # grouped as k - (m_i + m_j) + const so (i,j) and (j,i) match exactly
-        return (child(X, Y) - (mx[:, None] + my[None, :])) + const
+        return table_block(table(X), table(Y))
 
-    rows = [[list(map(float, at)), float(w)] for at, w in zip(p_atoms, p_weights)]
+    rows = [[list(map(float, at)), float(w)] for at, w in zip(p.atoms, p.weights)]
     return Kernel(
         block_fn=block,
         dim=k.dim,
@@ -526,6 +525,8 @@ def center_kernel(k: Kernel, p: SignedDiscreteMeasure, a: float = 0.0) -> Kernel
         sup_bound=4.0 * k.sup_bound + float(a),
         claims_c0=False,
         descriptor={"op": "center", "a": float(a), "p": rows, "child": k.descriptor},
+        table_fn=table,
+        table_block_fn=table_block,
     )
 
 

@@ -137,6 +137,26 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error: cannot write ") and err.count("\n") == 1
 
+    def test_unwritable_output_is_refused_before_the_run(self, tmp_path, capsys, monkeypatch):
+        def run(cfg):
+            raise AssertionError("the preset ran")
+
+        monkeypatch.setitem(PRESETS, "metrize_demo", replace(PRESETS["metrize_demo"], run=run))
+        target = tmp_path / "out"
+        target.write_text("not a directory")
+        assert main(["run", "--preset", "metrize_demo", "--out", str(target)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot write ")
+        assert target.read_text() == "not a directory"
+
+    def test_a_failed_run_removes_the_directories_it_made(self, tmp_path, monkeypatch):
+        def run(cfg):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(PRESETS, "metrize_demo", replace(PRESETS["metrize_demo"], run=run))
+        out = tmp_path / "a" / "b" / "out"
+        assert main(["run", "--preset", "metrize_demo", "--out", str(out)]) == 3
+        assert list(tmp_path.iterdir()) == []
+
     def test_unreadable_config_is_a_usage_error(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path)]) == 2
         err = capsys.readouterr().err

@@ -161,7 +161,7 @@ class TestSpacing:
 
     def test_descriptor_alone_gives_no_spacing(self):
         base = gaussian(1.0)
-        k = Kernel(base.block_fn, 1, 1.0, True, dict(base.descriptor), rowwise=True)
+        k = Kernel(base.block_fn, 1, 1.0, True, dict(base.descriptor))
         assert suggested_spacing(k, 0.01) is None
 
     @pytest.mark.parametrize("eps", [0.0, -1.0, -math.inf])
@@ -301,7 +301,7 @@ def greedy_oracle(k, n, eps, excl, dom, max_candidates=200_000):
 
 
 def nan_gaussian(dim):
-    """A rowwise gaussian that returns nan for pairs 2.5 to 3.5 apart."""
+    """A gaussian that returns nan for pairs 2.5 to 3.5 apart."""
     g = gaussian(1.0, dim=dim)
 
     def block(X, Y):
@@ -310,7 +310,7 @@ def nan_gaussian(dim):
         out[(sq > 6.25) & (sq < 12.25)] = np.nan
         return out
 
-    return Kernel(block, dim, 1.0, True, {"family": "nan_gaussian"}, rowwise=True)
+    return Kernel(block, dim, 1.0, True, {"family": "nan_gaussian"})
 
 
 def search_kernels(dim):
@@ -319,7 +319,7 @@ def search_kernels(dim):
         "gaussian": g,
         "laplacian": laplacian(0.7, dim=dim),
         "null": dirac_null_kernel(g, np.zeros(dim)),
-        # a custom kernel is not rowwise, so it is judged one row per call
+        # a kernel with no point table of its own, judged in batches too
         "custom": Kernel(g.block_fn, dim, 1.0, True, {"family": "custom"}),
         "nan": nan_gaussian(dim),
     }
@@ -525,7 +525,6 @@ class TestVerifyDiffusing:
             rng.uniform(-4, 4, (n, dim)) + 3.0, rng.standard_normal(n), dim
         )
         for name, k in kernels.items():
-            assert k.rowwise == (name != "center"), name
             for m in (p, crowded):
                 got = verify_diffusing(k, m, eps, excl)
                 assert bits(got) == bits(dense_certificate(k, m, eps, excl)), name

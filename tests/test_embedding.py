@@ -317,9 +317,6 @@ class TestTiledInner:
         X = rng.uniform(-4, 4, (97, dim))
         Y = rng.uniform(-4, 4, (61, dim))
         for name, k in self.kernels(dim).items():
-            assert k.rowwise == (name != "center"), name
-            if not k.rowwise:
-                continue
             full = k.block(X, Y)
             for start, stop in ((0, 1), (3, 10), (10, 45), (45, 97)):
                 rows = k.block(X[start:stop], Y)
@@ -344,21 +341,12 @@ class TestTiledInner:
         if tile is not None:
             monkeypatch.setattr(accumulate, "TILE_ENTRIES", tile)
         for name, k in kernels.items():
-            # mu is mu: the upper-triangle path for rowwise kernels
+            # mu is mu: the upper-triangle path
             assert inner(k, mu, mu).hex() == want[name].hex(), name
             # an equal but distinct measure: the full-Gram path
             assert inner(k, mu, copy).hex() == want[name].hex(), name
 
-    def test_kernels_that_are_not_rowwise_keep_the_full_gram(self, monkeypatch):
-        g = gaussian(1.0)
-        negated = Kernel(
-            block_fn=lambda X, Y: -g.block_fn(X, Y),
-            dim=1,
-            sup_bound=1.0,
-            claims_c0=True,
-            descriptor={"family": "negated"},
-        )
-        center = self.kernels(1)["center"]
+    def test_self_inner_reads_the_upper_triangle(self, monkeypatch):
         shapes = []
         block = Kernel.block
 
@@ -370,16 +358,13 @@ class TestTiledInner:
         monkeypatch.setattr(Kernel, "block", recording_block)
         rng = np.random.default_rng(50)
         mu = SignedDiscreteMeasure(rng.uniform(-3, 3, (300, 1)), rng.standard_normal(300), 1)
-        for k in (negated, center):
+        for name, k in self.kernels(1).items():
             shapes.clear()
             inner(k, mu, mu)
-            assert shapes == [(300, 300)]
-        shapes.clear()
-        inner(g, mu, mu)
-        # row tiles from the diagonal rightwards: about half the Gram
-        assert len(shapes) > 1
-        assert all(r <= c for r, c in shapes)
-        assert 300 * 301 // 2 <= sum(r * c for r, c in shapes) < 0.65 * 300 * 300
+            # row tiles from the diagonal rightwards: about half the Gram
+            assert len(shapes) > 1, name
+            assert all(r <= c for r, c in shapes), name
+            assert 300 * 301 // 2 <= sum(r * c for r, c in shapes) < 0.65 * 300 * 300, name
 
     def test_peak_memory_is_bounded_on_4096_atoms(self):
         base = gaussian(1.0)

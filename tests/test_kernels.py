@@ -11,6 +11,7 @@ from mmdlab import (
     MeasureError,
     ParameterError,
     ScalarField,
+    SignedDiscreteMeasure,
     c0_bump_at,
     c0_null_at,
     c0_probe,
@@ -217,8 +218,6 @@ class TestCenter:
         rng = np.random.default_rng(2)
         p_atoms = rng.uniform(-1, 1, (5, 2))
         w = rng.random(5)
-        from mmdlab import SignedDiscreteMeasure
-
         p = SignedDiscreteMeasure(p_atoms, w / w.sum(), 2)
         k = center_kernel(gaussian(1.0, dim=2), p, 0.5)
         pts = random_points(rng, 30, 2)
@@ -315,10 +314,12 @@ def test_descriptor_tree_survives_composition():
 
 
 def table_specimens(dim):
-    """Each base family plain, shifted, scaled, scaled twice, and shifted
-    after a scaling, as (name, kernel) pairs."""
+    """Each base family plain, shifted, scaled, scaled twice, shifted after
+    a scaling, recentred, and recentred after a scaling, as (name, kernel)
+    pairs."""
     xi = np.zeros(dim)
     xi2 = np.full(dim, 0.5)
+    p = SignedDiscreteMeasure(np.stack([xi, xi2, -xi2]), np.array([0.5, 0.25, 0.25]), dim)
     out = []
     for family in ("gaussian", "laplacian", "inverse_multiquadric"):
         base = make_base_kernel(family, dim=dim)
@@ -329,6 +330,8 @@ def table_specimens(dim):
             (f"scale-{family}", scaled),
             (f"scale-scale-{family}", scale_kernel(scaled, c0_null_at(np.stack([xi, xi2])))),
             (f"shift-scale-{family}", shift_kernel(scaled, 1.0)),
+            (f"center-{family}", center_kernel(base, p, 0.0)),
+            (f"center-scale-{family}", center_kernel(scaled, p, 0.5)),
         ]
     return out
 
@@ -373,6 +376,32 @@ class TestPointTables:
         assert len(T) == 0
         assert k.block(T, np.ones((4, 2))).shape == (0, 4)
         assert k.block(np.ones((4, 2)), T).shape == (4, 0)
+
+    def test_recentred_table_holds_the_mean_embedding_column(self):
+        p = SignedDiscreteMeasure(np.array([[0.0], [1.0]]), np.array([0.25, 0.75]), 1)
+        base = gaussian(1.0)
+        k = center_kernel(base, p, 0.5)
+        X = np.array([[0.0], [2.0], [-1.5]])
+        T = k.table(X)
+        assert len(T.columns) == 2
+        m = [math.fsum(w * base(x, a) for a, w in zip(p.atoms, p.weights)) for x in X]
+        np.testing.assert_allclose(T.columns[1], m, rtol=1e-15)
+
+    def test_a_block_of_points_against_themselves_reads_them_once(self):
+        calls = []
+
+        def fn(X):
+            calls.append(len(X))
+            return c0_bump_at([0.0]).fn(X)
+
+        g = ScalarField(fn=fn, dim=1, is_c0=True, sup=C0_BUMP_SUP)
+        k = center_kernel(scale_kernel(gaussian(1.0), g), dirac(0.5))
+        calls.clear()
+        X = np.array([[0.0], [1.0], [3.0]])
+        k.block(X, X)
+        assert calls == [3]
+        k.block(X, X.copy())
+        assert calls == [3, 3, 3]
 
     def test_scaled_table_holds_the_field_column(self):
         g = c0_bump_at([1.0])
@@ -427,3 +456,74 @@ class TestPointTables:
         assert gram(k, X).tobytes() == k.block(X, X).tobytes()
         trace = c0_probe(k, [0.5, 0.5], radii=(1.0, 2.0), samples_per_radius=4)
         assert trace.values.shape == (2,)
+
+
+def test_kernels_compare_and_hash_by_identity():
+    k, twin = gaussian(1.0), gaussian(1.0)
+    assert k == k and k != twin
+    assert hash(k) == hash(k)
+    table = {k: "k", twin: "twin"}
+    assert table[k] == "k" and table[twin] == "twin"
+
+
+def test_random_compositions_keep_the_tiling_contract():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    hnp = pytest.importorskip("hypothesis.extra.numpy")
+
+    coords = st.floats(-4.0, 4.0, allow_nan=False)
+
+    def points(shape):
+        # every element drawn, not one fill value repeated
+        return hnp.arrays(np.float64, shape, elements=coords, fill=st.nothing())
+
+    widths = st.floats(0.3, 3.0)
+    bases = {
+        "gaussian": lambda w, dim: gaussian(w, dim=dim),
+        "laplacian": lambda w, dim: laplacian(1.0 / w, dim=dim),
+        "inverse_multiquadric": lambda w, dim: inverse_multiquadric(w, 0.5 * w, dim=dim),
+    }
+
+    @st.composite
+    def kernels(draw, dim):
+        k = bases[draw(st.sampled_from(sorted(bases)))](draw(widths), dim)
+        # nested up to depth 3
+        for op in draw(st.lists(st.sampled_from(["shift", "scale", "center"]), max_size=3)):
+            if op == "shift":
+                k = shift_kernel(k, draw(st.floats(0.0, 2.0)))
+            elif op == "scale":
+                k = scale_kernel(k, c0_bump_at(draw(points(dim))))
+            else:
+                n = draw(st.integers(1, 9))
+                atoms = draw(points((n, dim)))
+                w = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=n, max_size=n)))
+                p = SignedDiscreteMeasure(atoms, w / w.sum(), dim)
+                k = center_kernel(k, p, draw(st.floats(0.0, 2.0)))
+        return k
+
+    @st.composite
+    def cases(draw):
+        dim = draw(st.integers(1, 3))
+        X = draw(points((draw(st.integers(1, 24)), dim)))
+        Y = draw(points((draw(st.integers(1, 24)), dim)))
+        return draw(kernels(dim)), X, Y
+
+    def span(draw, n):
+        start = draw(st.integers(0, n - 1))
+        return slice(start, draw(st.integers(start + 1, n)))
+
+    @hypothesis.settings(max_examples=80, deadline=None)
+    @hypothesis.given(cases(), st.data())
+    def check(case, data):
+        k, X, Y = case
+        rows, cols = span(data.draw, len(X)), span(data.draw, len(Y))
+        full = k.block(X, Y)
+        assert k.block(X[rows], Y[cols]).tobytes() == full[rows, cols].tobytes()
+        square = k.block(X, X)
+        assert square.tobytes() == square.T.tobytes()
+        assert k.block(X[rows], X).tobytes() == square[rows].tobytes()
+        T = k.table(X)
+        assert k.block(T[rows], Y).tobytes() == k.block(X[rows], Y).tobytes()
+        assert k.block(T[rows], T).tobytes() == square[rows].tobytes()
+
+    check()

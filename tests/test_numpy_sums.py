@@ -2,8 +2,9 @@
 
 ``kernels._sqdist`` adds squared coordinate differences one column at a
 time and expects the bits of ``.sum(axis=-1)``; bump test functions,
-``measures.in_balls`` and ``diagnostics.kme_probe`` take last-axis row sums
-and expect a row's sum not to depend on the other rows evaluated with it.
+``measures.in_balls``, ``diagnostics.kme_probe`` and the mean embedding
+column of ``kernels.center_kernel`` take last-axis row sums and expect a
+row's sum not to depend on the other rows evaluated with it.
 If a numpy release changes either behaviour these tests fail, instead of
 digests shifting silently.
 """
