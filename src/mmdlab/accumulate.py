@@ -15,7 +15,11 @@ Demmel & Nguyen's reproducible summation (IEEE TC, 2015):
   exponent e; m * 2**26 splits into an integer high half (26 bits) and a
   fraction low half (27 bits);
 * ``np.bincount`` sums each half per exponent.  Every bin sums fewer than
-  2**26 terms between folds, so both bin sums stay exact in float64;
+  2**26 terms between folds, so both bin sums stay exact in float64, and
+  so does any sum of those halves in any order.  Two batches skip
+  ``np.bincount``, which is slow when every term lands in one bin: exact
+  zeros, which add nothing and are dropped first, and a batch whose terms
+  share one exponent, whose halves are summed with ``ndarray.sum``;
 * a fold scales the bin sums by 2**(e - 26), which is exact, into a list of
   partials, and one ``math.fsum`` over the partials gives the result.
 
@@ -94,28 +98,42 @@ class ExactAccumulator:
         return math.fsum(self._partials)
 
     def _bin(self, x: np.ndarray, copies: int) -> None:
+        # an exact zero adds nothing to any bin (nan != 0, so nan is kept);
+        # counting a boolean mask is much faster than counting floats
+        keep = x != 0.0
+        nonzero = np.count_nonzero(keep)
+        if not nonzero:
+            return
+        if nonzero < x.size:
+            x = x[keep]
         if self._binned + copies * x.size > FOLD_LIMIT:
             self._fold()
         m, e = np.frexp(x)
+        e_min, e_max = e.min(), e.max()
         # |m| < 1 fails for inf and nan, whose frexp exponent is 0
-        if not (
-            e.min() >= _EXP_MIN
-            and e.max() <= _EXP_MAX
-            and m.min() > -1.0
-            and m.max() < 1.0
-        ):
+        if not (e_min >= _EXP_MIN and e_max <= _EXP_MAX and m.min() > -1.0 and m.max() < 1.0):
             keep = (e >= _EXP_MIN) & (e <= _EXP_MAX) & (np.abs(m) < 1.0)
             self._partials.extend(x[~keep].tolist() * copies)
             m, e = m[keep], e[keep]
+            if not m.size:
+                return
+            e_min, e_max = e.min(), e.max()
         m *= 2.0**26
         hi = np.trunc(m)
         m -= hi  # the low half: a multiple of 2**-27 in (-1, 1)
-        bins = e.astype(np.intp)
-        bins -= _EXP_MIN
         # copies is 1 or 2 and the bin sums stay far below 2**53 units:
-        # the products are exact
-        self._hi += copies * np.bincount(bins, weights=hi, minlength=_NBINS)
-        self._lo += copies * np.bincount(bins, weights=m, minlength=_NBINS)
+        # every sum and product is exact, in any order
+        if e_min == e_max:
+            # one bin: np.bincount's loop-carried sum into a single bin is
+            # far slower than a pairwise sum, and both are exact
+            b = e_min - _EXP_MIN
+            self._hi[b] += copies * hi.sum()
+            self._lo[b] += copies * m.sum()
+        else:
+            bins = e.astype(np.intp)
+            bins -= _EXP_MIN
+            self._hi += copies * np.bincount(bins, weights=hi, minlength=_NBINS)
+            self._lo += copies * np.bincount(bins, weights=m, minlength=_NBINS)
         self._binned += copies * x.size
 
     def _fold(self) -> None:

@@ -67,6 +67,39 @@ def _sqdist(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return out
 
 
+# np.exp rounds every argument below this to +0.0: exp(-745.13) is the
+# smallest subnormal, 5e-324, and exp(-746) is 0.0
+_EXP_ZERO_BELOW = -746.0
+# blocks of fewer entries go straight to np.exp: the underflow check costs
+# a few microseconds a call, which thousands of small blocks of nearby
+# points pay for nothing; perfbench runs at 1024, 2048 and 4096 are in
+# CHANGES.md
+_EXP_CHECK_MIN = 2048
+
+
+def _exp(t: np.ndarray) -> np.ndarray:
+    """np.exp(t) bit for bit; t is a temporary the caller owns.
+
+    numpy's vector exp takes several times longer on an argument that
+    underflows than on one that does not, and in a diffusing sequence
+    almost every off-diagonal argument underflows.  When a quarter of a
+    block's lanes or more do, those lanes are set to +0.0 directly and
+    np.exp runs on the others, gathered into one contiguous array; each
+    lane's exp is computed from that lane alone, so its bits do not change.
+    nan compares false, so a nan lane is evaluated.
+    """
+    if t.size >= _EXP_CHECK_MIN:
+        dead = t < _EXP_ZERO_BELOW
+        # with fewer dead lanes, the gather and scatter cost more than
+        # the underflows they skip
+        if 4 * np.count_nonzero(dead) >= t.size:
+            live = np.flatnonzero(np.logical_not(dead, out=dead))
+            out = np.zeros(t.shape)
+            out.reshape(-1)[live] = np.exp(t.reshape(-1)[live])
+            return out
+    return np.exp(t, out=t)
+
+
 @dataclass(frozen=True, eq=False)
 class Kernel:
     """A symmetric positive-definite function with evaluation metadata.
@@ -221,7 +254,7 @@ def gaussian(sigma: float = 1.0, dim: int = 1) -> Kernel:
     two_s2 = 2.0 * float(sigma) ** 2
 
     def block(X, Y):
-        return np.exp(-_sqdist(X, Y) / two_s2)
+        return _exp(-_sqdist(X, Y) / two_s2)
 
     return Kernel(
         block_fn=block,
@@ -240,7 +273,7 @@ def laplacian(gamma: float = 1.0, dim: int = 1) -> Kernel:
     g = float(gamma)
 
     def block(X, Y):
-        return np.exp(-g * np.sqrt(_sqdist(X, Y)))
+        return _exp(-g * np.sqrt(_sqdist(X, Y)))
 
     return Kernel(
         block_fn=block,
@@ -517,7 +550,7 @@ def center_kernel(k: Kernel, p: SignedDiscreteMeasure, a: float = 0.0) -> Kernel
     def block(X, Y):
         return table_block(table(X), table(Y))
 
-    rows = [[list(map(float, at)), float(w)] for at, w in zip(p.atoms, p.weights)]
+    rows = [[at, w] for at, w in zip(p.atoms.tolist(), p.weights.tolist())]
     return Kernel(
         block_fn=block,
         dim=k.dim,

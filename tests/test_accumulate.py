@@ -250,6 +250,84 @@ class TestTwiceBatches:
         assert [b for b in folds if b] == [3000] * 13 + [1000, 2500]
 
 
+def sparse_batches(n, seed):
+    """Batches that mostly skip np.bincount: all zeros, signed zeros, 99.5%
+    zeros, terms of one exponent (with zeros, negatives, subnormals and
+    non-binnable terms beside them), and 99.5% zeros of several exponents."""
+    rng = np.random.default_rng(seed)
+    zeros = np.zeros(n)
+    signed = np.where(rng.random(n) < 0.5, 0.0, -0.0)
+    mostly = zeros.copy()
+    live = rng.choice(n, max(1, n // 200), replace=False)
+    mostly[live] = rng.standard_normal(live.size) * np.exp(rng.uniform(-40, 40, live.size))
+    # kappa-like terms: every one in [2**-24, 2**-23), so frexp gives exponent -23
+    one_exp = (1.0 + rng.random(n)) * 2.0**-24
+    signed_one_exp = one_exp * rng.choice([-1.0, 1.0], n)
+    signed_one_exp[::7] = -0.0
+    with_partials = one_exp.copy()
+    with_partials[:3] = [2.0**-1070, -(2.0**-1060), 0.0]
+    single = zeros.copy()
+    single[n // 2] = 0.75
+    return {
+        "zeros": zeros,
+        "signed zeros": signed,
+        "99.5% zeros": mostly,
+        "one exponent": one_exp,
+        "signed one exponent": signed_one_exp,
+        "one exponent and subnormals": with_partials,
+        "one term": single,
+        "only subnormals": np.where(rng.random(n) < 0.99, 0.0, 2.0**-1070),
+    }
+
+
+class TestSparseBatches:
+    """Exact zeros and one-exponent batches skip np.bincount, same bits."""
+
+    @pytest.mark.parametrize("n", (SMALL_INPUT, 16_384, 50_000))
+    def test_equal_fsum(self, n):
+        for name, terms in sparse_batches(n, n).items():
+            same_as_fsum(terms)
+            twice_same_as_fsum(terms)
+            twice_same_as_fsum(terms, once=terms[:SMALL_INPUT])
+            acc = ExactAccumulator()
+            for chunk in np.array_split(terms, 3):
+                acc.add(chunk)
+            acc.add(terms[::-1], twice=True)
+            assert acc.value().hex() == math.fsum(terms.tolist() * 3).hex(), name
+
+    def test_equal_fsum_across_folds(self, monkeypatch):
+        monkeypatch.setattr(accumulate, "FOLD_LIMIT", 3000)
+        batches = sparse_batches(20_000, 15)
+        for name, terms in batches.items():
+            same_as_fsum(terms)
+            twice_same_as_fsum(terms, once=terms[:2500])
+        acc = ExactAccumulator()
+        for terms in batches.values():
+            acc.add(terms, twice=True)
+        every = [t for terms in batches.values() for t in terms.tolist()]
+        assert acc.value().hex() == math.fsum(every * 2).hex()
+
+    def test_zero_and_one_exponent_batches_skip_bincount(self, monkeypatch):
+        calls = []
+        bincount = np.bincount
+
+        def counting_bincount(*args, **kwargs):
+            calls.append(len(args[0]))
+            return bincount(*args, **kwargs)
+
+        monkeypatch.setattr(np, "bincount", counting_bincount)
+        batches = sparse_batches(16_384, 16)
+        for name in ("zeros", "signed zeros", "one exponent", "signed one exponent",
+                     "one exponent and subnormals", "one term", "only subnormals"):
+            acc = ExactAccumulator()
+            acc.add(batches[name])
+            acc.add(batches[name], twice=True)
+            assert calls == [], name
+        # terms of several exponents still take it, after their zeros are dropped
+        ExactAccumulator().add(batches["99.5% zeros"])
+        assert calls == [16_384 // 200] * 2
+
+
 class TestGramSums:
     def test_tiles_match_one_product(self, monkeypatch):
         rng = np.random.default_rng(8)

@@ -27,7 +27,8 @@ from mmdlab import (
     scale_kernel,
     shift_kernel,
 )
-from mmdlab.kernels import PointTable, _sqdist
+from mmdlab import kernels
+from mmdlab.kernels import _EXP_CHECK_MIN, PointTable, _exp, _sqdist
 
 # closed forms computed independently of the library (math.exp, not np.exp)
 EXP_HALF = math.exp(-0.5)
@@ -140,6 +141,89 @@ class TestSquaredDistances:
             assert not D.diagonal().any()
 
 
+def underflow_edge_arguments():
+    """exp arguments across the underflow edge: plain lanes, the subnormal
+    band (-745.13, -708.4) finely enough to hit (-745.13, -745.0), lanes
+    that underflow to 0, and the infinities and nan."""
+    band = np.linspace(-800.0, -700.0, 10001)
+    specials = [0.0, -0.0, -1.0, -708.4, -745.0, -745.1, -745.13, -745.2, -746.0, -1e300]
+    return np.concatenate([band, specials, [-np.inf, np.inf, np.nan]])
+
+
+def alternating_runs(live_value, dead_value):
+    """Rows of live and dead runs of every length 1 to 17, each row shifted
+    by 0 to 8 leading dead lanes so the runs start at every alignment."""
+    runs = []
+    for length in range(1, 18):
+        runs += [live_value] * length + [dead_value] * length
+    return [[dead_value] * shift + runs for shift in range(9)]
+
+
+class TestUnderflowFreeExp:
+    """_exp skips numpy's slow underflow lanes and keeps np.exp's bits."""
+
+    def test_equals_np_exp_across_the_underflow_edge(self):
+        t = underflow_edge_arguments()
+        # at least a quarter of the lanes underflow, so they are set directly
+        assert t.size >= _EXP_CHECK_MIN and 4 * np.count_nonzero(t < -746.0) >= t.size
+        assert np.count_nonzero((t > -745.13) & (t < -745.0)) > 5
+        want = np.exp(t)
+        assert _exp(t.copy()).tobytes() == want.tobytes()
+        assert _exp(t.reshape(6, -1).copy()).tobytes() == want.tobytes()
+        # few underflowing lanes, and a block too small to check
+        mostly_live = np.concatenate([t, np.linspace(-700.0, 0.0, 3 * t.size)])
+        assert _exp(mostly_live.copy()).tobytes() == np.exp(mostly_live).tobytes()
+        assert _exp(t[:100].copy()).tobytes() == np.exp(t[:100]).tobytes()
+        # the zeros are +0.0, as np.exp gives
+        assert not np.signbit(_exp(t.copy())).any()
+
+    def test_live_runs_of_every_length_and_alignment(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_EXP_CHECK_MIN", 1)
+        for row in alternating_runs(-1.25, -800.0):
+            t = np.array(row * 4)
+            assert _exp(t.copy()).tobytes() == np.exp(t).tobytes()
+        for row in alternating_runs(-745.1, -np.inf):
+            t = np.array(row * 4)
+            assert _exp(t.copy()).tobytes() == np.exp(t).tobytes()
+
+    @pytest.mark.parametrize("check_min", [1, _EXP_CHECK_MIN])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_base_families_equal_the_plain_formula(self, monkeypatch, check_min):
+        monkeypatch.setattr(kernels, "_EXP_CHECK_MIN", check_min)
+        t = underflow_edge_arguments()
+        t = t[np.isfinite(t) & (t <= 0.0)]
+        origin = np.zeros((1, 1))
+        # one point at the origin, the others where exp's argument is t;
+        # the last pair's squared distance overflows, so its argument is -inf
+        X = np.array([[0.0], [1e200]])
+        for sigma in (1.0, 0.37):
+            k = gaussian(sigma)
+            Y = np.concatenate([np.sqrt(-2.0 * sigma**2 * t)[:, None], [[-1e200]]])
+            want = np.exp(-_sqdist(X, Y) / (2.0 * sigma**2))
+            assert k.block(X, Y).tobytes() == want.tobytes()
+            assert want[1, -1] == 0.0 and np.isinf(_sqdist(X, Y)[1, -1])
+            assert k.block(origin, Y[:-1]).tobytes() == want[:1, :-1].tobytes()
+        for gamma in (1.0, 2.5):
+            k = laplacian(gamma)
+            Y = np.concatenate([(-t / gamma)[:, None], [[-1e200]]])
+            want = np.exp(-gamma * np.sqrt(_sqdist(X, Y)))
+            assert k.block(X, Y).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("check_min", [1, _EXP_CHECK_MIN])
+    def test_compositions_equal_their_plain_exp_evaluation(self, monkeypatch, check_min):
+        # widely spread points: most pairs underflow, a band of them is subnormal
+        rng = np.random.default_rng(11)
+        X = np.concatenate([rng.uniform(-60.0, 60.0, (40, 2)), [[1e5, 0.0], [-1e5, 0.0]]])
+        Y = np.concatenate([rng.uniform(-60.0, 60.0, (70, 2)), [[0.0, 1e5]]])
+        specimens = table_specimens(2)
+        monkeypatch.setattr(kernels, "_EXP_CHECK_MIN", check_min)
+        got = [(k.block(X, Y).tobytes(), k.block(X, X).tobytes()) for _, k in specimens]
+        monkeypatch.setattr(kernels, "_exp", np.exp)
+        for (name, k), (block, square) in zip(specimens, got):
+            assert block == k.block(X, Y).tobytes(), name
+            assert square == k.block(X, X).tobytes(), name
+
+
 class TestShift:
     def test_shift_adds_constant(self):
         k = shift_kernel(gaussian(1.0), 1.0)
@@ -213,6 +297,17 @@ class TestCenter:
             center_kernel(gaussian(1.0), signed, 0.0)
         with pytest.raises(ParameterError):
             center_kernel(gaussian(1.0), dirac(0.0), -0.1)
+
+    def test_descriptor_rows_equal_a_per_atom_build(self):
+        rng = np.random.default_rng(3)
+        for dim in (1, 3):
+            w = rng.random(6)
+            p = SignedDiscreteMeasure(rng.standard_normal((6, dim)) * 1e3, w / w.sum(), dim)
+            k = center_kernel(gaussian(1.0, dim=dim), p, 0.25)
+            want = [[list(map(float, at)), float(wt)] for at, wt in zip(p.atoms, p.weights)]
+            rows = k.descriptor["p"]
+            assert rows == want
+            assert all(type(v) is float for at, wt in rows for v in at + [wt])
 
     def test_gram_exactly_symmetric(self):
         rng = np.random.default_rng(2)
@@ -466,11 +561,13 @@ def test_kernels_compare_and_hash_by_identity():
     assert table[k] == "k" and table[twin] == "twin"
 
 
-def test_random_compositions_keep_the_tiling_contract():
+def test_random_compositions_keep_the_tiling_contract(monkeypatch):
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
     hnp = pytest.importorskip("hypothesis.extra.numpy")
 
+    # whole blocks take the underflow check and the smallest tiles do not
+    monkeypatch.setattr(kernels, "_EXP_CHECK_MIN", 16)
     coords = st.floats(-4.0, 4.0, allow_nan=False)
 
     def points(shape):
@@ -485,7 +582,7 @@ def test_random_compositions_keep_the_tiling_contract():
     }
 
     @st.composite
-    def kernels(draw, dim):
+    def composed(draw, dim):
         k = bases[draw(st.sampled_from(sorted(bases)))](draw(widths), dim)
         # nested up to depth 3
         for op in draw(st.lists(st.sampled_from(["shift", "scale", "center"]), max_size=3)):
@@ -504,9 +601,11 @@ def test_random_compositions_keep_the_tiling_contract():
     @st.composite
     def cases(draw):
         dim = draw(st.integers(1, 3))
-        X = draw(points((draw(st.integers(1, 24)), dim)))
-        Y = draw(points((draw(st.integers(1, 24)), dim)))
-        return draw(kernels(dim)), X, Y
+        # widely spread points make most exp arguments underflow
+        spread = draw(st.sampled_from([1.0, 12.0, 40.0, 1e3]))
+        X = spread * draw(points((draw(st.integers(1, 24)), dim)))
+        Y = spread * draw(points((draw(st.integers(1, 24)), dim)))
+        return draw(composed(dim)), X, Y
 
     def span(draw, n):
         start = draw(st.integers(0, n - 1))
