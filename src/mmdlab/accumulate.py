@@ -41,7 +41,10 @@ multiplicity-2 batch (``ExactAccumulator.add(terms, twice=True)``) doubles
 the bin sums, which is exact, and counts twice against ``FOLD_LIMIT``; the
 terms that skip the bins join the partials twice.  The terms themselves are
 never multiplied by 2, since a term that overflowed to inf would change
-what fsum reports.
+what fsum reports.  The same sum skips entries of G known in advance (a
+far field): zeros add nothing, and one value under equal weights is one
+term added with its multiplicity by ``ExactAccumulator.add_repeated``,
+which multiplies the term's bin halves by the count, exactly.
 """
 
 from __future__ import annotations
@@ -92,6 +95,39 @@ class ExactAccumulator:
         step = FOLD_LIMIT // copies
         for start in range(0, x.size, step):
             self._bin(x[start : start + step], copies)
+
+    def add_repeated(self, term: float, count: int) -> None:
+        """Add ``count`` copies of one term, in O(1) time and memory.
+
+        The term's halves times a count below 2**26 are exact, as are their
+        bin sums once the count is charged to ``FOLD_LIMIT``; a larger count
+        is added in pieces.  A subnormal term is binned at the smallest
+        exponent: t * 2**1021 is a multiple of 2**-53 in (-0.5, 0.5), so
+        its halves are as exact as a normal term's.  A zero adds nothing.
+        A non-finite term, or one of magnitude 2**960 or more, joins the
+        partials ``count`` times, as in :meth:`add`.
+        """
+        t = float(term)
+        if t == 0.0 or count <= 0:
+            return
+        m, e = math.frexp(t)
+        if not (e <= _EXP_MAX and abs(m) < 1.0):
+            self._partials.extend([t] * count)
+            return
+        if e < _EXP_MIN:
+            m, e = math.ldexp(t, -_EXP_MIN), _EXP_MIN
+        m *= 2.0**26
+        hi = float(math.trunc(m))
+        lo = m - hi
+        b = e - _EXP_MIN
+        while count:
+            step = min(count, FOLD_LIMIT)
+            if self._binned + step > FOLD_LIMIT:
+                self._fold()
+            self._hi[b] += step * hi
+            self._lo[b] += step * lo
+            self._binned += step
+            count -= step
 
     def value(self) -> float:
         self._fold()
@@ -192,37 +228,73 @@ def tiled_gram_sum(
 
 
 def symmetric_gram_sum(
-    w: np.ndarray, upper_rows: Callable[[int, int], np.ndarray]
+    w: np.ndarray,
+    upper_rows: Callable[[int, int, int], np.ndarray],
+    far: tuple[np.ndarray, float] | None = None,
 ) -> float:
     """Exactly-rounded ``sum_ij w_i * G_ij * w_j`` for an exactly symmetric G.
 
-    ``upper_rows(start, stop)`` returns ``G[start:stop, start:]``, the rows
-    from the diagonal rightwards.  Only the upper triangle is summed: the
-    diagonal once, the strict upper triangle with multiplicity 2.  Tiles
-    hold about ``TILE_ENTRIES`` entries, taking more rows as the columns
-    shrink; a G of one tile or less is fetched whole by one
-    ``upper_rows(0, n)`` call and summed as in :func:`tiled_gram_sum`.  The
-    result equals :func:`tiled_gram_sum` on the whole of G bit for bit.
+    ``upper_rows(start, stop, end)`` returns ``G[start:stop, start:end]``,
+    the rows from the diagonal rightwards.  Only the upper triangle is
+    summed: the diagonal once, the strict upper triangle with multiplicity
+    2.  A G of one tile or less is fetched whole by one
+    ``upper_rows(0, n, n)`` call and summed as in :func:`tiled_gram_sum`.
+
+    ``far``, when given, is ``(ends, value)``: ``ends`` is nondecreasing,
+    ``ends[i] > i``, and every ``G[i, j]`` with ``j >= ends[i]`` is bit for
+    bit ``value``.  A row tile then fetches only its live band, the columns
+    up to ``ends`` of its last row, and its far tail is not fetched: a zero
+    tail adds nothing, and a tail of ``value`` under constant weights is one
+    term ``(w_0 * w_0) * value`` added with its multiplicity
+    (:meth:`ExactAccumulator.add_repeated`).  Under other weights a nonzero
+    tail is fetched.  Without ``far`` every band runs to n.  Tiles hold
+    about ``TILE_ENTRIES`` entries, taking more rows as the band narrows.
+    The result equals :func:`tiled_gram_sum` on the whole of G bit for bit
+    with or without ``far``: a skipped zero could only decide the sign of a
+    zero sum, and an exact sum of zeros is +0.0 whatever their signs.
     """
     w = np.asarray(w, dtype=np.float64)
     n = w.size
     if n * n <= TILE_ENTRIES:
-        return exact_sum(np.multiply.outer(w, w) * upper_rows(0, n))
+        return exact_sum(np.multiply.outer(w, w) * upper_rows(0, n, n))
+    ends, value = far if far is not None else (None, 0.0)
+    repeated = None
+    if value != 0.0:
+        if w.min() == w.max():
+            repeated = (w[0] * w[0]) * value
+        else:
+            ends = None
     acc = ExactAccumulator()
     diag = np.empty(n)
     start = 0
     while start < n:
-        stop = min(n, start + max(1, TILE_ENTRIES // (n - start)))
-        terms = np.multiply.outer(w[start:stop], w[start:]) * upper_rows(start, stop)
+        stop = start + _tile_rows(ends, n, start)
+        end = n if ends is None else int(ends[stop - 1])
+        terms = np.multiply.outer(w[start:stop], w[start:end]) * upper_rows(start, stop, end)
         square = terms[:, : stop - start]
         diag[start:stop] = square.diagonal()
         # the diagonal and the strict lower triangle of the square part
         # become exact zeros, which leave the sum unchanged
         square[np.tri(stop - start, dtype=bool)] = 0.0
         acc.add(terms, twice=True)
+        if repeated is not None:
+            acc.add_repeated(repeated, 2 * (stop - start) * (n - end))
         start = stop
     acc.add(diag)
     return acc.value()
+
+
+def _tile_rows(ends: np.ndarray | None, n: int, start: int) -> int:
+    """Rows of the tile from row ``start``: the most, at least one, whose
+    count times their band stays within ``TILE_ENTRIES``.  The band of rows
+    ``start`` to ``start + r - 1`` runs to ``ends`` of the last, whose far
+    tail is far for every row above it."""
+    if ends is None:
+        return max(1, min(n - start, TILE_ENTRIES // (n - start)))
+    # no more rows than fit beside the first row's band, the narrowest
+    most = min(n - start, TILE_ENTRIES // (int(ends[start]) - start))
+    sizes = np.arange(1, most + 1) * (ends[start : start + most] - start)
+    return max(1, int(np.searchsorted(sizes, TILE_ENTRIES, side="right")))
 
 
 def weighted_gram_sum(w: np.ndarray, gram: np.ndarray, v: np.ndarray) -> float:

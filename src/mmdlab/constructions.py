@@ -312,15 +312,17 @@ def verify_diffusing(
     from one point table, so memory stays O(tile) and per-point work runs
     once per atom.  G is exactly symmetric (the contract of :class:`Kernel`),
     so those tiles hold every off-diagonal value; diagonal entries count as
-    ``G_ii - G_ii``, as in the dense ``|G - diag(diag(G))|``.
+    ``G_ii - G_ii``, as in the dense ``|G - diag(diag(G))|``.  No far field
+    is skipped (:meth:`Kernel.far_field`): every entry is evaluated, so the
+    certificate does not rest on the rule it would check.
     """
     n = p.support_size
     X = k.table(p.atoms)
     max_off = np.float64(0.0)
 
-    def upper_rows(start: int, stop: int) -> np.ndarray:
+    def upper_rows(start: int, stop: int, end: int) -> np.ndarray:
         nonlocal max_off
-        tile = k.block(X[start:stop], X[start:])
+        tile = k.block(X[start:stop], X[start:end])
         off = np.abs(tile)
         i = np.arange(stop - start)
         off[i, i] = np.abs(tile[i, i] - tile[i, i])

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .accumulate import exact_row_sums, exact_sum
-from .embedding import mmd
+from .embedding import keep_self_inner, mmd
 from .errors import DimensionMismatchError, ParameterError
 from .kernels import Kernel
 from .measures import (
@@ -383,6 +383,8 @@ def probe_sequence(
 
     target_vals = np.array([integrate(target, f) for f in battery])
     count = len(seq)
+    # every index's mmd reads the target's self term from its slot
+    keep_self_inner(k, target)
     mmd_trace = np.array([mmd(k, mu_n, target) for mu_n in seq])
 
     # each test function, the constant 1 (whose sums are the total

@@ -19,18 +19,29 @@ blocks larger than one tile are evaluated one row tile at a time, from point
 tables built once per sum (:meth:`Kernel.table`), so memory stays O(tile) on
 both routes.  Tiling relies on the contract of :class:`Kernel`.
 
+Only the self terms of :func:`inner` (hence of :func:`mmd` and
+:func:`norm`) skip the far field of :meth:`Kernel.far_field`: a Gram that
+spans tiles is read with its atoms ordered along coordinate 0, and the
+columns of each row tile that lie beyond the far-field radius in that
+coordinate are not evaluated, being known bit for bit.  Cross terms, and
+:func:`mmd_oracle`, evaluate every entry, so the oracle also checks the
+skip.  Sums are exact, so neither the order nor the skip changes a bit.
+
 A self inner product whose Gram spans more than one tile is kept in one
 slot on the measure, with the kernel object that computed it, and returned
 when the same kernel object asks again: evaluation is pure, so the value
 is the same bits.  A different kernel object, even one with an equal
-descriptor, recomputes and takes the slot.  :func:`mmd_oracle` does not
-read the slot.
+descriptor, recomputes and takes the slot.  :func:`keep_self_inner` keeps
+a self term of any size there, and :func:`inner` reads the slot before it
+looks at the size.  :func:`mmd_oracle` does not read the slot.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .accumulate import TILE_ENTRIES, exact_sum, symmetric_gram_sum, tiled_gram_sum
 from .errors import DimensionMismatchError
@@ -63,14 +74,22 @@ def inner(k: Kernel, mu: SignedDiscreteMeasure, nu: SignedDiscreteMeasure) -> fl
         return 0.0
     if mu is not nu:
         return _full_gram_sum(k, mu, nu)
-    if not _spans_tiles(mu.support_size**2):
-        return _self_gram_sum(k, mu)
     memo = mu._self_inner
     if memo is not None and memo[0] is k:
         return memo[1]
     value = _self_gram_sum(k, mu)
-    object.__setattr__(mu, "_self_inner", (k, value))
+    if _spans_tiles(mu.support_size**2):
+        object.__setattr__(mu, "_self_inner", (k, value))
     return value
+
+
+def keep_self_inner(k: Kernel, mu: SignedDiscreteMeasure) -> None:
+    """Keep inner(k, mu, mu) in mu's slot whatever mu's size.
+
+    For one measure that many inner products read, such as the target of a
+    sequence: :func:`inner` keeps only self terms that span tiles.
+    """
+    object.__setattr__(mu, "_self_inner", (k, inner(k, mu, mu)))
 
 
 def _spans_tiles(entries: int) -> bool:
@@ -86,16 +105,34 @@ def _spans_tiles(entries: int) -> bool:
 
 
 def _self_gram_sum(k: Kernel, mu: SignedDiscreteMeasure) -> float:
-    # a Gram of one point set is exactly symmetric: sum the upper triangle
-    n = mu.support_size
-    X = k.table(mu.atoms) if _spans_tiles(n * n) else mu.atoms
+    """Sum of the upper triangle of an exactly symmetric Gram.
 
-    def upper_rows(start, stop):
-        # rows that reach the end are passed as one object, read once
+    A Gram that spans tiles is read from a table of the atoms ordered along
+    coordinate 0, so each row tile's columns more than the kernel's
+    far-field radius away in that coordinate form a tail, which
+    :func:`symmetric_gram_sum` does not fetch.  Atoms already in order are
+    used as they are.  The sum is exact, so the order changes no bit.
+    """
+    w = mu.weights
+    X = mu.atoms
+    far = None
+    if _spans_tiles(w.size**2):
+        c = X[:, 0]
+        if not (c[:-1] <= c[1:]).all():
+            order = np.argsort(c)
+            X, w, c = X[order], w[order], c[order]
+        X = k.table(X)
+        rule = k.far_field(X)
+        if rule is not None:
+            # c_j > fl(c_i + radius) makes c_j - c_i > radius exactly
+            far = (np.searchsorted(c, c + rule[0], side="right"), rule[1])
+
+    def upper_rows(start, stop, end):
+        # rows that span the band are passed as one object, read once
         rows = X[start:stop]
-        return k.block(rows, rows if stop == n else X[start:])
+        return k.block(rows, rows if stop == end else X[start:end])
 
-    return symmetric_gram_sum(mu.weights, upper_rows)
+    return symmetric_gram_sum(w, upper_rows, far)
 
 
 def _full_gram_sum(k: Kernel, mu: SignedDiscreteMeasure, nu: SignedDiscreteMeasure) -> float:

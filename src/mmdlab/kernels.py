@@ -3,8 +3,9 @@
 A :class:`Kernel` pairs a vectorized evaluation rule with the metadata the
 rest of the package relies on: a bound on the diagonal (``sup_bound``), a
 claim that sections vanish at infinity (``claims_c0``), a ``spacing`` rule
-for the diffusing search, and a ``descriptor`` recording how the kernel was
-built.  Kernels compose: :func:`shift_kernel` adds a constant,
+for the diffusing search, a far-field rule (:meth:`Kernel.far_field`) for
+sums that skip entries known in advance, and a ``descriptor`` recording how
+the kernel was built.  Kernels compose: :func:`shift_kernel` adds a constant,
 :func:`scale_kernel` conjugates by a scalar field, and :func:`center_kernel`
 recenters the feature map at a probability measure.  Descriptors nest
 accordingly, so provenance survives composition; the other metadata is
@@ -77,6 +78,24 @@ _EXP_ZERO_BELOW = -746.0
 _EXP_CHECK_MIN = 2048
 
 
+# a far-field radius is the analytic one times this: _sqdist of d
+# coordinates, the division or sqrt and the product with the rate round at
+# most d + 5 times, each by under 2**-53 relative, which cannot undo a
+# relative margin of 1e-6 or more on the exp argument for any d below 10**9
+_FAR_MARGIN = 1.0 + 1e-6
+# a radius whose square is below this could lose that margin to underflow
+_FAR_MIN_SQUARE = 2.0**-1000
+
+
+def _exp_far_field(radius: float) -> Callable[[tuple], tuple[float, float] | None]:
+    """The far-field rule of a base family whose exp argument is below
+    ``_EXP_ZERO_BELOW`` wherever points are more than ``radius`` apart:
+    np.exp rounds there to +0.0 at every dispatch level."""
+    r = radius * _FAR_MARGIN
+    rule = (r, 0.0) if _FAR_MIN_SQUARE <= r * r < math.inf else None
+    return lambda cols: rule
+
+
 def _exp(t: np.ndarray) -> np.ndarray:
     """np.exp(t) bit for bit; t is a temporary the caller owns.
 
@@ -112,6 +131,20 @@ class Kernel:
     distance s such that points s or more apart have ``|k| <= eps``, or
     None when no analytic rule is known.
 
+    ``far_field_fn`` maps the columns of a table of at least one point (see
+    below) to a far-field rule ``(radius, value)``, or None when no rule is
+    known: every entry of a block between rows of that table whose two
+    points are more than ``radius`` apart, in exact arithmetic, is bit for
+    bit ``value``, at every numpy SIMD dispatch level.  It is a proof from
+    the float operations of ``block_fn``, not an estimate; a sum may skip
+    those entries (:func:`mmdlab.accumulate.symmetric_gram_sum`).  The
+    gaussian and laplacian families have ``(r, 0.0)``, with r just past the
+    distance where their exp argument falls below -746;
+    :func:`shift_kernel` keeps the radius and adds its constant to the
+    value; :func:`scale_kernel` keeps a zero rule when the table's field
+    column has no sign bit and a finite square; the other kernels have
+    none.
+
     The contract: ``block_fn`` computes each entry from its two points
     alone, so any tile equals that slice of the whole block bit for bit, and
     ``block_fn(X, X)`` is exactly symmetric.  Large blocks are therefore
@@ -133,6 +166,9 @@ class Kernel:
     claims_c0: bool
     descriptor: dict
     spacing: Callable[[float], float | None] = field(default=lambda eps: None, repr=False)
+    far_field_fn: Callable[[tuple], tuple[float, float] | None] = field(
+        default=lambda cols: None, repr=False
+    )
     table_fn: Callable[[np.ndarray], tuple] | None = field(default=None, repr=False)
     table_block_fn: Callable[[tuple, tuple], np.ndarray] | None = field(
         default=None, repr=False
@@ -156,6 +192,14 @@ class Kernel:
         if not n or not m:
             return np.zeros((n, m))
         return self._block_columns(a, b)
+
+    def far_field(self, X) -> tuple[float, float] | None:
+        """The far-field rule ``(radius, value)`` of blocks among the points
+        X (points, or a table this kernel built), or None: every entry
+        whose two points are more than ``radius`` apart is bit for bit
+        ``value``."""
+        a = self._columns_of(X)
+        return self.far_field_fn(a) if len(a[0]) else None
 
     def __call__(self, x, y) -> float:
         """Single pairwise value k(x, y)."""
@@ -263,6 +307,8 @@ def gaussian(sigma: float = 1.0, dim: int = 1) -> Kernel:
         claims_c0=True,
         descriptor={"family": "gaussian", "sigma": float(sigma), "dim": int(dim)},
         spacing=_base_spacing(lambda t: float(sigma) * math.sqrt(2.0 * math.log(1.0 / t))),
+        # |x - y|^2 / (2 sigma^2) > 746 beyond sigma sqrt(1492)
+        far_field_fn=_exp_far_field(float(sigma) * math.sqrt(-2.0 * _EXP_ZERO_BELOW)),
     )
 
 
@@ -282,6 +328,7 @@ def laplacian(gamma: float = 1.0, dim: int = 1) -> Kernel:
         claims_c0=True,
         descriptor={"family": "laplacian", "gamma": g, "dim": int(dim)},
         spacing=_base_spacing(lambda t: math.log(1.0 / t) / g),
+        far_field_fn=_exp_far_field(-_EXP_ZERO_BELOW / g),
     )
 
 
@@ -455,6 +502,11 @@ def shift_kernel(k: Kernel, c: float) -> Kernel:
     def block(X, Y):
         return table_block(k._columns(X), k._columns(Y))
 
+    def far_field(cols):
+        rule = k.far_field_fn(cols)
+        # the block's own float addition: a far value of 0.0 becomes cc
+        return None if rule is None else (rule[0], rule[1] + cc)
+
     # a shift reads no per-point values of its own: its tables are its child's
     return Kernel(
         block_fn=block,
@@ -462,6 +514,7 @@ def shift_kernel(k: Kernel, c: float) -> Kernel:
         sup_bound=k.sup_bound + cc,
         claims_c0=k.claims_c0 and cc == 0.0,
         descriptor={"op": "shift", "c": cc, "child": k.descriptor},
+        far_field_fn=far_field,
         table_fn=k.table_fn,
         table_block_fn=table_block,
     )
@@ -491,6 +544,19 @@ def scale_kernel(k: Kernel, g: ScalarField) -> Kernel:
     def block(X, Y):
         return table_block(table(X), table(Y))
 
+    def far_field(cols):
+        rule = k.far_field_fn(cols[:-1])
+        if rule is None or rule[1] != 0.0:
+            return None
+        # (g_i * g_j) * 0.0 keeps the zero's bits only when g_i * g_j is
+        # finite with no sign bit: 0 * inf and 0 * nan are nan, and a
+        # negative factor flips the zero's sign
+        g_col = cols[-1]
+        if np.signbit(g_col).any():
+            return None
+        top = float(g_col.max())
+        return rule if top * top < math.inf else None
+
     def spacing(eps):
         if g.sup is None:
             return None
@@ -507,6 +573,7 @@ def scale_kernel(k: Kernel, g: ScalarField) -> Kernel:
         claims_c0=k.claims_c0 or (g.is_c0 and bounded),
         descriptor={"op": "scale", "field": dict(g.descriptor), "child": k.descriptor},
         spacing=spacing,
+        far_field_fn=far_field,
         table_fn=table,
         table_block_fn=table_block,
     )

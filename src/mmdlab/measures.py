@@ -77,9 +77,12 @@ class SignedDiscreteMeasure:
     dropped at construction, so ``atoms`` are pairwise distinct and every
     stored weight is nonzero.  First occurrence determines atom order.
 
-    ``_self_inner`` is one memo slot of :func:`mmdlab.embedding.inner`: the
-    last self inner product of a support whose Gram spans more than one
-    tile, as (kernel object, value).
+    ``_self_inner`` is one memo slot of :func:`mmdlab.embedding.inner`, as
+    (kernel object, value): the last self inner product of a support whose
+    Gram spans more than one tile, or one kept by
+    :func:`mmdlab.embedding.keep_self_inner` whatever the size, as a
+    sequence probe does for its target.  ``inner`` reads it before it looks
+    at the size.
     """
 
     atoms: np.ndarray

@@ -350,9 +350,10 @@ class TestGramSums:
                 monkeypatch.setattr(accumulate, "TILE_ENTRIES", tile)
                 fetched = []
 
-                def upper_rows(start, stop):
+                def upper_rows(start, stop, end):
+                    assert end == n
                     fetched.append((start, stop))
-                    return G[start:stop, start:]
+                    return G[start:stop, start:end]
 
                 assert symmetric_gram_sum(w, upper_rows).hex() == want.hex()
                 # consecutive row ranges that cover every row once
@@ -360,6 +361,148 @@ class TestGramSums:
                 assert fetched[-1][1] == n
                 if n * n <= tile:
                     assert fetched == [(0, n)]
+
+
+class TestRepeatedTerms:
+    """add_repeated(t, c) sums like c copies of t added one by one."""
+
+    TERMS = (
+        1.0,
+        -0.1,
+        1.0 / 4096**2,
+        -(2.0**-1022),
+        5e-324,
+        -3.3e-320,
+        math.ulp(2.0**-1022) * 12345,
+        0.0,
+        -0.0,
+        2.0**960 * (1.0 - 2.0**-53),
+        -(2.0**959) * 1.5,
+    )
+
+    @staticmethod
+    def same_as_repeated_list(batches):
+        """An accumulator fed (term, count) pairs agrees with fsum over the
+        listed copies bit for bit, or raises alike; a count of None is an
+        ordinary batch of the terms listed."""
+        listed = []
+        for term, count in batches:
+            listed += [term] * count if count is not None else list(term)
+
+        def value():
+            acc = ExactAccumulator()
+            for term, count in batches:
+                if count is None:
+                    acc.add(np.asarray(term))
+                else:
+                    acc.add_repeated(term, count)
+            return acc.value()
+
+        try:
+            want = math.fsum(listed)
+        except (OverflowError, ValueError) as exc:
+            with pytest.raises(type(exc)):
+                value()
+            return
+        got = value()
+        assert math.isnan(want) and math.isnan(got) or got.hex() == want.hex()
+
+    @pytest.mark.parametrize("term", TERMS, ids=repr)
+    @pytest.mark.parametrize("count", [0, 1, 2, 7, 2999, 3000, 3001, 10_000])
+    def test_equals_fsum_of_the_copies(self, term, count, monkeypatch):
+        # counts cross the patched fold limit, alone and after a batch
+        monkeypatch.setattr(accumulate, "FOLD_LIMIT", 3000)
+        self.same_as_repeated_list([(term, count)])
+        rng = np.random.default_rng(count)
+        batch = (rng.standard_normal(2500) * np.exp(rng.uniform(-30, 30, 2500))).tolist()
+        self.same_as_repeated_list([(batch, None), (term, count), (-term, count // 3)])
+
+    def test_mixed_terms_and_batches_cross_folds(self, monkeypatch):
+        monkeypatch.setattr(accumulate, "FOLD_LIMIT", 3000)
+        rng = np.random.default_rng(21)
+        batches = []
+        for term in self.TERMS[:-2]:
+            batches.append((term, int(rng.integers(1, 7000))))
+            batches.append((rng.standard_normal(2100).tolist(), None))
+        self.same_as_repeated_list(batches)
+
+    def test_counts_up_to_the_real_fold_limit_and_beyond(self):
+        for count in (accumulate.FOLD_LIMIT - 1, accumulate.FOLD_LIMIT, 3 * accumulate.FOLD_LIMIT + 5):
+            for term in (1.0 / 3.0, -(2.0**-1040) * 3):
+                acc = ExactAccumulator()
+                acc.add_repeated(term, count)
+                acc.add_repeated(-term, count - 1)
+                assert acc.value() == term
+
+    @pytest.mark.parametrize("term", [math.inf, -math.inf, math.nan, 2.0**960, -(2.0**1000)])
+    def test_terms_outside_the_bins_sum_like_fsum(self, term):
+        for count in (1, 3):
+            self.same_as_repeated_list([(term, count), ([1.0, -2.5], None)])
+            self.same_as_repeated_list([(term, count), (-term, 2)])
+
+
+def banded_gram(n, seed, value, ends):
+    """A random exactly symmetric G whose entries at and beyond ``ends`` in
+    each row (and their mirror images) are ``value``."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, n))
+    G = A + A.T
+    far = np.arange(n)[None, :] >= ends[:, None]
+    G[far] = value
+    G[far.T] = value
+    return G
+
+
+class TestBandedGramSums:
+    """symmetric_gram_sum with a far field equals the whole sum bit for bit."""
+
+    @pytest.mark.parametrize("n", [130, 300, 777])
+    @pytest.mark.parametrize("value", [0.0, -0.0, 1.0, 0.37])
+    @pytest.mark.parametrize("uniform", [True, False])
+    @pytest.mark.parametrize("tile", [64, 1 << 14])
+    def test_equals_whole_sum_and_fetches_only_the_band(self, n, value, uniform, tile, monkeypatch):
+        monkeypatch.setattr(accumulate, "TILE_ENTRIES", tile)
+        rng = np.random.default_rng(n)
+        ends = np.minimum(n, np.arange(n) + 1 + rng.integers(0, 40, n))
+        ends = np.maximum.accumulate(ends)
+        G = banded_gram(n, n + 1, value, ends)
+        w = np.full(n, 1.0 / n) if uniform else rng.standard_normal(n)
+        want = math.fsum((np.multiply.outer(w, w) * G).ravel().tolist())
+        fetched = []
+
+        def upper_rows(start, stop, end):
+            fetched.append((start, stop, end))
+            return G[start:stop, start:end]
+
+        got = symmetric_gram_sum(w, upper_rows, (ends, value))
+        assert got.hex() == want.hex()
+        assert [a for a, _, _ in fetched] == [0] + [b for _, b, _ in fetched[:-1]]
+        if n * n <= tile:
+            assert fetched == [(0, n, n)]
+            return
+        banded = value == 0.0 or uniform
+        band = ends if banded else np.full(n, n)
+        for start, stop, end in fetched:
+            assert end == band[stop - 1]
+            assert (stop - start) * (end - start) <= tile or stop - start == 1
+            # the most rows that fit
+            if stop < n:
+                assert (stop + 1 - start) * (band[stop] - start) > tile
+        if banded and n * n > 16 * tile:
+            # bands of at most 40 columns past the diagonal, in many tiles
+            assert sum((b - a) * (e - a) for a, b, e in fetched) < n * n / 2
+
+    def test_tiles_without_a_far_field_are_unchanged(self, monkeypatch):
+        # every band runs to n, so rows are TILE_ENTRIES // (n - start)
+        monkeypatch.setattr(accumulate, "TILE_ENTRIES", 1000)
+        fetched = []
+        n = 200
+        G = banded_gram(n, 3, 0.0, np.full(n, n))
+        symmetric_gram_sum(np.ones(n), lambda a, b, e: fetched.append((a, b, e)) or G[a:b, a:e])
+        start = 0
+        for a, b, e in fetched:
+            assert (a, b, e) == (start, min(n, start + max(1, 1000 // (n - start))), n)
+            start = b
 
 
 def test_permutation_invariance_property():

@@ -207,6 +207,33 @@ class TestProbeSequence:
         with pytest.raises(ParameterError):
             probe_sequence(seq, target, gaussian(1.0), radii=[])
 
+    def test_target_self_term_is_evaluated_once(self, monkeypatch):
+        from mmdlab import diagnostics, embedding
+
+        seq, _ = geometric_dirac_sequence(count=12)
+        target = SignedDiscreteMeasure(np.array([[0.0], [0.3], [1.0]]), np.full(3, 1 / 3), 1)
+        k = shift_kernel(gaussian(1.0), 1.0)
+        want = embedding.inner(k, target, SignedDiscreteMeasure(target.atoms, target.weights, 1))
+        self_terms = []
+        mmd_calls = []
+        self_gram_sum = embedding._self_gram_sum
+        monkeypatch.setattr(
+            embedding,
+            "_self_gram_sum",
+            lambda k, mu: self_terms.append(mu is target) or self_gram_sum(k, mu),
+        )
+        monkeypatch.setattr(
+            diagnostics, "mmd", lambda *args: mmd_calls.append(args) or mmd(*args)
+        )
+        report = probe_sequence(seq, target, k)
+        # one mmd per index, and the target's self term once in all
+        assert len(mmd_calls) == len(seq)
+        assert self_terms.count(True) == 1
+        assert target._self_inner[0] is k
+        assert target._self_inner[1].hex() == want.hex()
+        expected = [mmd(k, mu_n, target) for mu_n in seq]
+        assert report.mmd_to_target.tolist() == expected
+
     def test_column_accessor(self):
         seq, target = geometric_dirac_sequence(count=8)
         report = probe_sequence(seq, target, gaussian(1.0))

@@ -1,7 +1,13 @@
 """Golden sha256 digests of trace.csv, so any byte change fails a test.
 
 Speed-ups must leave every byte of trace.csv as it was.  These digests were
-taken with numpy 2.4.6 on x86-64; no kernel evaluation calls BLAS.
+taken with numpy 2.4.6 on x86-64 with AVX-512 dispatch; no kernel
+evaluation calls BLAS.  They also depend on numpy's SIMD dispatch level:
+its AVX-512 exp and power round some lanes differently from its AVX2 and
+baseline versions, so on a CPU without AVX-512, or with
+NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR", most preset
+digests differ (ROADMAP item 9).  The flaw digest at nmax 1024 is the same
+at both levels.
 """
 
 import hashlib
@@ -34,6 +40,11 @@ SEARCH_DIGESTS = {
 }
 
 
+# flaw_counterexample at nmax 1024, seed 3: its self terms span many Gram
+# tiles, so the far-field skip of the self-term sums is pinned too
+FLAW_1024_DIGEST = "33e9dc488151fd1e40bb133237c6dd87768c6e01490ce790c769b9697fb73744"
+
+
 def trace_digest(tmp_path, config, nmax):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config))
@@ -56,3 +67,7 @@ def test_preset_trace_at_nmax_64(tmp_path, preset):
 def test_escape_demo_search_trace(tmp_path, strategy, dim):
     config = {"preset": "escape_demo", "strategy": strategy, "dim": dim}
     assert trace_digest(tmp_path, config, 256) == SEARCH_DIGESTS[strategy, dim]
+
+
+def test_flaw_trace_at_nmax_1024(tmp_path):
+    assert trace_digest(tmp_path, {"preset": "flaw_counterexample"}, 1024) == FLAW_1024_DIGEST

@@ -35,7 +35,9 @@ from mmdlab import (
     self_inner_tolerance,
     shift_kernel,
     shifted_dirac_null_kernel,
+    verify_diffusing,
 )
+from mmdlab.embedding import keep_self_inner
 
 EXP_HALF = math.exp(-0.5)
 
@@ -469,3 +471,143 @@ class TestSelfTermMemo:
         assert mmd_oracle(k, mu, nu).hex() == want.hex()
         merged = (mu - nu).support_size
         assert sum(entries) == merged * merged
+
+
+def spread_measure(rng, n, dim, reach, uniform):
+    """n atoms drawn from [-reach, reach]^dim, in no order, with equal or
+    signed random weights."""
+    w = np.full(n, 1.0 / n) if uniform else rng.standard_normal(n)
+    return SignedDiscreteMeasure(rng.uniform(-reach, reach, (n, dim)), w, dim)
+
+
+def fresh(mu):
+    """An equal measure with an empty self-term slot."""
+    return SignedDiscreteMeasure(mu.atoms.copy(), mu.weights.copy(), mu.dim)
+
+
+class TestFarFieldSkip:
+    """Self terms skip the far field of :meth:`Kernel.far_field` and keep
+    every bit; the oracle and the diffusing certificate skip nothing."""
+
+    @staticmethod
+    def kernels(dim):
+        xi = np.zeros(dim)
+        base = gaussian(1.0, dim=dim)
+        p = SignedDiscreteMeasure(np.stack([xi, xi + 0.5]), np.full(2, 0.5), dim)
+        return {
+            "gaussian": base,
+            "laplacian": laplacian(5.0, dim=dim),
+            "shift": shift_kernel(base, 1.0),
+            "scale": scale_kernel(base, saturating_at(xi)),
+            "null": dirac_null_kernel(base, xi),
+            "shifted_null": shifted_dirac_null_kernel(base, xi),
+            # no rule: every entry evaluated
+            "imq": inverse_multiquadric(1.5, 0.5, dim=dim),
+            "center": center_kernel(base, p, 1.0),
+        }
+
+    @staticmethod
+    def self_term(monkeypatch, k, mu, banded=True):
+        """inner(k, mu, mu) on a copy of mu with an empty slot, with or
+        without far-field rules, and the Gram entries it evaluated."""
+        with monkeypatch.context() as m:
+            if not banded:
+                m.setattr(Kernel, "far_field", lambda self, X: None)
+            entries = TestSelfTermMemo.recording(m)
+            copy = fresh(mu)
+            return inner(k, copy, copy), sum(entries)
+
+    @pytest.mark.parametrize("dim, reach", [(1, 4000.0), (2, 1000.0)])
+    @pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "signed"])
+    @pytest.mark.parametrize("tile", [256, None])
+    def test_banded_self_term_equals_unbanded(self, dim, reach, uniform, tile, monkeypatch):
+        if tile is not None:
+            monkeypatch.setattr(accumulate, "TILE_ENTRIES", tile)
+        rng = np.random.default_rng(70 + dim)
+        mu = spread_measure(rng, 400, dim, reach, uniform)
+        for name, k in self.kernels(dim).items():
+            want, unbanded = self.self_term(monkeypatch, k, mu, banded=False)
+            got, banded = self.self_term(monkeypatch, k, mu)
+            assert got.hex() == want.hex(), name
+            # the whole Gram of an equal measure, by the cross-term path
+            assert inner(k, mu, fresh(mu)).hex() == want.hex(), name
+            if name in ("imq", "center") or ("shift" in name and not uniform):
+                # no rule, or a nonzero far value under unequal weights
+                assert banded == unbanded, name
+            else:
+                # three or so default tiles of 16k cover the band at n = 400
+                assert banded < unbanded / (4 if tile else 1.5), name
+
+    @pytest.mark.parametrize("n", [300, 1024])
+    def test_diffusing_measures_are_read_in_place(self, n, monkeypatch):
+        base = gaussian(1.0)
+        null_k = dirac_null_kernel(base, [0.0])
+        p = diffusing_sequence(null_k, n, 1.0 / n, ExclusionRegion(np.zeros(1), 9.0))
+        tables = []
+        table = Kernel.table
+
+        def recording_table(self, X):
+            tables.append(X)
+            return table(self, X)
+
+        for k in (null_k, shifted_dirac_null_kernel(base, [0.0])):
+            want, unbanded = self.self_term(monkeypatch, k, p, banded=False)
+            got, banded = self.self_term(monkeypatch, k, p)
+            assert got.hex() == want.hex()
+            assert banded < unbanded / (3 if n > 1000 else 1.5)
+            # a ray's atoms are in order: the table is built on them as they are
+            with monkeypatch.context() as m:
+                m.setattr(Kernel, "table", recording_table)
+                tables.clear()
+                copy = fresh(p)
+                inner(k, copy, copy)
+            assert len(tables) == 1 and tables[0] is copy.atoms
+
+    def test_unsorted_atoms_give_the_sorted_bits(self):
+        rng = np.random.default_rng(74)
+        mu = spread_measure(rng, 500, 2, 500.0, False)
+        order = np.argsort(mu.atoms[:, 0])
+        sorted_mu = SignedDiscreteMeasure(mu.atoms[order], mu.weights[order], 2)
+        for name, k in self.kernels(2).items():
+            assert inner(k, mu, mu).hex() == inner(k, sorted_mu, sorted_mu).hex(), name
+
+    @pytest.mark.parametrize("dim, reach", [(1, 4000.0), (2, 300.0)])
+    def test_mmd_agrees_with_the_oracle_on_spread_measures(self, dim, reach):
+        rng = np.random.default_rng(80 + dim)
+        for uniform in (True, False):
+            mu = spread_measure(rng, 350, dim, reach, uniform)
+            nu = spread_measure(rng, 260, dim, reach, True)
+            for name, k in self.kernels(dim).items():
+                assert mmd(k, mu, nu) == pytest.approx(mmd_oracle(k, mu, nu), rel=1e-12), name
+
+    def test_oracle_and_certificate_evaluate_every_entry(self, monkeypatch):
+        base = gaussian(1.0)
+        null_k = dirac_null_kernel(base, [0.0])
+        excl = ExclusionRegion(np.zeros(1), 9.0)
+        p = diffusing_sequence(null_k, 600, 1.0 / 600, excl)
+        q = diffusing_sequence(null_k, 300, 1.0 / 300, ExclusionRegion(np.zeros(1), 3000.0))
+        for k in (null_k, shifted_dirac_null_kernel(base, [0.0])):
+            with monkeypatch.context() as m:
+                entries = TestSelfTermMemo.recording(m)
+                mmd_oracle(k, p, q)
+                merged = (p - q).support_size
+                assert sum(entries) == merged * merged
+                entries.clear()
+                verify_diffusing(k, p, 1.0, excl)
+                # the upper triangle with whole square parts: at least half
+                assert sum(entries) >= 600 * 601 // 2
+
+
+class TestSlotBeforeSizeGate:
+    def test_a_kept_small_self_term_is_read_without_evaluation(self, monkeypatch):
+        k = gaussian(1.0)
+        small = dirac(0.5)
+        keep_self_inner(k, small)
+        assert small._self_inner == (k, 1.0)
+        entries = TestSelfTermMemo.recording(monkeypatch)
+        assert inner(k, small, small) == 1.0
+        assert entries == []
+        # another kernel object evaluates and leaves a small slot alone
+        assert inner(gaussian(1.0), small, small) == 1.0
+        assert entries == [1]
+        assert small._self_inner[0] is k

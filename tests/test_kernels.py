@@ -1,6 +1,11 @@
 """Tests for kernel construction, algebra and structural probes."""
 
 import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +33,7 @@ from mmdlab import (
     shift_kernel,
 )
 from mmdlab import kernels
-from mmdlab.kernels import _EXP_CHECK_MIN, PointTable, _exp, _sqdist
+from mmdlab.kernels import _EXP_CHECK_MIN, _EXP_ZERO_BELOW, PointTable, _exp, _sqdist
 
 # closed forms computed independently of the library (math.exp, not np.exp)
 EXP_HALF = math.exp(-0.5)
@@ -408,16 +413,18 @@ def test_descriptor_tree_survives_composition():
     assert d["child"]["child"] == {"family": "gaussian", "sigma": 1.0, "dim": 1}
 
 
-def table_specimens(dim):
+def table_specimens(dim, width=1.0):
     """Each base family plain, shifted, scaled, scaled twice, shifted after
     a scaling, recentred, and recentred after a scaling, as (name, kernel)
-    pairs."""
+    pairs; ``width`` is the gaussian sigma, the laplacian gamma and the
+    inverse multiquadric c."""
     xi = np.zeros(dim)
     xi2 = np.full(dim, 0.5)
     p = SignedDiscreteMeasure(np.stack([xi, xi2, -xi2]), np.array([0.5, 0.25, 0.25]), dim)
+    params = {"gaussian": "sigma", "laplacian": "gamma", "inverse_multiquadric": "c"}
     out = []
-    for family in ("gaussian", "laplacian", "inverse_multiquadric"):
-        base = make_base_kernel(family, dim=dim)
+    for family, param in params.items():
+        base = make_base_kernel(family, dim=dim, **{param: width})
         scaled = scale_kernel(base, c0_bump_at(xi))
         out += [
             (f"{family}", base),
@@ -626,3 +633,174 @@ def test_random_compositions_keep_the_tiling_contract(monkeypatch):
         assert k.block(T[rows], T).tobytes() == square[rows].tobytes()
 
     check()
+
+
+# the far-field rule each specimen of table_specimens declares: its value,
+# or None for no rule
+FAR_VALUES = {
+    "gaussian": 0.0,
+    "shift-gaussian": 0.5,
+    "scale-gaussian": 0.0,
+    "scale-scale-gaussian": 0.0,
+    "shift-scale-gaussian": 1.0,
+    "laplacian": 0.0,
+    "shift-laplacian": 0.5,
+    "scale-laplacian": 0.0,
+    "scale-scale-laplacian": 0.0,
+    "shift-scale-laplacian": 1.0,
+}
+
+# numpy's AVX-512 exp rounds some lanes differently from its AVX2 and
+# baseline versions, so the rule is checked with them switched off too
+AVX512_OFF = "X86_V4 AVX512_ICL AVX512_SPR"
+
+
+def beyond(x, y, radius):
+    """Whether x and y are more than ``radius`` apart in exact arithmetic."""
+    gap = sum((Fraction(float(a)) - Fraction(float(b))) ** 2 for a, b in zip(x, y))
+    return gap > Fraction(radius) ** 2
+
+
+def just_beyond(x, u, radius, excess):
+    """x + radius (1 + excess) v, for v the unit vector along u (or the
+    first axis if u is 0), moved an ulp at a time along v until it is more
+    than ``radius`` from x exactly."""
+    top = np.abs(u).max()
+    if top == 0:
+        u = np.eye(len(x))[0]
+    else:
+        # scaled first, so no square underflows and v is a unit vector
+        # to within a few ulps
+        u = u / top
+        u = u / np.sqrt((u**2).sum())
+    y = x + (radius * (1.0 + excess)) * u
+    away = np.where(u < 0, -np.inf, np.inf)
+    for _ in range(64):
+        if beyond(x, y, radius):
+            return y
+        y = np.nextafter(y, away)
+    raise AssertionError(f"no point placed just beyond {radius} from {x}")
+
+
+class TestFarField:
+    def test_rules_compose_as_declared(self):
+        for dim in (1, 3):
+            for name, k in table_specimens(dim):
+                rule = k.far_field(np.zeros((2, dim)))
+                if name not in FAR_VALUES:
+                    assert rule is None, name
+                    continue
+                radius, value = rule
+                assert value == FAR_VALUES[name] and not math.copysign(1.0, value) < 0, name
+                base = math.sqrt(1492.0) if "gaussian" in name else 746.0
+                assert base < radius < base * (1.0 + 1e-5), name
+
+    def test_radius_tracks_the_width(self):
+        for width in (1e-3, 1.0, 1e3):
+            assert gaussian(width).far_field([0.0])[0] == pytest.approx(38.626 * width, rel=1e-4)
+            assert laplacian(width).far_field([0.0])[0] == pytest.approx(746.0 / width, rel=1e-5)
+
+    def test_no_rule_where_a_square_would_underflow_or_overflow(self):
+        for k in (gaussian(1e-160), gaussian(1e153), laplacian(1e160), laplacian(1e-160)):
+            assert k.far_field([0.0]) is None
+
+    def test_rule_needs_points(self):
+        assert gaussian(1.0).far_field(np.zeros((0, 1))) is None
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "values",
+        [[1.0, np.inf], [1.0, np.nan], [1.0, -np.inf], [2.0, -0.5], [1.0, -0.0], [1.0, 1e155]],
+        ids=["inf", "nan", "-inf", "negative", "-0.0", "square-overflows"],
+    )
+    def test_field_column_that_could_spoil_the_zero_disables_the_rule(self, values):
+        g = ScalarField(fn=lambda X: np.where(X[:, 0] > 50.0, values[1], values[0]), dim=1, is_c0=False)
+        base = gaussian(1.0)
+        X = np.array([[0.0], [100.0], [200.0]])
+        for k in (scale_kernel(base, g), shift_kernel(scale_kernel(base, g), 1.0)):
+            assert k.far_field(X) is None
+            assert k.far_field(X[:1]) is not None
+        # the rule would have claimed +0.0 for every pair, which are all far
+        whole = scale_kernel(base, g).block(X, X)
+        assert whole[~np.eye(3, dtype=bool)].tobytes() != np.zeros(6).tobytes()
+
+    def test_scale_of_a_nonzero_far_value_has_no_rule(self):
+        bump = c0_bump_at([0.0])
+        assert scale_kernel(shift_kernel(gaussian(1.0), 1.0), bump).far_field([0.0]) is None
+        assert shift_kernel(scale_kernel(gaussian(1.0), bump), 0.0).far_field([0.0]) == (
+            gaussian(1.0).far_field([0.0])
+        )
+
+    def test_rule_holds_bit_for_bit(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        hnp = pytest.importorskip("hypothesis.extra.numpy")
+
+        @st.composite
+        def cases(draw):
+            dim = draw(st.integers(1, 3))
+            width = 10.0 ** draw(st.floats(-3.0, 3.0))
+            reach = 10.0 ** draw(st.floats(0.0, 8.0))
+            n = draw(st.integers(1, 6))
+            coords = st.floats(-reach, reach, allow_nan=False)
+            X = draw(hnp.arrays(np.float64, (n, dim), elements=coords, fill=st.nothing()))
+            U = draw(hnp.arrays(np.float64, (n, dim), elements=st.floats(-1.0, 1.0)))
+            # down to a few ulps past the radius, and up to 1e-3 past it
+            excess = 10.0 ** draw(st.floats(-16.0, -3.0))
+            return width, X, U, excess
+
+        @hypothesis.settings(max_examples=60, deadline=None)
+        @hypothesis.given(cases())
+        def check(case):
+            width, X, U, excess = case
+            dim = X.shape[1]
+            for name, k in table_specimens(dim, width):
+                if name not in FAR_VALUES:
+                    continue
+                radius = gaussian(width, dim).far_field(X)[0] if "gaussian" in name else (
+                    laplacian(width, dim).far_field(X)[0]
+                )
+                pairs = [just_beyond(x, u, radius, excess) for x, u in zip(X, U)]
+                if name in ("gaussian", "laplacian"):
+                    # past the radius the exp argument is below -746 with the
+                    # block's own float operations, not merely where exp
+                    # happens to give 0 (from about -745.13)
+                    sq = np.diagonal(_sqdist(X, np.array(pairs)))
+                    t = -sq / (2.0 * width**2) if name == "gaussian" else -width * np.sqrt(sq)
+                    assert (t < _EXP_ZERO_BELOW).all(), (name, t.max())
+                points = np.concatenate([X, np.array(pairs)])
+                rule = k.far_field(points)
+                assert rule is not None and rule[0] == radius, name
+                table = k.table(points)
+                n = len(X)
+                want = np.full(n, rule[1]).tobytes()
+                whole = k.block(table, table)
+                got = whole[np.arange(n), n + np.arange(n)]
+                assert got.tobytes() == want, (name, got, rule)
+                # the other argument order, and one pair at a time
+                assert whole[n + np.arange(n), np.arange(n)].tobytes() == want, name
+                for i in range(n):
+                    one = k.block(table[i : i + 1], table[n + i : n + i + 1])
+                    assert one.tobytes() == want[: one.itemsize], name
+
+        check()
+
+    def test_rule_holds_at_the_other_dispatch_level(self):
+        from numpy._core import _multiarray_umath
+
+        if os.environ.get("NPY_DISABLE_CPU_FEATURES"):
+            pytest.skip("numpy dispatch is already restricted in this process")
+        if not set(AVX512_OFF.split()) <= set(_multiarray_umath.__cpu_dispatch__):
+            pytest.skip("numpy on this machine has no AVX-512 dispatch to switch off")
+        pytest.importorskip("hypothesis")
+        test = f"{__file__}::TestFarField::test_rule_holds_bit_for_bit"
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", test],
+            cwd=Path(__file__).resolve().parents[1],
+            env=dict(os.environ, NPY_DISABLE_CPU_FEATURES=AVX512_OFF),
+            capture_output=True,
+            text=True,
+            timeout=600,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "1 passed" in proc.stdout
