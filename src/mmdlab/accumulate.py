@@ -246,30 +246,32 @@ def symmetric_gram_sum(
     up to ``ends`` of its last row, and its far tail is not fetched: a zero
     tail adds nothing, and a tail of ``value`` under constant weights is one
     term ``(w_0 * w_0) * value`` added with its multiplicity
-    (:meth:`ExactAccumulator.add_repeated`).  Under other weights a nonzero
-    tail is fetched.  Without ``far`` every band runs to n.  Tiles hold
-    about ``TILE_ENTRIES`` entries, taking more rows as the band narrows.
-    The result equals :func:`tiled_gram_sum` on the whole of G bit for bit
-    with or without ``far``: a skipped zero could only decide the sign of a
-    zero sum, and an exact sum of zeros is +0.0 whatever their signs.
+    (:meth:`ExactAccumulator.add_repeated`).  Otherwise, and whenever a
+    weight product can overflow (``inf * 0.0`` is nan, not nothing), every
+    band runs to n.  Tiles hold about ``TILE_ENTRIES`` entries, taking more
+    rows as the band narrows.  The result equals :func:`tiled_gram_sum` on
+    the whole of G bit for bit with or without ``far``: a skipped zero
+    could only decide the sign of a zero sum, and an exact sum of zeros is
+    +0.0 whatever their signs.
     """
     w = np.asarray(w, dtype=np.float64)
     n = w.size
     if n * n <= TILE_ENTRIES:
         return exact_sum(np.multiply.outer(w, w) * upper_rows(0, n, n))
-    ends, value = far if far is not None else (None, 0.0)
+    ends = np.full(n, n)
     repeated = None
-    if value != 0.0:
-        if w.min() == w.max():
-            repeated = (w[0] * w[0]) * value
-        else:
-            ends = None
+    top = float(np.abs(w).max())
+    if far is not None and top * top < math.inf:
+        if far[1] == 0.0:
+            ends = far[0]
+        elif w.min() == w.max():
+            ends, repeated = far[0], (w[0] * w[0]) * far[1]
     acc = ExactAccumulator()
     diag = np.empty(n)
     start = 0
     while start < n:
         stop = start + _tile_rows(ends, n, start)
-        end = n if ends is None else int(ends[stop - 1])
+        end = int(ends[stop - 1])
         terms = np.multiply.outer(w[start:stop], w[start:end]) * upper_rows(start, stop, end)
         square = terms[:, : stop - start]
         diag[start:stop] = square.diagonal()
@@ -284,13 +286,11 @@ def symmetric_gram_sum(
     return acc.value()
 
 
-def _tile_rows(ends: np.ndarray | None, n: int, start: int) -> int:
+def _tile_rows(ends: np.ndarray, n: int, start: int) -> int:
     """Rows of the tile from row ``start``: the most, at least one, whose
     count times their band stays within ``TILE_ENTRIES``.  The band of rows
     ``start`` to ``start + r - 1`` runs to ``ends`` of the last, whose far
     tail is far for every row above it."""
-    if ends is None:
-        return max(1, min(n - start, TILE_ENTRIES // (n - start)))
     # no more rows than fit beside the first row's band, the narrowest
     most = min(n - start, TILE_ENTRIES // (int(ends[start]) - start))
     sizes = np.arange(1, most + 1) * (ends[start : start + most] - start)

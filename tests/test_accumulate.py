@@ -492,6 +492,24 @@ class TestBandedGramSums:
             # bands of at most 40 columns past the diagonal, in many tiles
             assert sum((b - a) * (e - a) for a, b, e in fetched) < n * n / 2
 
+    @pytest.mark.parametrize("value", [0.0, 1.0])
+    @pytest.mark.parametrize("uniform", [True, False])
+    def test_overflowing_weight_products_keep_the_far_field(self, value, uniform, monkeypatch):
+        # w_i * w_j overflows, so a far term is inf * value: nan when value
+        # is 0.0, which a skipped tail would have dropped from the sum.  A
+        # band of 40 columns makes every tile one row, so no fetched band
+        # holds a far entry that would make the sum nan anyway
+        monkeypatch.setattr(accumulate, "TILE_ENTRIES", 64)
+        n = 130
+        rng = np.random.default_rng(7)
+        ends = np.minimum(n, np.arange(n) + 40)
+        G = np.abs(banded_gram(n, 8, value, ends))
+        w = 1e160 * (np.ones(n) if uniform else rng.uniform(1.0, 2.0, n))
+        want = tiled_gram_sum(w, G.__getitem__, w)
+        got = symmetric_gram_sum(w, lambda a, b, e: G[a:b, a:e], (ends, value))
+        assert got.hex() == want.hex()
+        assert math.isnan(want) if value == 0.0 else want == math.inf
+
     def test_tiles_without_a_far_field_are_unchanged(self, monkeypatch):
         # every band runs to n, so rows are TILE_ENTRIES // (n - start)
         monkeypatch.setattr(accumulate, "TILE_ENTRIES", 1000)
