@@ -7,48 +7,25 @@ probes sequences for convergence in four topologies.  See the README for a
 tour and ``mmdlab.cli`` for the experiment runner.
 """
 
-from .accumulate import exact_sum, weighted_gram_sum
 from .constructions import (
-    DiffusionCertificate,
-    EscapeConstruction,
     ExclusionRegion,
     SearchDomain,
-    default_indices,
-    diffusing_norm_bound,
     diffusing_sequence,
-    dirac_centered_kernel,
     dirac_null_kernel,
-    equal_mass_pair,
-    escape_sequence,
     identity_residuals,
-    shifted_dirac_null_kernel,
-    suggested_spacing,
     verify_diffusing,
 )
 from .diagnostics import (
-    ConvergenceReport,
     TestFunction,
     Thresholds,
     Verdicts,
     bump,
     compute_verdicts,
-    constant_one,
-    default_battery,
     integrate,
     kme_probe,
     probe_sequence,
-    trace_settles,
 )
-from .embedding import (
-    MMDResult,
-    inner,
-    kme_eval,
-    mmd,
-    mmd_detail,
-    mmd_oracle,
-    norm,
-    self_inner_tolerance,
-)
+from .embedding import inner, kme_eval, mmd, mmd_detail, mmd_oracle, norm
 from .errors import (
     DegenerateMeasureError,
     DimensionMismatchError,
@@ -59,8 +36,6 @@ from .errors import (
     UsageError,
 )
 from .kernels import (
-    C0_BUMP_SUP,
-    DecayTrace,
     Kernel,
     ScalarField,
     c0_bump_at,
@@ -68,41 +43,23 @@ from .kernels import (
     c0_probe,
     center_kernel,
     gaussian,
-    gram,
-    inverse_multiquadric,
     laplacian,
-    make_base_kernel,
-    psd_tolerance,
     saturating_at,
     scale_kernel,
     shift_kernel,
 )
-from .measures import (
-    MeasureSequence,
-    SignedDiscreteMeasure,
-    as_point,
-    as_points,
-    dirac,
-    empty_measure,
-    jordan_decompose,
-    mass_in_ball,
-    mixture,
-    normalize_positive_part,
-)
+from .measures import MeasureSequence, SignedDiscreteMeasure, dirac, mass_in_ball
 
 __version__ = "0.1.0"
 
+# what the README and the demos use, the error classes, and the types a
+# caller passes into those functions; everything else is imported from
+# its own module
 __all__ = [
-    "C0_BUMP_SUP",
-    "ConvergenceReport",
-    "DecayTrace",
     "DegenerateMeasureError",
-    "DiffusionCertificate",
     "DimensionMismatchError",
-    "EscapeConstruction",
     "ExclusionRegion",
     "Kernel",
-    "MMDResult",
     "MeasureError",
     "MeasureSequence",
     "NotAWitnessError",
@@ -115,53 +72,30 @@ __all__ = [
     "Thresholds",
     "UsageError",
     "Verdicts",
-    "as_point",
-    "as_points",
     "bump",
     "c0_bump_at",
     "c0_null_at",
     "c0_probe",
     "center_kernel",
     "compute_verdicts",
-    "constant_one",
-    "default_battery",
-    "default_indices",
-    "diffusing_norm_bound",
     "diffusing_sequence",
     "dirac",
-    "dirac_centered_kernel",
     "dirac_null_kernel",
-    "empty_measure",
-    "equal_mass_pair",
-    "escape_sequence",
-    "exact_sum",
     "gaussian",
-    "gram",
     "identity_residuals",
     "inner",
     "integrate",
-    "inverse_multiquadric",
-    "jordan_decompose",
     "kme_eval",
     "kme_probe",
     "laplacian",
-    "make_base_kernel",
     "mass_in_ball",
-    "mixture",
     "mmd",
     "mmd_detail",
     "mmd_oracle",
     "norm",
-    "normalize_positive_part",
     "probe_sequence",
-    "psd_tolerance",
     "saturating_at",
     "scale_kernel",
-    "self_inner_tolerance",
     "shift_kernel",
-    "shifted_dirac_null_kernel",
-    "suggested_spacing",
-    "trace_settles",
     "verify_diffusing",
-    "weighted_gram_sum",
 ]

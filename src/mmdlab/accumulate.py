@@ -295,8 +295,3 @@ def _tile_rows(ends: np.ndarray, n: int, start: int) -> int:
     most = min(n - start, TILE_ENTRIES // (int(ends[start]) - start))
     sizes = np.arange(1, most + 1) * (ends[start : start + most] - start)
     return max(1, int(np.searchsorted(sizes, TILE_ENTRIES, side="right")))
-
-
-def weighted_gram_sum(w: np.ndarray, gram: np.ndarray, v: np.ndarray) -> float:
-    """Exactly-rounded ``sum_ij w_i * gram_ij * v_j``."""
-    return tiled_gram_sum(w, np.asarray(gram, dtype=np.float64).__getitem__, v)

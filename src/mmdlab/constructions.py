@@ -18,7 +18,8 @@ Three constructions live here.
   kills the embedding of delta_xi while still separating mean-zero
   differences away from xi; shifting by 1 restores separation of all
   signed measures without changing the metric on probability measures;
-  recentering at delta_xi gives the reverse counterexample.
+  recentering at delta_xi (``center_kernel(base, dirac(xi))``) gives the
+  reverse counterexample.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from .kernels import (
     Kernel,
     ScalarField,
     c0_bump_at,
-    center_kernel,
     scale_kernel,
     shift_kernel,
 )
@@ -50,7 +50,6 @@ from .measures import (
     MeasureSequence,
     SignedDiscreteMeasure,
     as_point,
-    dirac,
     jordan_decompose,
     mixture,
     normalize_positive_part,
@@ -163,19 +162,6 @@ STRATEGIES = {
 }
 
 
-def suggested_spacing(k: Kernel, eps: float) -> float | None:
-    """Analytic ray spacing so consecutive points have |k| <= eps.
-
-    Returns ``k.spacing(eps)``: the base families solve k(s) = eps, and a
-    scaling by a field with a declared sup passes a tightened eps to its
-    child; None when no analytic rule applies (the greedy verification
-    still guards correctness).
-    """
-    if eps <= 0:
-        raise ParameterError("eps must be positive")
-    return k.spacing(eps)
-
-
 def diffusing_sequence(
     k: Kernel,
     n: int,
@@ -227,7 +213,7 @@ def diffusing_sequence(
     if excl.center.shape[0] != k.dim:
         raise DimensionMismatchError("exclusion center dimension mismatch")
 
-    spacing = suggested_spacing(k, eps) or dom.step
+    spacing = k.spacing(eps) or dom.step
     stream = itertools.islice(STRATEGIES[dom.strategy](dom, excl, spacing), max_candidates)
     # point tables: the drawn candidates outside the ball, of which
     # pending[start:end] are not yet judged, and the accepted atoms, laid
@@ -545,12 +531,3 @@ def shifted_dirac_null_kernel(base: Kernel, xi, g: ScalarField | None = None) ->
     the null kernel's metric on probability measures, so MMD convergence to
     delta_xi no longer implies any mass ever reaches xi."""
     return shift_kernel(dirac_null_kernel(base, xi, g), 1.0)
-
-
-def dirac_centered_kernel(base: Kernel, xi) -> Kernel:
-    """Recenter ``base`` at delta_xi (offset 0).
-
-    Annihilates delta_xi, so it no longer separates all signed measures,
-    yet induces exactly the base kernel's metric on probability measures.
-    """
-    return center_kernel(base, dirac(xi, base.dim), 0.0)

@@ -199,9 +199,12 @@ class Thresholds:
 
 
 def trace_settles(values: np.ndarray, thresholds: Thresholds) -> bool:
-    """Final value below final_tol, trailing half nonincreasing within slack."""
+    """Final value below final_tol, trailing half nonincreasing within slack.
+
+    A trace holding a nan never settles: nothing is known of that index.
+    """
     v = np.asarray(values, dtype=np.float64)
-    if v[-1] > thresholds.final_tol:
+    if np.isnan(v).any() or v[-1] > thresholds.final_tol:
         return False
     tail = v[len(v) // 2 :]
     for a, b in zip(tail, tail[1:]):

@@ -145,9 +145,17 @@ def _full_gram_sum(k: Kernel, mu: SignedDiscreteMeasure, nu: SignedDiscreteMeasu
     return tiled_gram_sum(mu.weights, k.block(mu.atoms, nu.atoms).__getitem__, nu.weights)
 
 
+def _clamped_sqrt(squared: float) -> float:
+    """sqrt of a squared norm, with a value cancelled below zero read as 0.
+
+    A nan stays nan: ``max(0.0, nan)`` would be 0.0, a converged distance.
+    """
+    return math.sqrt(0.0 if squared < 0.0 else squared)
+
+
 def norm(k: Kernel, mu: SignedDiscreteMeasure) -> float:
     """Embedding norm |mu| (self inner product, clamped at zero)."""
-    return math.sqrt(max(0.0, inner(k, mu, mu)))
+    return _clamped_sqrt(inner(k, mu, mu))
 
 
 @dataclass(frozen=True)
@@ -177,7 +185,7 @@ def mmd_detail(
     squared = math.fsum([ii, jj, -ij, -ij])
     clamped = squared < 0.0
     return MMDResult(
-        value=math.sqrt(max(0.0, squared)),
+        value=_clamped_sqrt(squared),
         squared_raw=squared,
         clamped=clamped,
         kernel_descriptor=k.descriptor,
@@ -200,10 +208,4 @@ def mmd_oracle(k: Kernel, mu: SignedDiscreteMeasure, nu: SignedDiscreteMeasure) 
     diff = mu - nu
     if diff.support_size == 0:
         return 0.0
-    return math.sqrt(max(0.0, _full_gram_sum(k, diff, diff)))
-
-
-def self_inner_tolerance(mu: SignedDiscreteMeasure, sup_bound: float) -> float:
-    """Worst-case cancellation allowance for inner(mu, mu) >= -tol."""
-    tv = mu.total_variation
-    return 1e-8 * tv * tv * sup_bound
+    return _clamped_sqrt(_full_gram_sum(k, diff, diff))

@@ -16,11 +16,13 @@ same two points always produce the same float, which several exact-equality
 invariants downstream depend on.  Composite rules are arranged so that
 ``k(x, y)`` and ``k(y, x)`` run the identical sequence of float operations.
 
-A caller that evaluates many blocks over one point set builds a
-:class:`PointTable` with :meth:`Kernel.table`: the points, validated once,
-and the per-point values the kernel reads (the field column of each
-:func:`scale_kernel`, the mean embedding column of each
-:func:`center_kernel`).  Slices of a table feed :meth:`Kernel.block` with no
+A kernel evaluates through one function, ``block_fn``, over two tuples of
+per-point columns: the points, and the per-point values the kernel reads
+(the field column of each :func:`scale_kernel`, the mean embedding column
+of each :func:`center_kernel`).  ``k(x, y)`` and :meth:`Kernel.block` on
+points build those columns first.  A caller that evaluates many blocks
+over one point set builds them once, as a :class:`PointTable`, with
+:meth:`Kernel.table`.  Slices of a table feed :meth:`Kernel.block` with no
 further validation or per-point work, and give the same bits as the points.
 """
 
@@ -32,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .accumulate import weighted_gram_sum
+from .accumulate import tiled_gram_sum
 from .errors import DimensionMismatchError, MeasureError, ParameterError
 from .measures import SignedDiscreteMeasure, as_point, as_points
 
@@ -123,44 +125,45 @@ def _exp(t: np.ndarray) -> np.ndarray:
 class Kernel:
     """A symmetric positive-definite function with evaluation metadata.
 
-    ``block_fn`` maps an (n, d) and an (m, d) array to the (n, m) matrix of
-    pairwise values.  ``sup_bound`` bounds ``k(x, x)`` (hence ``|k(x, y)|``
-    by Cauchy-Schwarz).  ``claims_c0`` asserts that every section
-    ``k(x, .)`` vanishes at infinity; it is an assertion, probed empirically
-    by :func:`c0_probe`, never a certificate.  ``spacing(eps)`` is a
-    distance s such that points s or more apart have ``|k| <= eps``, or
-    None when no analytic rule is known.
+    ``table_fn(X)`` maps validated points, at least one, to a tuple of
+    columns, each with one row per point: ``X`` itself first, then whatever
+    per-point values the kernel reads (the field column g(X) of a
+    :func:`scale_kernel`, the mean embedding column m(X) of a
+    :func:`center_kernel`).  ``block_fn(a, b)`` maps two such tuples, of n
+    and m points, to the (n, m) matrix of pairwise values; the base
+    families read ``a[0]`` and ``b[0]``, the points, and a kernel that keeps
+    no per-point values leaves ``table_fn`` at its default, the points
+    alone.  Every block, ``k(x, y)`` included, is evaluated by these two.
+    ``sup_bound`` bounds ``k(x, x)`` (hence ``|k(x, y)|`` by
+    Cauchy-Schwarz).  ``claims_c0`` asserts that every section ``k(x, .)``
+    vanishes at infinity; it is an assertion, probed empirically by
+    :func:`c0_probe`, never a certificate.  ``spacing(eps)`` is a distance
+    s such that points s or more apart have ``|k| <= eps``, or None when no
+    analytic rule is known.
 
-    ``far_field_fn`` maps the columns of a table of at least one point (see
-    below) to a far-field rule ``(radius, value)``, or None when no rule is
-    known: every entry of a block between rows of that table whose two
-    points are more than ``radius`` apart, in exact arithmetic, is bit for
-    bit ``value``, at every numpy SIMD dispatch level.  It is a proof from
-    the float operations of ``block_fn``, not an estimate; a sum may skip
-    those entries (:func:`mmdlab.accumulate.symmetric_gram_sum`).  The
-    gaussian and laplacian families have ``(r, 0.0)``, with r just past the
-    distance where their exp argument falls below -746;
-    :func:`shift_kernel` keeps the radius and adds its constant to the
-    value; :func:`scale_kernel` keeps a zero rule when the table's field
-    column has no sign bit and a finite square; the other kernels have
-    none.
+    ``far_field_fn`` maps the columns of a table of at least one point to a
+    far-field rule ``(radius, value)``, or None when no rule is known:
+    every entry of a block between rows of that table whose two points are
+    more than ``radius`` apart, in exact arithmetic, is bit for bit
+    ``value``, at every numpy SIMD dispatch level.  It is a proof from the
+    float operations of ``block_fn``, not an estimate; a sum may skip those
+    entries (:func:`mmdlab.accumulate.symmetric_gram_sum`).  The gaussian
+    and laplacian families have ``(r, 0.0)``, with r just past the distance
+    where their exp argument falls below -746; :func:`shift_kernel` keeps
+    the radius and adds its constant to the value; :func:`scale_kernel`
+    keeps a zero rule when the table's field column has no sign bit and a
+    finite square; the other kernels have none.
 
-    The contract: ``block_fn`` computes each entry from its two points
-    alone, so any tile equals that slice of the whole block bit for bit, and
-    ``block_fn(X, X)`` is exactly symmetric.  Large blocks are therefore
-    evaluated in tiles and self inner products over the upper triangle.  A
-    kernel that breaks it loses only bit-reproducibility between tilings.
-    Kernels compare and hash by identity, as the self-term slot assumes.
-
-    ``table_fn`` and ``table_block_fn`` let a kernel keep per-point values
-    in a :class:`PointTable`: ``table_fn(X)`` maps validated points, at
-    least one, to a tuple of columns, the first X itself, each with one row
-    per point, and ``table_block_fn(a, b)`` evaluates the block from two
-    such tuples, with the bits of ``block_fn``.  Left None, a table holds
-    the points alone and is evaluated by ``block_fn``.
+    The contract: ``block_fn`` computes each entry from its two rows alone,
+    and ``table_fn`` each row from its point alone, so any tile equals that
+    slice of the whole block bit for bit, and ``block_fn(a, a)`` is exactly
+    symmetric.  Large blocks are therefore evaluated in tiles and self
+    inner products over the upper triangle.  A kernel that breaks it loses
+    only bit-reproducibility between tilings.  Kernels compare and hash by
+    identity, as the self-term slot assumes.
     """
 
-    block_fn: Callable[[np.ndarray, np.ndarray], np.ndarray] = field(repr=False)
+    block_fn: Callable[[tuple, tuple], np.ndarray] = field(repr=False)
     dim: int
     sup_bound: float
     claims_c0: bool
@@ -169,10 +172,7 @@ class Kernel:
     far_field_fn: Callable[[tuple], tuple[float, float] | None] = field(
         default=lambda cols: None, repr=False
     )
-    table_fn: Callable[[np.ndarray], tuple] | None = field(default=None, repr=False)
-    table_block_fn: Callable[[tuple, tuple], np.ndarray] | None = field(
-        default=None, repr=False
-    )
+    table_fn: Callable[[np.ndarray], tuple] = field(default=lambda X: (X,), repr=False)
 
     def table(self, X) -> PointTable:
         """The points X, validated once, with the per-point values k reads."""
@@ -191,7 +191,7 @@ class Kernel:
         n, m = a[0].shape[0], b[0].shape[0]
         if not n or not m:
             return np.zeros((n, m))
-        return self._block_columns(a, b)
+        return self.block_fn(a, b)
 
     def far_field(self, X) -> tuple[float, float] | None:
         """The far-field rule ``(radius, value)`` of blocks among the points
@@ -203,9 +203,9 @@ class Kernel:
 
     def __call__(self, x, y) -> float:
         """Single pairwise value k(x, y)."""
-        xa = as_point(x, self.dim)
-        ya = as_point(y, self.dim)
-        return float(self.block_fn(xa[None, :], ya[None, :])[0, 0])
+        a = self.table_fn(as_point(x, self.dim)[None, :])
+        b = self.table_fn(as_point(y, self.dim)[None, :])
+        return float(self.block_fn(a, b)[0, 0])
 
     def _columns_of(self, X) -> tuple:
         """The columns of a table this kernel built, or of validated points."""
@@ -219,28 +219,21 @@ class Kernel:
         X = as_points(X, self.dim)
         # a block with no points is zeros, so the columns of no points are
         # the points alone: no per-point rule ever sees an empty array
-        return self._columns(X) if len(X) else (X,)
-
-    def _columns(self, X: np.ndarray) -> tuple:
-        return (X,) if self.table_fn is None else self.table_fn(X)
-
-    def _block_columns(self, a: tuple, b: tuple) -> np.ndarray:
-        if self.table_block_fn is None:
-            return self.block_fn(a[0], b[0])
-        return self.table_block_fn(a, b)
+        return self.table_fn(X) if len(X) else (X,)
 
 
 class PointTable:
     """Points validated for one kernel, with the per-point values it reads.
 
     Built by :meth:`Kernel.table` and accepted by that kernel's
-    :meth:`Kernel.block` alone.  ``columns[0]`` holds the (n, d) points and
-    every column has one row per point, so ``table[rows]`` is the table of
-    ``points[rows]`` bit for bit.  ``rows`` is a slice or a 1-d array of
-    row indices, never a single index, so a table always has rows of
-    points.  ``table[rows] = other`` copies rows into the table's arrays,
-    which may be the caller's points: write only into a table from
-    :meth:`reserve`.
+    :meth:`Kernel.block` alone.  ``columns`` is the tuple the kernel's
+    ``table_fn`` returned and its ``block_fn`` reads: ``columns[0]`` holds
+    the (n, d) points and every column has one row per point, so
+    ``table[rows]`` is the table of ``points[rows]`` bit for bit.  ``rows``
+    is a slice or a 1-d array of row indices, never a single index, so a
+    table always has rows of points.  ``table[rows] = other`` copies rows
+    into the table's arrays, which may be the caller's points: write only
+    into a table from :meth:`reserve`.
     """
 
     __slots__ = ("kernel", "columns")
@@ -291,35 +284,53 @@ def _check_rows(rows) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _square(x: float) -> float:
+    """x ** 2, or inf where Python raises on the overflow."""
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
+
+
+def _require_positive(message: str, *values: float) -> None:
+    """Refuse a base family whose parameters, or the constants its blocks
+    derive from them, are not all finite and positive (nan included)."""
+    if not all(0.0 < v < math.inf for v in values):
+        raise ParameterError(message)
+
+
 def gaussian(sigma: float = 1.0, dim: int = 1) -> Kernel:
     """exp(-|x-y|^2 / (2 sigma^2)); unit diagonal, sections vanish at infinity."""
-    if sigma <= 0:
-        raise ParameterError("gaussian bandwidth sigma must be positive")
-    two_s2 = 2.0 * float(sigma) ** 2
+    sigma = float(sigma)
+    two_s2 = 2.0 * _square(sigma)
+    _require_positive(
+        "gaussian bandwidth sigma must be positive with 2 sigma^2 finite and nonzero",
+        sigma,
+        two_s2,
+    )
 
-    def block(X, Y):
-        return _exp(-_sqdist(X, Y) / two_s2)
+    def block(a, b):
+        return _exp(-_sqdist(a[0], b[0]) / two_s2)
 
     return Kernel(
         block_fn=block,
         dim=int(dim),
         sup_bound=1.0,
         claims_c0=True,
-        descriptor={"family": "gaussian", "sigma": float(sigma), "dim": int(dim)},
-        spacing=_base_spacing(lambda t: float(sigma) * math.sqrt(2.0 * math.log(1.0 / t))),
+        descriptor={"family": "gaussian", "sigma": sigma, "dim": int(dim)},
+        spacing=_base_spacing(lambda t: sigma * math.sqrt(2.0 * math.log(1.0 / t))),
         # |x - y|^2 / (2 sigma^2) > 746 beyond sigma sqrt(1492)
-        far_field_fn=_exp_far_field(float(sigma) * math.sqrt(-2.0 * _EXP_ZERO_BELOW)),
+        far_field_fn=_exp_far_field(sigma * math.sqrt(-2.0 * _EXP_ZERO_BELOW)),
     )
 
 
 def laplacian(gamma: float = 1.0, dim: int = 1) -> Kernel:
     """exp(-gamma |x-y|)."""
-    if gamma <= 0:
-        raise ParameterError("laplacian rate gamma must be positive")
     g = float(gamma)
+    _require_positive("laplacian rate gamma must be positive and finite", g)
 
-    def block(X, Y):
-        return _exp(-g * np.sqrt(_sqdist(X, Y)))
+    def block(a, b):
+        return _exp(-g * np.sqrt(_sqdist(a[0], b[0])))
 
     return Kernel(
         block_fn=block,
@@ -334,13 +345,17 @@ def laplacian(gamma: float = 1.0, dim: int = 1) -> Kernel:
 
 def inverse_multiquadric(c: float = 1.0, beta: float = 0.5, dim: int = 1) -> Kernel:
     """(1 + |x-y|^2 / c^2)^(-beta); unit diagonal, polynomial decay."""
-    if c <= 0 or beta <= 0:
-        raise ParameterError("inverse_multiquadric needs c > 0 and beta > 0")
-    c2 = float(c) ** 2
-    b = float(beta)
+    c, beta = float(c), float(beta)
+    c2 = _square(c)
+    _require_positive(
+        "inverse_multiquadric needs finite c > 0 and beta > 0 with c^2 finite and nonzero",
+        c,
+        c2,
+        beta,
+    )
 
-    def block(X, Y):
-        return (1.0 + _sqdist(X, Y) / c2) ** (-b)
+    def block(a, b):
+        return (1.0 + _sqdist(a[0], b[0]) / c2) ** (-beta)
 
     return Kernel(
         block_fn=block,
@@ -349,11 +364,11 @@ def inverse_multiquadric(c: float = 1.0, beta: float = 0.5, dim: int = 1) -> Ker
         claims_c0=True,
         descriptor={
             "family": "inverse_multiquadric",
-            "c": float(c),
-            "beta": b,
+            "c": c,
+            "beta": beta,
             "dim": int(dim),
         },
-        spacing=_base_spacing(lambda t: float(c) * math.sqrt(t ** (-1.0 / b) - 1.0)),
+        spacing=_base_spacing(lambda t: c * math.sqrt(t ** (-1.0 / beta) - 1.0)),
     )
 
 
@@ -496,11 +511,8 @@ def shift_kernel(k: Kernel, c: float) -> Kernel:
         raise ParameterError("shift constant must be nonnegative")
     cc = float(c)
 
-    def table_block(a, b):
-        return k._block_columns(a, b) + cc
-
-    def block(X, Y):
-        return table_block(k._columns(X), k._columns(Y))
+    def block(a, b):
+        return k.block_fn(a, b) + cc
 
     def far_field(cols):
         rule = k.far_field_fn(cols)
@@ -516,7 +528,6 @@ def shift_kernel(k: Kernel, c: float) -> Kernel:
         descriptor={"op": "shift", "c": cc, "child": k.descriptor},
         far_field_fn=far_field,
         table_fn=k.table_fn,
-        table_block_fn=table_block,
     )
 
 
@@ -536,13 +547,10 @@ def scale_kernel(k: Kernel, g: ScalarField) -> Kernel:
         )
 
     def table(X):
-        return k._columns(X) + (g.fn(X),)
+        return k.table_fn(X) + (g.fn(X),)
 
-    def table_block(a, b):
-        return (a[-1][:, None] * b[-1][None, :]) * k._block_columns(a[:-1], b[:-1])
-
-    def block(X, Y):
-        return table_block(table(X), table(Y))
+    def block(a, b):
+        return (a[-1][:, None] * b[-1][None, :]) * k.block_fn(a[:-1], b[:-1])
 
     def far_field(cols):
         rule = k.far_field_fn(cols[:-1])
@@ -575,7 +583,6 @@ def scale_kernel(k: Kernel, g: ScalarField) -> Kernel:
         spacing=spacing,
         far_field_fn=far_field,
         table_fn=table,
-        table_block_fn=table_block,
     )
 
 
@@ -602,20 +609,17 @@ def center_kernel(k: Kernel, p: SignedDiscreteMeasure, a: float = 0.0) -> Kernel
     if not p.is_probability():
         raise MeasureError("center_kernel requires a probability measure")
 
-    p_cols = k._columns(p.atoms)
-    norm_sq = weighted_gram_sum(p.weights, k._block_columns(p_cols, p_cols), p.weights)
+    p_cols = k.table_fn(p.atoms)
+    norm_sq = tiled_gram_sum(p.weights, k.block_fn(p_cols, p_cols).__getitem__, p.weights)
     const = norm_sq + float(a)
 
     def table(X):
-        cols = k._columns(X)
-        return cols + ((k._block_columns(cols, p_cols) * p.weights).sum(axis=1),)
+        cols = k.table_fn(X)
+        return cols + ((k.block_fn(cols, p_cols) * p.weights).sum(axis=1),)
 
-    def table_block(s, t):
+    def block(s, t):
         # grouped as k - (m_i + m_j) + const so (i,j) and (j,i) match exactly
-        return (k._block_columns(s[:-1], t[:-1]) - (s[-1][:, None] + t[-1][None, :])) + const
-
-    def block(X, Y):
-        return table_block(table(X), table(Y))
+        return (k.block_fn(s[:-1], t[:-1]) - (s[-1][:, None] + t[-1][None, :])) + const
 
     rows = [[at, w] for at, w in zip(p.atoms.tolist(), p.weights.tolist())]
     return Kernel(
@@ -626,25 +630,12 @@ def center_kernel(k: Kernel, p: SignedDiscreteMeasure, a: float = 0.0) -> Kernel
         claims_c0=False,
         descriptor={"op": "center", "a": float(a), "p": rows, "child": k.descriptor},
         table_fn=table,
-        table_block_fn=table_block,
     )
 
 
 # ---------------------------------------------------------------------------
 # structural probes
 # ---------------------------------------------------------------------------
-
-
-def gram(k: Kernel, pts_a, pts_b=None) -> np.ndarray:
-    """Dense matrix k(a_i, b_j); exactly symmetric when pts_b is omitted."""
-    A = k.table(pts_a)
-    return k.block(A, A if pts_b is None else pts_b)
-
-
-def psd_tolerance(n: int, sup_bound: float) -> float:
-    """Eigenvalue drift allowance: floating-point eigensolvers produce
-    O(n * eps * |G|) negative noise on genuinely PSD matrices."""
-    return 1e-8 * n * sup_bound
 
 
 @dataclass(frozen=True)

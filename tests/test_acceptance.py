@@ -20,25 +20,23 @@ from mmdlab import (
     center_kernel,
     diffusing_sequence,
     dirac,
-    dirac_centered_kernel,
     dirac_null_kernel,
     gaussian,
-    gram,
-    inverse_multiquadric,
     laplacian,
-    mixture,
     mmd,
     mmd_oracle,
     probe_sequence,
-    psd_tolerance,
     scale_kernel,
     shift_kernel,
-    shifted_dirac_null_kernel,
     verify_diffusing,
 )
 from mmdlab.cli import main as cli_main
 from mmdlab.config import ExperimentConfig
+from mmdlab.constructions import shifted_dirac_null_kernel
+from mmdlab.kernels import inverse_multiquadric
+from mmdlab.measures import mixture
 from mmdlab.presets import PRESETS
+from helpers import dirac_centered_kernel, gram, psd_tolerance
 
 EXP_HALF = math.exp(-0.5)
 

@@ -13,7 +13,6 @@ from mmdlab.accumulate import (
     exact_sum,
     symmetric_gram_sum,
     tiled_gram_sum,
-    weighted_gram_sum,
 )
 
 
@@ -336,7 +335,6 @@ class TestGramSums:
         want = math.fsum((np.multiply.outer(w, v) * G).ravel().tolist())
         for tile in (1, 69, 1000, 1 << 20):
             monkeypatch.setattr(accumulate, "TILE_ENTRIES", tile)
-            assert weighted_gram_sum(w, G, v).hex() == want.hex()
             assert tiled_gram_sum(w, G.__getitem__, v).hex() == want.hex()
 
     def test_upper_triangle_matches_whole_sum(self, monkeypatch):

@@ -334,6 +334,30 @@ class TestConfigFile:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
+        "preset, kernel",
+        [
+            # 2 sigma^2 and c^2 overflow: Python's ** raised OverflowError
+            ("metrize_demo", {"family": "gaussian", "sigma": 1e160}),
+            ("metrize_demo", {"family": "inverse_multiquadric", "c": 1e160}),
+            # sigma^2 underflows to 0, so k(x, x) = exp(-0 / 0) is nan
+            ("shift_invariance", {"family": "gaussian", "sigma": 1e-170}),
+            ("metrize_demo", {"family": "inverse_multiquadric", "c": 1e-170}),
+        ],
+        ids=repr,
+    )
+    def test_base_constants_out_of_range_are_usage_errors(
+        self, tmp_path, capsys, preset, kernel
+    ):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"preset": preset, "kernel": kernel}))
+        code = main(["run", "--config", str(cfg_path), "--nmax", "16", "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad kernel descriptor: ")
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
         "kernel",
         [
             {"family": "gaussian", "sigma": True},

@@ -9,9 +9,7 @@ import numpy as np
 import pytest
 
 from mmdlab import (
-    C0_BUMP_SUP,
     DegenerateMeasureError,
-    DiffusionCertificate,
     ExclusionRegion,
     Kernel,
     MeasureError,
@@ -25,18 +23,11 @@ from mmdlab import (
     c0_null_at,
     c0_probe,
     center_kernel,
-    default_indices,
-    diffusing_norm_bound,
     diffusing_sequence,
     dirac,
-    dirac_centered_kernel,
     dirac_null_kernel,
-    empty_measure,
-    equal_mass_pair,
-    escape_sequence,
     gaussian,
     identity_residuals,
-    inverse_multiquadric,
     laplacian,
     mass_in_ball,
     mmd,
@@ -44,12 +35,21 @@ from mmdlab import (
     saturating_at,
     scale_kernel,
     shift_kernel,
-    shifted_dirac_null_kernel,
-    suggested_spacing,
     verify_diffusing,
+)
+from mmdlab.constructions import (
+    DiffusionCertificate,
+    default_indices,
+    diffusing_norm_bound,
+    equal_mass_pair,
+    escape_sequence,
+    shifted_dirac_null_kernel,
 )
 from mmdlab import constructions
 from mmdlab.accumulate import TILE_ENTRIES
+from mmdlab.kernels import C0_BUMP_SUP, inverse_multiquadric
+from mmdlab.measures import empty_measure
+from helpers import dirac_centered_kernel
 
 
 def ball(center, radius, dim=1):
@@ -68,7 +68,7 @@ class TestSearchDomain:
 
 def descriptor_spacing(desc, eps):
     """The ray spacing recovered by walking a kernel's descriptor: the rule
-    ``suggested_spacing`` followed before kernels carried it."""
+    the diffusing search followed before kernels carried it."""
     target = eps * (1.0 - 1e-9)
     family = desc.get("family")
     if family == "gaussian":
@@ -146,7 +146,7 @@ class TestSpacing:
         for base in SPACING_BASES:
             k = SPACING_WRAPS[wrap](base)
             for eps in SPACING_EPS + [math.nan]:
-                new = spacing_bits(suggested_spacing, k, eps)
+                new = spacing_bits(lambda k, e: k.spacing(e), k, eps)
                 old = spacing_bits(lambda k, e: descriptor_spacing(k.descriptor, e), k, eps)
                 assert new == old, (k.descriptor, eps)
 
@@ -154,40 +154,40 @@ class TestSpacing:
         # a custom field declares its sup on the object, not in a descriptor
         g = ScalarField(fn=lambda X: np.full(X.shape[0], 0.5), dim=1, is_c0=True, sup=0.5)
         k = scale_kernel(gaussian(1.0), g)
-        assert suggested_spacing(k, 0.01) == gaussian(1.0).spacing(0.01 / 0.25)
-        assert suggested_spacing(k, 0.3) is None
+        assert k.spacing(0.01) == gaussian(1.0).spacing(0.01 / 0.25)
+        assert k.spacing(0.3) is None
         no_sup = scale_kernel(gaussian(1.0), ScalarField(fn=g.fn, dim=1, is_c0=True))
-        assert suggested_spacing(no_sup, 0.01) is None
+        assert no_sup.spacing(0.01) is None
 
     def test_descriptor_alone_gives_no_spacing(self):
         base = gaussian(1.0)
         k = Kernel(base.block_fn, 1, 1.0, True, dict(base.descriptor))
-        assert suggested_spacing(k, 0.01) is None
+        assert k.spacing(0.01) is None
 
     @pytest.mark.parametrize("eps", [0.0, -1.0, -math.inf])
     def test_nonpositive_eps_rejected(self, eps):
         with pytest.raises(ParameterError):
-            suggested_spacing(gaussian(1.0), eps)
+            diffusing_sequence(gaussian(1.0), 4, eps, ball(0.0, 2.0))
 
     def test_gaussian_spacing_solves_kernel_equation(self):
         # spec'd worked value: exp(-s^2/2) = 1/4  =>  s = sqrt(2 ln 4)
-        s = suggested_spacing(gaussian(1.0), 0.25)
+        s = gaussian(1.0).spacing(0.25)
         assert s == pytest.approx(math.sqrt(2.0 * math.log(4.0)), rel=1e-6)
         assert s == pytest.approx(1.6651, abs=1e-4)
         assert gaussian(1.0)(0.0, s) <= 0.25
 
     def test_laplacian_and_imq_spacings(self):
         for k in (laplacian(0.5), inverse_multiquadric(1.0, 0.5)):
-            s = suggested_spacing(k, 0.1)
+            s = k.spacing(0.1)
             assert s is not None
             assert k(0.0, s) <= 0.1
 
     def test_loose_eps_needs_no_spacing(self):
-        assert suggested_spacing(gaussian(1.0), 1.5) is None
+        assert gaussian(1.0).spacing(1.5) is None
 
     def test_scaled_kernel_spacing_descends_into_child(self):
         k = dirac_null_kernel(gaussian(1.0), [0.0])
-        s = suggested_spacing(k, 1.0 / 64.0)
+        s = k.spacing(1.0 / 64.0)
         assert s is not None
         # conservative: pairwise values of the scaled kernel obey the bound
         assert gaussian(1.0)(0.0, s) * k.sup_bound <= 1.0 / 64.0 * 1.0000001
@@ -279,7 +279,7 @@ def grid_reference(dom, excl):
 
 def greedy_oracle(k, n, eps, excl, dom, max_candidates=200_000):
     """One candidate at a time: (atoms, failed index or None, candidates drawn)."""
-    spacing = suggested_spacing(k, eps) or dom.step
+    spacing = k.spacing(eps) or dom.step
     if dom.strategy == "grid":
         stream = grid_reference(dom, excl)
     else:
@@ -304,8 +304,9 @@ def nan_gaussian(dim):
     """A gaussian that returns nan for pairs 2.5 to 3.5 apart."""
     g = gaussian(1.0, dim=dim)
 
-    def block(X, Y):
-        out = g.block_fn(X, Y)
+    def block(a, b):
+        out = g.block_fn(a, b)
+        X, Y = a[0], b[0]
         sq = ((X[:, None, :] - Y[None, :, :]) ** 2).sum(axis=-1)
         out[(sq > 6.25) & (sq < 12.25)] = np.nan
         return out
@@ -436,7 +437,7 @@ class TestFieldEvaluations:
         assert failed is None
         # the search draws whole look-ahead chunks and drops those in the ball
         chunks = math.ceil(drawn / constructions._LOOKAHEAD)
-        spacing = suggested_spacing(k, 1.0 / n) or dom.step
+        spacing = k.spacing(1.0 / n) or dom.step
         stream = constructions.STRATEGIES[strategy](dom, excl, spacing)
         cands = np.array(list(itertools.islice(stream, chunks * constructions._LOOKAHEAD)))
         outside = int((~excl.contains(cands)).sum())
@@ -591,8 +592,6 @@ class TestShiftedNullKernel:
             assert abs(mmd(k1, p, q) - a) <= 1e-12 * (1.0 + a)
 
     def test_no_longer_annihilates_but_stays_above_floor(self):
-        from mmdlab import C0_BUMP_SUP
-
         base = gaussian(1.0)
         k1 = shifted_dirac_null_kernel(base, [0.0])
         assert norm(k1, dirac(0.0)) == 1.0  # the +1 restores |delta_xi|

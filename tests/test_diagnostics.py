@@ -12,24 +12,21 @@ from mmdlab import (
     bump,
     center_kernel,
     compute_verdicts,
-    constant_one,
-    default_battery,
     dirac,
-    empty_measure,
     gaussian,
     integrate,
     kme_eval,
     kme_probe,
     laplacian,
     mass_in_ball,
-    mixture,
     mmd,
     probe_sequence,
     scale_kernel,
     shift_kernel,
-    trace_settles,
 )
 from mmdlab.diagnostics import TestFunction as ProbeFunction
+from mmdlab.diagnostics import constant_one, default_battery, trace_settles
+from mmdlab.measures import empty_measure, mixture
 from mmdlab.kernels import c0_bump_at
 
 
@@ -152,6 +149,26 @@ class TestTraceSettles:
         assert trace_settles(np.array([1.0, 0.5, 0.0, 1e-13]), t)
         # early-half rises are ignored by design
         assert trace_settles(np.array([0.1, 5.0, 0.01, 0.005]), t)
+
+    @pytest.mark.parametrize(
+        "trace",
+        [
+            [np.nan] * 4,
+            [np.nan, 0.5, 0.1, 0.001],
+            [1.0, 0.5, np.nan, 0.001],
+            [1.0, 0.5, 0.1, np.nan],
+        ],
+        ids=repr,
+    )
+    def test_a_nan_never_settles(self, trace):
+        t = Thresholds(final_tol=1e-2, slack=0.1, noise_floor=1e-12)
+        assert not trace_settles(np.array(trace), t)
+        n = len(trace)
+        verdicts = compute_verdicts(
+            np.array(trace), ["cb"], np.array(trace)[:, None],
+            np.ones((n, 1)), np.ones(n), t,
+        )
+        assert not verdicts.mmd_converges and not verdicts.weak_converges
 
 
 class TestProbeSequence:

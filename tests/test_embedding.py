@@ -18,10 +18,8 @@ from mmdlab import (
     diffusing_sequence,
     dirac,
     dirac_null_kernel,
-    empty_measure,
     gaussian,
     inner,
-    inverse_multiquadric,
     kme_eval,
     kme_probe,
     integrate,
@@ -32,12 +30,14 @@ from mmdlab import (
     norm,
     saturating_at,
     scale_kernel,
-    self_inner_tolerance,
     shift_kernel,
-    shifted_dirac_null_kernel,
     verify_diffusing,
 )
+from mmdlab.constructions import shifted_dirac_null_kernel
 from mmdlab.embedding import keep_self_inner
+from mmdlab.kernels import inverse_multiquadric
+from mmdlab.measures import empty_measure
+from helpers import self_inner_tolerance
 
 EXP_HALF = math.exp(-0.5)
 
@@ -150,7 +150,7 @@ class TestMmd:
         # a deliberately non-PSD "kernel": negated gaussian
         g = gaussian(1.0)
         bad = Kernel(
-            block_fn=lambda X, Y: -g.block_fn(X, Y),
+            block_fn=lambda a, b: -g.block_fn(a, b),
             dim=1,
             sup_bound=1.0,
             claims_c0=True,
@@ -163,6 +163,30 @@ class TestMmd:
         good = mmd_detail(g, dirac(0.0), dirac(1.0))
         assert not good.clamped
         assert good.kernel_descriptor == {"family": "gaussian", "sigma": 1.0, "dim": 1}
+
+    @pytest.mark.parametrize("n", [2, 200])
+    def test_nan_stays_nan(self, n):
+        # a kernel that is nan for pairs exactly 1 apart: a nan squared
+        # distance must not be clamped to a converged 0.0
+        g = gaussian(1.0)
+
+        def block(a, b):
+            out = g.block_fn(a, b)
+            out[np.abs(a[0] - b[0].T) == 1.0] = np.nan
+            return out
+
+        k = Kernel(block, 1, 1.0, True, {"family": "nan_at_1"})
+        mu = SignedDiscreteMeasure(np.arange(n, dtype=float)[:, None], np.full(n, 1.0 / n), 1)
+        nu = dirac(0.5)
+        detail = mmd_detail(k, mu, nu)
+        assert math.isnan(detail.value) and math.isnan(detail.squared_raw)
+        assert not detail.clamped
+        assert math.isnan(mmd(k, mu, nu))
+        assert math.isnan(mmd_oracle(k, mu, nu))
+        assert math.isnan(norm(k, mu))
+        # nan only in the cross term
+        cross = mmd_detail(k, dirac(0.0), dirac(1.0))
+        assert math.isnan(cross.value) and not cross.clamped
 
 
 class TestOracle:

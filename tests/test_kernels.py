@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from mmdlab import (
-    C0_BUMP_SUP,
     DimensionMismatchError,
     MeasureError,
     ParameterError,
@@ -23,17 +22,23 @@ from mmdlab import (
     center_kernel,
     dirac,
     gaussian,
-    gram,
-    inverse_multiquadric,
     laplacian,
-    make_base_kernel,
-    psd_tolerance,
     saturating_at,
     scale_kernel,
     shift_kernel,
 )
 from mmdlab import kernels
-from mmdlab.kernels import _EXP_CHECK_MIN, _EXP_ZERO_BELOW, PointTable, _exp, _sqdist
+from mmdlab.kernels import (
+    _EXP_CHECK_MIN,
+    _EXP_ZERO_BELOW,
+    C0_BUMP_SUP,
+    PointTable,
+    _exp,
+    _sqdist,
+    inverse_multiquadric,
+    make_base_kernel,
+)
+from helpers import gram, psd_tolerance
 
 # closed forms computed independently of the library (math.exp, not np.exp)
 EXP_HALF = math.exp(-0.5)
@@ -98,6 +103,46 @@ class TestBaseFamilies:
     def test_nonpositive_parameters_rejected(self, bad):
         with pytest.raises(ParameterError):
             bad()
+
+    @pytest.mark.parametrize(
+        "family, params",
+        [
+            ("gaussian", {"sigma": math.nan}),
+            ("gaussian", {"sigma": math.inf}),
+            ("gaussian", {"sigma": 1e160}),  # 2 sigma^2 overflows
+            ("gaussian", {"sigma": 1e-170}),  # sigma^2 underflows to 0
+            ("laplacian", {"gamma": math.nan}),
+            ("laplacian", {"gamma": math.inf}),
+            ("inverse_multiquadric", {"c": math.nan}),
+            ("inverse_multiquadric", {"c": math.inf}),
+            ("inverse_multiquadric", {"c": 1e160}),
+            ("inverse_multiquadric", {"c": 1e-170}),
+            ("inverse_multiquadric", {"beta": math.nan}),
+            ("inverse_multiquadric", {"beta": math.inf}),
+        ],
+        ids=repr,
+    )
+    def test_parameters_without_finite_positive_constants_rejected(self, family, params):
+        with pytest.raises(ParameterError):
+            make_base_kernel(family, **params)
+
+    @pytest.mark.parametrize(
+        "family, params",
+        [
+            ("gaussian", {"sigma": 1e-160}),  # 2 sigma^2 is subnormal, not 0
+            ("gaussian", {"sigma": 1e150}),
+            ("laplacian", {"gamma": 5e-324}),
+            ("laplacian", {"gamma": 1e300}),
+            ("inverse_multiquadric", {"c": 1e150, "beta": 1e300}),
+        ],
+        ids=repr,
+    )
+    # |x - y|^2 / 2e-320 overflows to inf, whose exp is an exact 0.0
+    @pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
+    def test_extreme_finite_constants_accepted(self, family, params):
+        k = make_base_kernel(family, **params)
+        assert k(0.0, 0.0) == 1.0
+        assert 0.0 <= k(0.0, 1.0) <= 1.0
 
     def test_make_base_kernel_dispatch(self):
         k = make_base_kernel("laplacian", dim=2, gamma=0.5)
@@ -453,6 +498,13 @@ class TestPointTables:
                 # a table on one side only
                 assert k.block(TX[rows], Y).tobytes() == want, name
             assert k.block(TX[5:20], TX[10:]).tobytes() == k.block(X[5:20], X[10:]).tobytes(), name
+            # a single value k(x, y) is evaluated through the same columns
+            whole = k.block(X, Y)
+            for i in (0, 4, 17, 52):
+                got = np.array([k(X[i], y) for y in Y])
+                assert got.tobytes() == whole[i].tobytes(), name
+            square = k.block(X, X)
+            assert np.array([k(x, x) for x in X]).tobytes() == square.diagonal().tobytes(), name
 
     def test_tables_of_other_kernels_are_refused(self):
         X = np.linspace(-2.0, 2.0, 9)[:, None]

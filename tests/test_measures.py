@@ -10,9 +10,11 @@ from mmdlab import (
     ParameterError,
     SignedDiscreteMeasure,
     dirac,
+    mass_in_ball,
+)
+from mmdlab.measures import (
     empty_measure,
     jordan_decompose,
-    mass_in_ball,
     mixture,
     normalize_positive_part,
 )
