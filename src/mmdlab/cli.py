@@ -9,9 +9,11 @@ Usage::
 the output directory, and exits 0 when the preset's expected verdict
 pattern holds, 1 on a verdict mismatch (printing the diff), 2 on a usage
 error, including parameters, measures or dimensions a preset rejects and
-config or output paths that cannot be read or written, and 3 on an
+config or output paths that cannot be read or written, 3 on an
 internal error: an exception the package did not expect, reported
-as one ``internal error:`` line, so a crash never reads as a mismatch.
+as one ``internal error:`` line, so a crash never reads as a mismatch,
+and 4 when a construction fails (the diffusing search ran out of
+candidates), reported as one ``construction failed:`` line.
 Identical config and seed produce byte-identical CSV output.
 """
 
@@ -31,6 +33,7 @@ EXIT_OK = 0
 EXIT_VERDICT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
+EXIT_CONSTRUCTION_FAILED = 4
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -156,7 +159,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except SearchFailureError as exc:
         print(f"construction failed: {exc}", file=sys.stderr)
-        return EXIT_VERDICT_MISMATCH
+        return EXIT_CONSTRUCTION_FAILED
     except Exception as exc:
         message = " ".join(str(exc).splitlines())
         print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)

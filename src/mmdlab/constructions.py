@@ -80,20 +80,21 @@ class ExclusionRegion:
 class SearchDomain:
     """Candidate enumeration for the greedy point search.
 
-    Strategies:
-      ray    -- points at center + (R + m s) * direction, m = 1, 2, ...;
-                s is derived analytically from the kernel when possible,
-                else ``step``.
+    Strategies, each a stream of (m, d) candidate arrays:
+      ray    -- points at center + (R + m s) e1, m = 1, 2, ...; s is
+                derived analytically from the kernel when possible, else
+                ``step``.
       grid   -- expanding integer shells scaled by ``step``.
       random -- seeded isotropic draws with linearly growing radius.
 
     All three enumerate an unbounded region, which the diffusing search
-    needs; all three are deterministic given the seed.
+    needs; all three are deterministic given the seed.  The search judges
+    each array's rows in order by their running maximum |k| against the
+    accepted atoms (:func:`diffusing_sequence`).
     """
 
     dim: int
     strategy: str = "ray"
-    direction: tuple[float, ...] | None = None
     step: float = 1.0
     seed: int = 0
 
@@ -106,31 +107,21 @@ class SearchDomain:
             raise ParameterError("search dimension must be at least 1")
 
 
-def _unit_direction(dom: SearchDomain) -> np.ndarray:
-    if dom.direction is None:
-        e = np.zeros(dom.dim)
-        e[0] = 1.0
-        return e
-    d = as_point(dom.direction, dom.dim)
-    n = float(np.sqrt((d**2).sum()))
-    if n == 0:
-        raise ParameterError("search direction must be nonzero")
-    return d / n
-
-
-# grid points enumerated at a time, and candidates the greedy search draws
-# from its stream at a time
+# grid points enumerated at a time, and candidates the ray and random
+# streams yield at a time
 _GRID_CHUNK = 4096
 _LOOKAHEAD = 256
 
 
 def _ray_candidates(dom: SearchDomain, excl: ExclusionRegion, spacing: float):
-    u = _unit_direction(dom)
-    for m in itertools.count(1):
-        yield excl.center + (excl.radius + m * spacing) * u
+    u = np.zeros(dom.dim)
+    u[0] = 1.0
+    for first in itertools.count(1, _LOOKAHEAD):
+        m = np.arange(first, first + _LOOKAHEAD)
+        yield excl.center + (excl.radius + m[:, None] * spacing) * u
 
 
-def _grid_candidates(dom: SearchDomain, excl: ExclusionRegion):
+def _grid_candidates(dom: SearchDomain, excl: ExclusionRegion, spacing: float):
     # integer points with max |z_i| == shell in itertools.product's
     # lexicographic order: the C-order flat indices of the shell's cube, a
     # chunk at a time so memory stays bounded in any dimension
@@ -141,25 +132,40 @@ def _grid_candidates(dom: SearchDomain, excl: ExclusionRegion):
             flat = np.arange(start, min(start + _GRID_CHUNK, side**d))
             z = np.stack(np.unravel_index(flat, (side,) * d), axis=1) - shell
             z = z[np.abs(z).max(axis=1) == shell]
-            yield from excl.center + dom.step * z.astype(np.float64)
+            yield excl.center + dom.step * z.astype(np.float64)
 
 
-def _random_candidates(dom: SearchDomain, excl: ExclusionRegion):
+def _random_candidates(dom: SearchDomain, excl: ExclusionRegion, spacing: float):
     rng = np.random.default_rng(dom.seed)
-    for m in itertools.count():
+
+    def draw(m):
         v = rng.standard_normal(dom.dim)
         n = float(np.sqrt((v**2).sum())) or 1.0
         radius = excl.radius + dom.step * (1.0 + 0.25 * m + rng.random())
-        yield excl.center + (radius / n) * v
+        return excl.center + (radius / n) * v
+
+    for first in itertools.count(0, _LOOKAHEAD):
+        yield np.array([draw(m) for m in range(first, first + _LOOKAHEAD)])
 
 
 # each strategy's candidate stream, given the domain, the exclusion ball and
 # the ray spacing
 STRATEGIES = {
     "ray": _ray_candidates,
-    "grid": lambda dom, excl, spacing: _grid_candidates(dom, excl),
-    "random": lambda dom, excl, spacing: _random_candidates(dom, excl),
+    "grid": _grid_candidates,
+    "random": _random_candidates,
 }
+
+
+def _raise_worst(k: Kernel, worst: np.ndarray, rows, atoms) -> None:
+    """worst[i] = max(worst[i], max_j |k(rows_i, atoms_j)|), in row tiles
+    of at most ``TILE_ENTRIES`` values, or of one row when a row holds
+    more.  max and np.maximum both keep a nan."""
+    step = max(TILE_ENTRIES // len(atoms), 1)
+    for start in range(0, len(rows), step):
+        part = worst[start : start + step]
+        block = k.block(rows[start : start + step], atoms)
+        np.maximum(part, np.abs(block).max(axis=1), out=part)
 
 
 def diffusing_sequence(
@@ -178,18 +184,20 @@ def diffusing_sequence(
     against all previously accepted points; enumeration order and budget
     come from ``dom``.
 
-    Candidates are drawn in look-ahead chunks, each made into one point
-    table (:meth:`Kernel.table`), and the accepted atoms are copied into
-    another, so per-point work such as a scaling field runs once per
-    candidate outside the ball.  Candidates are judged a batch of rows per
-    :meth:`Kernel.block` call.  A batch ends at its first accepted row and
-    the search resumes right after it, so every candidate is judged against
-    exactly the atoms accepted before it, as in a one-at-a-time loop: the
-    kernel's tiling contract makes each row of the batch the same bits as a
-    single-row block, and a row maximum is exact in any order.  The batch
-    doubles after a fully rejected batch, halves after an accept (so a
-    search that accepts every candidate makes one block call per
-    candidate), and holds at most ``TILE_ENTRIES`` kernel values.
+    The strategy's stream yields candidates as arrays.  Those of a chunk
+    outside the ball become one point table (:meth:`Kernel.table`), and the
+    accepted atoms are copied into another, so per-point work such as a
+    scaling field runs once per candidate outside the ball.  One invariant
+    drives the search: ``worst[i]`` is pending row i's largest |k| against
+    every atom accepted so far.  It is raised once against the atoms
+    accepted before the chunk, then walked in order: row i is accepted when
+    ``worst[i] <= eps`` (a nan maximum is accepted, as ``nan > eps`` is
+    false), and each accept raises the rows after it against the new atom
+    alone.  So no (candidate, atom) pair is evaluated twice, and every
+    candidate is judged against exactly the atoms accepted before it, as
+    in a one-at-a-time loop: the kernel's tiling contract makes each row
+    the same bits as a single-row block, and a maximum is exact in any
+    order.  Blocks hold at most ``TILE_ENTRIES`` kernel values.
 
     Raises :class:`SearchFailureError` naming the first index that could
     not be filled within ``max_candidates`` candidates, and the number of
@@ -199,6 +207,8 @@ def diffusing_sequence(
         raise ParameterError("n must be at least 1")
     if eps <= 0:
         raise ParameterError("eps must be positive")
+    if max_candidates < 0:
+        raise ParameterError("max_candidates must be nonnegative")
     if not k.claims_c0:
         raise ParameterError(
             "diffusing_sequence needs a kernel whose sections vanish at "
@@ -213,51 +223,31 @@ def diffusing_sequence(
     if excl.center.shape[0] != k.dim:
         raise DimensionMismatchError("exclusion center dimension mismatch")
 
-    spacing = k.spacing(eps) or dom.step
-    stream = itertools.islice(STRATEGIES[dom.strategy](dom, excl, spacing), max_candidates)
-    # point tables: the drawn candidates outside the ball, of which
-    # pending[start:end] are not yet judged, and the accepted atoms, laid
-    # out from the first chunk that has a candidate outside the ball
-    pending = accepted = None
-    start = end = 0
-    count = 0
-    scanned = 0
-    size = 1
-    while count < n:
-        if start == end:
-            chunk = list(itertools.islice(stream, _LOOKAHEAD))
-            if not chunk:
-                break
-            scanned += len(chunk)
-            rows = np.array(chunk)
-            rows = rows[~excl.contains(rows)]
-            if len(rows):
-                pending = k.table(rows)
-                if accepted is None:
-                    accepted = pending.reserve(n)
-                start, end = 0, len(pending)
+    stream = STRATEGIES[dom.strategy](dom, excl, k.spacing(eps) or dom.step)
+    # the accepted atoms' table, laid out from the first chunk that has a
+    # candidate outside the ball
+    accepted = None
+    count = scanned = 0
+    while count < n and scanned < max_candidates:
+        chunk = next(stream)[: max_candidates - scanned]
+        scanned += len(chunk)
+        rows = chunk[~excl.contains(chunk)]
+        if not len(rows):
             continue
-        if not count:
-            hit = 0
-        else:
-            batch = pending[start : start + size]
-            worst = np.abs(k.block(batch, judged_against)).max(axis=1)
-            # a nan row maximum is accepted, as `nan > eps` is false
-            ok = ~(worst > eps)
-            if ok[0]:
-                hit = 0
-            else:
-                hits = np.flatnonzero(ok)
-                if not hits.size:
-                    start += ok.size
-                    size = min(2 * size, max(TILE_ENTRIES // count, 1))
-                    continue
-                hit = int(hits[0])
-            size = max(size // 2, 1)
-        accepted[count : count + 1] = pending[start + hit : start + hit + 1]
-        count += 1
-        judged_against = accepted[:count]
-        start += hit + 1
+        pending = k.table(rows)
+        if accepted is None:
+            accepted = pending.reserve(n)
+        worst = np.zeros(len(pending))
+        if count:
+            _raise_worst(k, worst, pending, accepted[:count])
+        for i in range(len(pending)):
+            if worst[i] > eps:
+                continue
+            accepted[count : count + 1] = pending[i : i + 1]
+            count += 1
+            if count == n:
+                break
+            _raise_worst(k, worst[i + 1 :], pending[i + 1 :], accepted[count - 1 : count])
     if count < n:
         failed = count + 1
         raise SearchFailureError(
@@ -360,7 +350,6 @@ class EscapeConstruction:
     residual: SignedDiscreteMeasure
     scale: float
     diffusing: tuple[SignedDiscreteMeasure, ...]
-    exclusion: ExclusionRegion
     center: np.ndarray
     probe_radius: float
 
@@ -455,7 +444,6 @@ def escape_sequence(
         residual=neg,
         scale=scale,
         diffusing=tuple(parts),
-        exclusion=excl,
         center=center,
         probe_radius=probe_radius,
     )

@@ -62,7 +62,6 @@ class TestFunction:
     tag: str
     name: str
     descriptor: dict = field(default_factory=dict)
-    bound: float | None = None
 
     def values(self, X: np.ndarray) -> np.ndarray:
         return np.asarray(self.fn(X), dtype=np.float64)
@@ -90,7 +89,6 @@ def bump(center, inner_r: float, outer_r: float) -> TestFunction:
             "inner_r": float(inner_r),
             "outer_r": float(outer_r),
         },
-        bound=1.0,
     )
 
 
@@ -106,7 +104,6 @@ def constant_one(dim: int) -> TestFunction:
         tag=TAG_CB,
         name="const1",
         descriptor={"kind": "constant", "value": 1.0},
-        bound=1.0,
     )
 
 
@@ -131,7 +128,6 @@ def kme_probe(k: Kernel, nu: SignedDiscreteMeasure, name: str = "kme") -> TestFu
         tag=TAG_RKHS,
         name=name,
         descriptor={"kind": "kme", "kernel": k.descriptor},
-        bound=None,
     )
 
 

@@ -34,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .accumulate import tiled_gram_sum
+from .accumulate import TILE_ENTRIES, tiled_gram_sum
 from .errors import DimensionMismatchError, MeasureError, ParameterError
 from .measures import SignedDiscreteMeasure, as_point, as_points
 
@@ -399,17 +399,15 @@ def make_base_kernel(family: str, dim: int = 1, **params) -> Kernel:
 class ScalarField:
     """A real function on R^d used to conjugate a kernel.
 
-    ``is_c0`` declares decay at infinity, ``sup`` (if known) bounds |g|, and
-    ``zero_set`` lists points where g is exactly zero.  ``fn`` maps an (n, d)
-    array to the n values of g and is evaluated pointwise, so
-    ``fn(X[rows])`` equals ``fn(X)[rows]`` bit for bit.
+    ``is_c0`` declares decay at infinity and ``sup`` (if known) bounds |g|.
+    ``fn`` maps an (n, d) array to the n values of g and is evaluated
+    pointwise, so ``fn(X[rows])`` equals ``fn(X)[rows]`` bit for bit.
     """
 
     fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     dim: int
     is_c0: bool
     sup: float | None = None
-    zero_set: np.ndarray | None = None
     descriptor: dict = field(default_factory=dict)
 
     def values(self, X) -> np.ndarray:
@@ -441,7 +439,6 @@ def c0_bump_at(xi, dim: int | None = None) -> ScalarField:
         dim=p.shape[0],
         is_c0=True,
         sup=C0_BUMP_SUP,
-        zero_set=p[None, :].copy(),
         descriptor={"g": "c0_bump_at", "xi": [float(v) for v in p]},
     )
 
@@ -464,7 +461,6 @@ def c0_null_at(points, dim: int | None = None) -> ScalarField:
         dim=pts.shape[1],
         is_c0=True,
         sup=C0_BUMP_SUP ** len(factors),
-        zero_set=pts.copy(),
         descriptor={"g": "c0_null_at", "xis": [[float(v) for v in p] for p in pts]},
     )
 
@@ -486,7 +482,6 @@ def saturating_at(xi, dim: int | None = None) -> ScalarField:
         dim=p.shape[0],
         is_c0=False,
         sup=1.0,
-        zero_set=p[None, :].copy(),
         descriptor={"g": "saturating_at", "xi": [float(v) for v in p]},
     )
 
@@ -596,9 +591,11 @@ def center_kernel(k: Kernel, p: SignedDiscreteMeasure, a: float = 0.0) -> Kernel
 
     where m is the embedding of p under ``k``.  |p|^2 is computed once here.
     A table holds the child's columns and then m(X), a last-axis row sum
-    that numpy rounds for each point alone.  Recentering annihilates ``p``
-    when a = 0 and leaves the metric on probability measures unchanged for
-    any a >= 0.
+    that numpy rounds for each point alone.  Both are evaluated in row tiles
+    of at most ``TILE_ENTRIES`` values (points that fit in one tile in one
+    call), so memory stays O(tile) for any size of p.  Recentering
+    annihilates ``p`` when a = 0 and leaves the metric on probability
+    measures unchanged for any a >= 0.
     """
     if a < 0:
         raise ParameterError("centering offset a must be nonnegative")
@@ -610,12 +607,23 @@ def center_kernel(k: Kernel, p: SignedDiscreteMeasure, a: float = 0.0) -> Kernel
         raise MeasureError("center_kernel requires a probability measure")
 
     p_cols = k.table_fn(p.atoms)
-    norm_sq = tiled_gram_sum(p.weights, k.block_fn(p_cols, p_cols).__getitem__, p.weights)
+    norm_sq = tiled_gram_sum(
+        p.weights, lambda rows: k.block_fn(tuple(c[rows] for c in p_cols), p_cols), p.weights
+    )
     const = norm_sq + float(a)
+    step = max(TILE_ENTRIES // p.support_size, 1)
 
+    def column(cols):
+        return (k.block_fn(cols, p_cols) * p.weights).sum(axis=1)
+
+    # not recursive: a closure that refers to itself is a reference cycle,
+    # which would keep every discarded kernel, and p, until a gc pass
     def table(X):
         cols = k.table_fn(X)
-        return cols + ((k.block_fn(cols, p_cols) * p.weights).sum(axis=1),)
+        if len(X) <= step:
+            return cols + (column(cols),)
+        tiles = (tuple(c[s : s + step] for c in cols) for s in range(0, len(X), step))
+        return cols + (np.concatenate([column(t) for t in tiles]),)
 
     def block(s, t):
         # grouped as k - (m_i + m_j) + const so (i,j) and (j,i) match exactly

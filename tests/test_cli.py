@@ -157,6 +157,24 @@ class TestRun:
         assert main(["run", "--preset", "metrize_demo", "--out", str(out)]) == 3
         assert list(tmp_path.iterdir()) == []
 
+    def test_failed_construction_exits_four(self, tmp_path, capsys):
+        # beta = 0.01 decays too slowly for 1/4 between grid points of step 1
+        config = {
+            "preset": "escape_demo",
+            "dim": 2,
+            "n_max": 4,
+            "strategy": "grid",
+            "kernel": {"family": "inverse_multiquadric", "c": 1.0, "beta": 0.01, "dim": 2},
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("construction failed: could not place point 2 of 2 ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_unreadable_config_is_a_usage_error(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path)]) == 2
         err = capsys.readouterr().err

@@ -1,5 +1,6 @@
 """Tests for diffusing sequences, escape constructions and witness kernels."""
 
+import collections
 import itertools
 import math
 import tracemalloc
@@ -237,6 +238,10 @@ class TestDiffusingSequence:
         assert 1 <= err.value.failed_index <= 5
         assert str(err.value.failed_index) in str(err.value)
 
+    def test_negative_budget_rejected(self):
+        with pytest.raises(ParameterError):
+            diffusing_sequence(gaussian(1.0), 4, 0.25, ball(0.0, 1.0), max_candidates=-1)
+
     def test_budget_exhaustion_reports_candidates_scanned(self):
         # the grid's first shell holds 8 points, 4 of them inside the ball;
         # every pair among the first 20 points has a kernel value far above
@@ -269,7 +274,15 @@ class TestDiffusingSequence:
             assert norm(k, p) ** 2 <= diffusing_norm_bound(1.0, n, 1.0 / n) + 1e-15
 
 
-def grid_reference(dom, excl):
+def ray_reference(dom, excl, spacing):
+    """Ray points walked one at a time along e1."""
+    u = np.zeros(dom.dim)
+    u[0] = 1.0
+    for m in itertools.count(1):
+        yield excl.center + (excl.radius + m * spacing) * u
+
+
+def grid_reference(dom, excl, spacing=None):
     """Grid shells walked point by point with itertools.product."""
     for shell in itertools.count(1):
         for z in itertools.product(range(-shell, shell + 1), repeat=dom.dim):
@@ -277,13 +290,37 @@ def grid_reference(dom, excl):
                 yield excl.center + dom.step * np.asarray(z, dtype=np.float64)
 
 
+def random_reference(dom, excl, spacing=None):
+    """Seeded isotropic draws, one point per pair of generator calls."""
+    rng = np.random.default_rng(dom.seed)
+    for m in itertools.count():
+        v = rng.standard_normal(dom.dim)
+        n = float(np.sqrt((v**2).sum())) or 1.0
+        radius = excl.radius + dom.step * (1.0 + 0.25 * m + rng.random())
+        yield excl.center + (radius / n) * v
+
+
+REFERENCE_STREAMS = {
+    "ray": ray_reference,
+    "grid": grid_reference,
+    "random": random_reference,
+}
+
+
+def first_rows(chunks, count):
+    """The first ``count`` rows of a stream of candidate arrays."""
+    out = []
+    while count > 0:
+        chunk = next(chunks)[:count]
+        out.append(chunk)
+        count -= len(chunk)
+    return np.concatenate(out)
+
+
 def greedy_oracle(k, n, eps, excl, dom, max_candidates=200_000):
     """One candidate at a time: (atoms, failed index or None, candidates drawn)."""
     spacing = k.spacing(eps) or dom.step
-    if dom.strategy == "grid":
-        stream = grid_reference(dom, excl)
-    else:
-        stream = constructions.STRATEGIES[dom.strategy](dom, excl, spacing)
+    stream = REFERENCE_STREAMS[dom.strategy](dom, excl, spacing)
     accepted = []
     drawn = 0
     for cand in itertools.islice(stream, max_candidates):
@@ -394,12 +431,30 @@ class TestBatchedSearch:
         want, _, _ = greedy_oracle(k, 3, 0.01, excl, dom)
         assert p.atoms.tobytes() == want.tobytes()
 
-    def test_all_accepting_ray_makes_one_block_call_per_candidate(self, block_shapes):
-        k = gaussian(1.0)
-        n = 300
-        p = diffusing_sequence(k, n, 1.0 / n, ball(0.0, 2.0))
-        assert p.support_size == n
-        assert block_shapes == [(1, c) for c in range(1, n)]
+    @pytest.mark.parametrize("strategy", ["ray", "grid", "random"])
+    def test_no_candidate_atom_pair_is_evaluated_twice(self, monkeypatch, strategy):
+        k = gaussian(1.0, dim=2)
+        excl = ExclusionRegion(np.zeros(2), 1.0)
+        # a step well below the kernel's reach: most candidates are rejected
+        dom = SearchDomain(dim=2, strategy=strategy, step=0.25, seed=2)
+        want, _, _ = greedy_oracle(k, 64, 1.0 / 64, excl, dom)
+        pairs = collections.Counter()
+        block = Kernel.block
+
+        def recording_block(self, X, Y):
+            for x in X.points:
+                for y in Y.points:
+                    pairs[x.tobytes(), y.tobytes()] += 1
+            return block(self, X, Y)
+
+        monkeypatch.setattr(Kernel, "block", recording_block)
+        p = diffusing_sequence(k, 64, 1.0 / 64, excl, dom)
+        assert p.atoms.tobytes() == want.tobytes()
+        assert pairs and sum(pairs.values()) == len(pairs)
+        # an atom is judged only against atoms accepted before it
+        order = {a.tobytes(): i for i, a in enumerate(p.atoms)}
+        for x, y in pairs:
+            assert order.get(x, math.inf) > order[y]
 
     def test_batches_grow_but_stay_within_a_tile(self, block_shapes):
         k = gaussian(1.0, dim=2)
@@ -435,12 +490,15 @@ class TestFieldEvaluations:
         n = 40
         want, failed, drawn = greedy_oracle(k, n, 1.0 / n, excl, dom)
         assert failed is None
-        # the search draws whole look-ahead chunks and drops those in the ball
-        chunks = math.ceil(drawn / constructions._LOOKAHEAD)
+        # the search takes whole chunks from the stream until the chunk that
+        # holds its last atom, and drops the candidates inside the ball
         spacing = k.spacing(1.0 / n) or dom.step
-        stream = constructions.STRATEGIES[strategy](dom, excl, spacing)
-        cands = np.array(list(itertools.islice(stream, chunks * constructions._LOOKAHEAD)))
-        outside = int((~excl.contains(cands)).sum())
+        chunks = constructions.STRATEGIES[strategy](dom, excl, spacing)
+        seen = outside = 0
+        while seen < drawn:
+            chunk = next(chunks)
+            seen += len(chunk)
+            outside += int((~excl.contains(chunk)).sum())
         rows.clear()
         got = diffusing_sequence(k, n, 1.0 / n, excl, dom)
         assert got.atoms.tobytes() == want.tobytes()
@@ -450,10 +508,10 @@ class TestFieldEvaluations:
         assert sum(rows) == n
 
     def test_search_never_evaluates_the_field_on_no_points(self, monkeypatch):
-        # the first look-ahead chunks lie wholly in the ball, so they leave
-        # no candidate to make a table of
+        # the first grid chunks hold no point or lie wholly in the ball, so
+        # they leave no candidate to make a table of
         g, rows = counted_bump(1)
-        monkeypatch.setattr(constructions, "_LOOKAHEAD", 4)
+        monkeypatch.setattr(constructions, "_GRID_CHUNK", 3)
         k = dirac_null_kernel(gaussian(1.0), np.zeros(1), g)
         excl = ExclusionRegion(np.zeros(1), 3.0)
         dom = SearchDomain(dim=1, strategy="grid", step=0.6)
@@ -475,9 +533,56 @@ class TestGridCandidates:
         for center, step in ((0.0, 1.0), (0.37, 2.5), (-1e3, 0.1)):
             excl = ExclusionRegion(np.full(dim, center) + 0.1 * np.arange(dim), 1.0)
             dom = SearchDomain(dim=dim, strategy="grid", step=step)
-            got = list(itertools.islice(constructions._grid_candidates(dom, excl), count))
+            got = first_rows(constructions._grid_candidates(dom, excl, step), count)
             want = list(itertools.islice(grid_reference(dom, excl), count))
-            assert np.array(got).tobytes() == np.array(want).tobytes()
+            assert got.tobytes() == np.array(want).tobytes()
+
+
+class TestRayAndRandomCandidates:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("strategy", ["ray", "random"])
+    def test_equal_their_point_walks(self, dim, strategy):
+        count = 3 * constructions._LOOKAHEAD + 17
+        for center, radius, step, spacing in (
+            (0.0, 1.0, 1.0, 0.7),
+            (0.37, 2.5, 0.3, 3.9),
+            (-1e3, 0.0, 7.0, 1e-3),
+        ):
+            excl = ExclusionRegion(np.full(dim, center) + 0.1 * np.arange(dim), radius)
+            dom = SearchDomain(dim=dim, strategy=strategy, step=step, seed=dim)
+            chunks = constructions.STRATEGIES[strategy](dom, excl, spacing)
+            got = first_rows(chunks, count)
+            want = list(itertools.islice(REFERENCE_STREAMS[strategy](dom, excl, spacing), count))
+            assert got.tobytes() == np.array(want).tobytes()
+
+
+def test_search_equals_the_one_at_a_time_loop_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(
+        st.sampled_from(["ray", "grid", "random"]),
+        st.integers(1, 3),
+        st.floats(0.05, 3.0),
+        st.floats(1e-6, 0.9),
+        st.sampled_from(["gaussian", "laplacian", "null", "nan"]),
+    )
+    def check(strategy, dim, step, eps, kernel):
+        k = search_kernels(dim)[kernel]
+        excl = ExclusionRegion(np.full(dim, 0.3), 1.5)
+        dom = SearchDomain(dim=dim, strategy=strategy, step=step, seed=dim)
+        # a small budget, so some searches fail and are compared too
+        want, failed, drawn = greedy_oracle(k, 24, eps, excl, dom, max_candidates=1500)
+        try:
+            got = diffusing_sequence(k, 24, eps, excl, dom, max_candidates=1500)
+        except SearchFailureError as err:
+            assert (err.failed_index, err.candidates_scanned) == (failed, drawn)
+        else:
+            assert failed is None
+            assert got.atoms.tobytes() == want.tobytes()
+
+    check()
 
 
 def dense_certificate(k, p, eps, excl):

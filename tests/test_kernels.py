@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,12 +24,14 @@ from mmdlab import (
     dirac,
     gaussian,
     laplacian,
+    mmd,
     saturating_at,
     scale_kernel,
     shift_kernel,
 )
-from mmdlab import kernels
+from mmdlab import accumulate, kernels
 from mmdlab.kernels import (
+    Kernel,
     _EXP_CHECK_MIN,
     _EXP_ZERO_BELOW,
     C0_BUMP_SUP,
@@ -358,6 +361,60 @@ class TestCenter:
             rows = k.descriptor["p"]
             assert rows == want
             assert all(type(v) is float for at, wt in rows for v in at + [wt])
+
+    def test_tiles_equal_one_block_and_one_tile_is_one_call(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        base = gaussian(1.3, dim=2)
+        calls = []
+
+        def counted(a, b):
+            calls.append(len(a[0]))
+            return base.block_fn(a, b)
+
+        child = Kernel(counted, 2, 1.0, True, {"family": "counted"})
+        w = rng.random(50)
+        p = SignedDiscreteMeasure(rng.uniform(-2, 2, (50, 2)), w / w.sum(), 2)
+        X = rng.uniform(-3, 3, (400, 2))
+        whole = center_kernel(child, p, 0.5)
+        # |p|^2 fits in one tile, and so do 327 rows of m(X)
+        assert calls == [50]
+        calls.clear()
+        column = whole.table(X[:327]).columns[-1]
+        assert calls == [327]
+        assert column.tobytes() == (base.block(X[:327], p.atoms) * p.weights).sum(axis=1).tobytes()
+        calls.clear()
+        assert whole.table(X).columns[-1][:327].tobytes() == column.tobytes()
+        assert calls == [327, 73]
+        # tiles of a few rows give the same bits
+        monkeypatch.setattr(kernels, "TILE_ENTRIES", 64)
+        monkeypatch.setattr(accumulate, "TILE_ENTRIES", 64)
+        calls.clear()
+        tiled = center_kernel(child, p, 0.5)
+        column = tiled.table(X).columns[-1]
+        assert set(calls) == {1}
+        assert column.tobytes() == whole.table(X).columns[-1].tobytes()
+        assert tiled([0.0, 0.0], [1.0, 0.5]) == whole([0.0, 0.0], [1.0, 0.5])
+        assert tiled.block(X, X).tobytes() == whole.block(X, X).tobytes()
+
+    def test_a_large_p_takes_bounded_memory(self):
+        rng = np.random.default_rng(5)
+        p = SignedDiscreteMeasure(rng.uniform(-5, 5, (2000, 1)), np.full(2000, 1 / 2000), 1)
+        a, b = (
+            SignedDiscreteMeasure(rng.uniform(-9, 9, (1024, 1)), np.full(1024, 1 / 1024), 1)
+            for _ in range(2)
+        )
+        tracemalloc.start()
+        try:
+            k = center_kernel(gaussian(1.0), p)
+            built = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            mmd(k, a, b)
+            compared = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one |p| x |p| block took 34 MiB, and m(X) an |X| x |p| block
+        assert built < 4 * 2**20
+        assert compared < 4 * 2**20
 
     def test_gram_exactly_symmetric(self):
         rng = np.random.default_rng(2)
