@@ -50,7 +50,7 @@ which multiplies the term's bin halves by the count, exactly.
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -206,6 +206,15 @@ def exact_row_sums(rows: np.ndarray) -> list[float]:
     return [exact_sum(row) for row in arr]
 
 
+def row_tiles(n: int, m: int) -> Iterator[slice]:
+    """Consecutive slices covering ``range(n)``: the row tiles of an n x m
+    array, each of at most ``TILE_ENTRIES`` entries, or of one row when a
+    row holds more."""
+    step = max(1, TILE_ENTRIES // max(1, m))
+    for start in range(0, n, step):
+        yield slice(start, start + step)
+
+
 def tiled_gram_sum(
     w: np.ndarray, gram_rows: Callable[[slice], np.ndarray], v: np.ndarray
 ) -> float:
@@ -217,12 +226,11 @@ def tiled_gram_sum(
     """
     w = np.asarray(w, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    step = max(1, TILE_ENTRIES // max(1, v.size))
-    if step >= w.size:
+    tiles = list(row_tiles(w.size, v.size))
+    if len(tiles) <= 1:
         return exact_sum(np.multiply.outer(w, v) * gram_rows(slice(None)))
     acc = ExactAccumulator()
-    for start in range(0, w.size, step):
-        rows = slice(start, start + step)
+    for rows in tiles:
         acc.add(np.multiply.outer(w[rows], v) * gram_rows(rows))
     return acc.value()
 

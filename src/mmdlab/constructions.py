@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accumulate import TILE_ENTRIES, symmetric_gram_sum
+from .accumulate import row_tiles, symmetric_gram_sum
 from .embedding import mmd, norm
 from .errors import (
     DimensionMismatchError,
@@ -158,14 +158,12 @@ STRATEGIES = {
 
 
 def _raise_worst(k: Kernel, worst: np.ndarray, rows, atoms) -> None:
-    """worst[i] = max(worst[i], max_j |k(rows_i, atoms_j)|), in row tiles
-    of at most ``TILE_ENTRIES`` values, or of one row when a row holds
-    more.  max and np.maximum both keep a nan."""
-    step = max(TILE_ENTRIES // len(atoms), 1)
-    for start in range(0, len(rows), step):
-        part = worst[start : start + step]
-        block = k.block(rows[start : start + step], atoms)
-        np.maximum(part, np.abs(block).max(axis=1), out=part)
+    """worst[i] = max(worst[i], max_j |k(rows_i, atoms_j)|), a row tile
+    (:func:`~mmdlab.accumulate.row_tiles`) at a time.  max and np.maximum
+    both keep a nan."""
+    for tile in row_tiles(len(rows), len(atoms)):
+        part = worst[tile]
+        np.maximum(part, np.abs(k.block(rows[tile], atoms)).max(axis=1), out=part)
 
 
 def diffusing_sequence(

@@ -34,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .accumulate import TILE_ENTRIES, tiled_gram_sum
+from .accumulate import row_tiles, tiled_gram_sum
 from .errors import DimensionMismatchError, MeasureError, ParameterError
 from .measures import SignedDiscreteMeasure, as_point, as_points
 
@@ -591,9 +591,9 @@ def center_kernel(k: Kernel, p: SignedDiscreteMeasure, a: float = 0.0) -> Kernel
 
     where m is the embedding of p under ``k``.  |p|^2 is computed once here.
     A table holds the child's columns and then m(X), a last-axis row sum
-    that numpy rounds for each point alone.  Both are evaluated in row tiles
-    of at most ``TILE_ENTRIES`` values (points that fit in one tile in one
-    call), so memory stays O(tile) for any size of p.  Recentering
+    that numpy rounds for each point alone.  Both are evaluated a row tile
+    at a time (:func:`~mmdlab.accumulate.row_tiles`), so memory stays
+    O(tile) for any size of p.  Recentering
     annihilates ``p`` when a = 0 and leaves the metric on probability
     measures unchanged for any a >= 0.
     """
@@ -611,19 +611,14 @@ def center_kernel(k: Kernel, p: SignedDiscreteMeasure, a: float = 0.0) -> Kernel
         p.weights, lambda rows: k.block_fn(tuple(c[rows] for c in p_cols), p_cols), p.weights
     )
     const = norm_sq + float(a)
-    step = max(TILE_ENTRIES // p.support_size, 1)
 
-    def column(cols):
-        return (k.block_fn(cols, p_cols) * p.weights).sum(axis=1)
-
-    # not recursive: a closure that refers to itself is a reference cycle,
-    # which would keep every discarded kernel, and p, until a gc pass
     def table(X):
         cols = k.table_fn(X)
-        if len(X) <= step:
-            return cols + (column(cols),)
-        tiles = (tuple(c[s : s + step] for c in cols) for s in range(0, len(X), step))
-        return cols + (np.concatenate([column(t) for t in tiles]),)
+        m = np.empty(len(X))
+        for rows in row_tiles(len(X), p.support_size):
+            tile = tuple([c[rows] for c in cols])
+            m[rows] = (k.block_fn(tile, p_cols) * p.weights).sum(axis=1)
+        return cols + (m,)
 
     def block(s, t):
         # grouped as k - (m_i + m_j) + const so (i,j) and (j,i) match exactly

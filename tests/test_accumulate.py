@@ -11,6 +11,7 @@ from mmdlab.accumulate import (
     ExactAccumulator,
     exact_row_sums,
     exact_sum,
+    row_tiles,
     symmetric_gram_sum,
     tiled_gram_sum,
 )
@@ -328,6 +329,18 @@ class TestSparseBatches:
 
 
 class TestGramSums:
+    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 1000])
+    @pytest.mark.parametrize("m", [0, 1, 7, 64, 65, 5000])
+    def test_row_tiles_cover_every_row_once_within_a_tile(self, monkeypatch, n, m):
+        monkeypatch.setattr(accumulate, "TILE_ENTRIES", 64)
+        tiles = list(row_tiles(n, m))
+        rows = [range(n)[t] for t in tiles]
+        assert [i for r in rows for i in r] == list(range(n))
+        # as many rows as fit, or one row when a row holds more
+        most = max(64 // max(m, 1), 1)
+        assert all(len(r) == most for r in rows[:-1])
+        assert all(0 < len(r) <= most for r in rows)
+
     def test_tiles_match_one_product(self, monkeypatch):
         rng = np.random.default_rng(8)
         w, v = rng.standard_normal(300), rng.standard_normal(70)

@@ -46,7 +46,7 @@ from mmdlab.constructions import (
     escape_sequence,
     shifted_dirac_null_kernel,
 )
-from mmdlab import constructions
+from mmdlab import accumulate, constructions
 from mmdlab.accumulate import TILE_ENTRIES
 from mmdlab.kernels import C0_BUMP_SUP, inverse_multiquadric
 from mmdlab.measures import empty_measure
@@ -357,7 +357,7 @@ def search_kernels(dim):
         "gaussian": g,
         "laplacian": laplacian(0.7, dim=dim),
         "null": dirac_null_kernel(g, np.zeros(dim)),
-        # a kernel with no point table of its own, judged in batches too
+        # a kernel with no point table of its own, judged in blocks too
         "custom": Kernel(g.block_fn, dim, 1.0, True, {"family": "custom"}),
         "nan": nan_gaussian(dim),
     }
@@ -379,7 +379,8 @@ def block_shapes(monkeypatch):
 
 
 class TestBatchedSearch:
-    """The batched greedy search decides exactly as a one-at-a-time loop."""
+    """The greedy search, judging each chunk of candidates by a running row
+    maximum, decides exactly as a one-at-a-time loop."""
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("strategy", ["ray", "grid", "random"])
@@ -388,7 +389,7 @@ class TestBatchedSearch:
         k = search_kernels(dim)[kernel]
         excl = ExclusionRegion(np.full(dim, 0.3), 1.5)
         # a step below the kernel's reach makes the grid and random streams
-        # reject most candidates, so batches grow and end mid-batch
+        # reject most candidates, so accepts fall mid-chunk
         dom = SearchDomain(dim=dim, strategy=strategy, step=0.6, seed=dim)
         n = 48 if dim < 3 or strategy == "ray" else 24
         want, failed, _ = greedy_oracle(k, n, 1.0 / n, excl, dom)
@@ -398,7 +399,7 @@ class TestBatchedSearch:
 
     @pytest.mark.parametrize("strategy", ["ray", "grid", "random"])
     def test_small_tiles_cap_the_batch(self, monkeypatch, block_shapes, strategy):
-        monkeypatch.setattr(constructions, "TILE_ENTRIES", 64)
+        monkeypatch.setattr(accumulate, "TILE_ENTRIES", 64)
         k = gaussian(1.0, dim=2)
         excl = ExclusionRegion(np.zeros(2), 1.0)
         dom = SearchDomain(dim=2, strategy=strategy, step=0.5, seed=5)
@@ -456,7 +457,7 @@ class TestBatchedSearch:
         for x, y in pairs:
             assert order.get(x, math.inf) > order[y]
 
-    def test_batches_grow_but_stay_within_a_tile(self, block_shapes):
+    def test_blocks_hold_many_rows_within_a_tile(self, block_shapes):
         k = gaussian(1.0, dim=2)
         excl = ExclusionRegion(np.zeros(2), 2.0)
         dom = SearchDomain(dim=2, strategy="grid", step=0.25)

@@ -386,7 +386,6 @@ class TestCenter:
         assert whole.table(X).columns[-1][:327].tobytes() == column.tobytes()
         assert calls == [327, 73]
         # tiles of a few rows give the same bits
-        monkeypatch.setattr(kernels, "TILE_ENTRIES", 64)
         monkeypatch.setattr(accumulate, "TILE_ENTRIES", 64)
         calls.clear()
         tiled = center_kernel(child, p, 0.5)
