@@ -55,7 +55,10 @@ from .measures import (
     normalize_positive_part,
 )
 
+# largest embedding norm a witness may have, absorbing float noise only
 WITNESS_TOL = 1e-10
+# the default exclusion ball's radius beyond the witness support
+EXCLUSION_MARGIN = 1.0
 
 
 @dataclass(frozen=True)
@@ -184,14 +187,14 @@ def diffusing_sequence(
 
     The strategy's stream yields candidates as arrays.  Those of a chunk
     outside the ball become one point table (:meth:`Kernel.table`), and the
-    accepted atoms are copied into another, so per-point work such as a
-    scaling field runs once per candidate outside the ball.  One invariant
-    drives the search: ``worst[i]`` is pending row i's largest |k| against
-    every atom accepted so far.  It is raised once against the atoms
-    accepted before the chunk, then walked in order: row i is accepted when
-    ``worst[i] <= eps`` (a nan maximum is accepted, as ``nan > eps`` is
-    false), and each accept raises the rows after it against the new atom
-    alone.  So no (candidate, atom) pair is evaluated twice, and every
+    chunk's accepted rows are concatenated onto the table of the atoms
+    accepted before it, so per-point work such as a scaling field runs once
+    per candidate outside the ball.  One invariant drives the search:
+    ``worst[i]`` is pending row i's largest |k| against every atom accepted
+    so far.  It is raised once against the atoms accepted before the chunk,
+    then walked in order: row i is accepted when ``worst[i] <= eps`` (a nan
+    maximum is accepted, as ``nan > eps`` is false), and each accept raises
+    the rows after it against the new atom alone.  So no (candidate, atom) pair is evaluated twice, and every
     candidate is judged against exactly the atoms accepted before it, as
     in a one-at-a-time loop: the kernel's tiling contract makes each row
     the same bits as a single-row block, and a maximum is exact in any
@@ -222,8 +225,7 @@ def diffusing_sequence(
         raise DimensionMismatchError("exclusion center dimension mismatch")
 
     stream = STRATEGIES[dom.strategy](dom, excl, k.spacing(eps) or dom.step)
-    # the accepted atoms' table, laid out from the first chunk that has a
-    # candidate outside the ball
+    # the table of the atoms accepted before the current chunk
     accepted = None
     count = scanned = 0
     while count < n and scanned < max_candidates:
@@ -233,19 +235,20 @@ def diffusing_sequence(
         if not len(rows):
             continue
         pending = k.table(rows)
-        if accepted is None:
-            accepted = pending.reserve(n)
         worst = np.zeros(len(pending))
-        if count:
-            _raise_worst(k, worst, pending, accepted[:count])
+        if accepted is not None:
+            _raise_worst(k, worst, pending, accepted)
+        taken = []
         for i in range(len(pending)):
             if worst[i] > eps:
                 continue
-            accepted[count : count + 1] = pending[i : i + 1]
-            count += 1
-            if count == n:
+            taken.append(i)
+            if count + len(taken) == n:
                 break
-            _raise_worst(k, worst[i + 1 :], pending[i + 1 :], accepted[count - 1 : count])
+            _raise_worst(k, worst[i + 1 :], pending[i + 1 :], pending[i : i + 1])
+        if taken:
+            count += len(taken)
+            accepted = pending[taken] if accepted is None else accepted + pending[taken]
     if count < n:
         failed = count + 1
         raise SearchFailureError(
@@ -371,14 +374,12 @@ def escape_sequence(
     n_max: int = 64,
     dom: SearchDomain | None = None,
     excl: ExclusionRegion | None = None,
-    margin: float = 1.0,
-    witness_tol: float = WITNESS_TOL,
     max_candidates: int = 200_000,
 ) -> EscapeConstruction:
     """Build mu_n = neg + (1 - neg(X)) P_n from an annihilated witness.
 
     The witness is normalized so its positive part has mass 1 and must have
-    embedding norm <= witness_tol (exact vanishing holds analytically for
+    embedding norm <= ``WITNESS_TOL`` (exact vanishing holds analytically for
     the null-kernel witnesses; the tolerance only absorbs float noise) and
     strictly smaller negative mass.  Witnesses with equal positive and
     negative mass are a separate, simpler refutation: see
@@ -390,9 +391,9 @@ def escape_sequence(
     """
     mu = normalize_positive_part(witness)
     w_norm = norm(k, mu)
-    if w_norm > witness_tol:
+    if w_norm > WITNESS_TOL:
         raise NotAWitnessError(
-            f"witness has embedding norm {w_norm!r} > {witness_tol!r}; "
+            f"witness has embedding norm {w_norm!r} > {WITNESS_TOL!r}; "
             "it is not annihilated by this kernel"
         )
     pos, neg = jordan_decompose(mu)
@@ -409,9 +410,7 @@ def escape_sequence(
         np.sqrt(((mu.atoms - center[None, :]) ** 2).sum(axis=1)).max()
     )
     if excl is None:
-        if margin <= 0:
-            raise ParameterError("margin must be positive")
-        excl = ExclusionRegion(center=center, radius=support_radius + margin)
+        excl = ExclusionRegion(center=center, radius=support_radius + EXCLUSION_MARGIN)
     elif np.any(~excl.contains(mu.atoms)):
         raise ParameterError("exclusion ball must contain the witness support")
     # the probe ball sits around the witness centroid; it must hold the whole
@@ -456,9 +455,7 @@ def identity_residuals(k: Kernel, cons: EscapeConstruction) -> np.ndarray:
 
 
 def equal_mass_pair(
-    k: Kernel,
-    witness: SignedDiscreteMeasure,
-    witness_tol: float = WITNESS_TOL,
+    k: Kernel, witness: SignedDiscreteMeasure
 ) -> tuple[SignedDiscreteMeasure, SignedDiscreteMeasure]:
     """The equal-mass branch: two probability measures at MMD ~ 0.
 
@@ -468,10 +465,8 @@ def equal_mass_pair(
     """
     mu = normalize_positive_part(witness)
     w_norm = norm(k, mu)
-    if w_norm > witness_tol:
-        raise NotAWitnessError(
-            f"witness has embedding norm {w_norm!r} > {witness_tol!r}"
-        )
+    if w_norm > WITNESS_TOL:
+        raise NotAWitnessError(f"witness has embedding norm {w_norm!r} > {WITNESS_TOL!r}")
     pos, neg = jordan_decompose(mu)
     if abs(neg.total_mass - pos.total_mass) > 1e-12:
         raise MeasureError(

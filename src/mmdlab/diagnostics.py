@@ -142,34 +142,35 @@ def integrate(mu: SignedDiscreteMeasure, f: TestFunction) -> float:
     return exact_sum(mu.weights * f.values(mu.atoms))
 
 
-def default_battery(
-    k: Kernel,
-    target: SignedDiscreteMeasure,
-    wide_radii=(2.0, 4.0, 8.0),
-    bump_inner: float = 0.5,
-    bump_outer: float = 1.0,
-    probe_offsets=(-2.0, -1.0, 0.0, 1.0, 2.0),
-) -> list[TestFunction]:
+# the default battery's bump radii around each target atom, its wide bump
+# radii around the origin, and its embedded Diracs' offsets along axis 0
+BUMP_INNER, BUMP_OUTER = 0.5, 1.0
+WIDE_RADII = (2.0, 4.0, 8.0)
+PROBE_OFFSETS = (-2.0, -1.0, 0.0, 1.0, 2.0)
+
+
+def default_battery(k: Kernel, target: SignedDiscreteMeasure) -> list[TestFunction]:
     """Battery covering the vague/weak/weak-RKHS probe classes.
 
     Constant 1; a bump at each target atom; wide bumps around the origin at
-    ``wide_radii``; and, when the kernel claims vanishing sections, one
-    embedded Dirac per probe offset along the first axis.  Finitely many
-    witnesses per class: enough to refute convergence, never to certify it.
+    ``WIDE_RADII``; and, when the kernel claims vanishing sections, one
+    embedded Dirac per offset in ``PROBE_OFFSETS`` along the first axis.
+    Finitely many witnesses per class: enough to refute convergence, never
+    to certify it.
     """
     dim = k.dim
     battery = [constant_one(dim)]
     for i, atom in enumerate(target.atoms):
-        b = bump(atom, bump_inner, bump_outer)
+        b = bump(atom, BUMP_INNER, BUMP_OUTER)
         battery.append(replace(b, name=f"bump_t{i}"))
     origin = np.zeros(dim)
-    for r in wide_radii:
-        b = bump(origin, float(r), float(r) + 1.0)
+    for r in WIDE_RADII:
+        b = bump(origin, r, r + 1.0)
         battery.append(replace(b, name=f"wide_r{r:g}"))
     if k.claims_c0:
-        for i, off in enumerate(probe_offsets):
+        for i, off in enumerate(PROBE_OFFSETS):
             z = np.zeros(dim)
-            z[0] = float(off)
+            z[0] = off
             battery.append(kme_probe(k, dirac(z), name=f"kme_z{i}"))
     return battery
 

@@ -21,11 +21,12 @@ both routes.  Tiling relies on the contract of :class:`Kernel`.
 
 Only the self terms of :func:`inner` (hence of :func:`mmd` and
 :func:`norm`) skip the far field of :meth:`Kernel.far_field`: a Gram that
-spans tiles is read with its atoms ordered along coordinate 0, and the
-columns of each row tile that lie beyond the far-field radius in that
-coordinate are not evaluated, being known bit for bit.  Cross terms, and
-:func:`mmd_oracle`, evaluate every entry, so the oracle also checks the
-skip.  Sums are exact, so neither the order nor the skip changes a bit.
+spans tiles, of a kernel with a far-field rule, is read with its atoms
+ordered along coordinate 0, and the columns of each row tile that lie
+beyond the far-field radius in that coordinate are not evaluated, being
+known bit for bit.  Cross terms, and :func:`mmd_oracle`, evaluate every
+entry, so the oracle also checks the skip.  Sums are exact, so neither the
+order nor the skip changes a bit.
 
 A self inner product whose Gram spans more than one tile is kept in one
 slot on the measure, with the kernel object that computed it, and returned
@@ -43,7 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accumulate import TILE_ENTRIES, exact_sum, symmetric_gram_sum, tiled_gram_sum
+from . import accumulate
+from .accumulate import exact_sum, symmetric_gram_sum, tiled_gram_sum
 from .errors import DimensionMismatchError
 from .kernels import Kernel
 from .measures import SignedDiscreteMeasure, as_point
@@ -101,29 +103,31 @@ def _spans_tiles(entries: int) -> bool:
     measure's slot: a slot on every small measure, of which a run makes
     thousands, costs memory.
     """
-    return entries > TILE_ENTRIES
+    return entries > accumulate.TILE_ENTRIES
 
 
 def _self_gram_sum(k: Kernel, mu: SignedDiscreteMeasure) -> float:
     """Sum of the upper triangle of an exactly symmetric Gram.
 
-    A Gram that spans tiles is read from a table of the atoms ordered along
-    coordinate 0, so each row tile's columns more than the kernel's
-    far-field radius away in that coordinate form a tail, which
-    :func:`symmetric_gram_sum` does not fetch.  Atoms already in order are
-    used as they are.  The sum is exact, so the order changes no bit.
+    A Gram that spans tiles is read from a table of the atoms.  When the
+    kernel has a far-field rule for it, the table is ordered along
+    coordinate 0, so each row tile's columns more than the far-field radius
+    away in that coordinate form a tail, which :func:`symmetric_gram_sum`
+    does not fetch; atoms already in order are used as they are.  A table's
+    rows are its points' alone, and the sum is exact, so the order changes
+    no bit.
     """
     w = mu.weights
     X = mu.atoms
     far = None
     if _spans_tiles(w.size**2):
-        c = X[:, 0]
-        if not (c[:-1] <= c[1:]).all():
-            order = np.argsort(c)
-            X, w, c = X[order], w[order], c[order]
         X = k.table(X)
         rule = k.far_field(X)
         if rule is not None:
+            c = mu.atoms[:, 0]
+            if not (c[:-1] <= c[1:]).all():
+                order = np.argsort(c)
+                X, w, c = X[order], w[order], c[order]
             # c_j > fl(c_i + radius) makes c_j - c_i > radius exactly
             far = (np.searchsorted(c, c + rule[0], side="right"), rule[1])
 

@@ -231,9 +231,8 @@ class PointTable:
     the (n, d) points and every column has one row per point, so
     ``table[rows]`` is the table of ``points[rows]`` bit for bit.  ``rows``
     is a slice or a 1-d array of row indices, never a single index, so a
-    table always has rows of points.  ``table[rows] = other`` copies rows
-    into the table's arrays, which may be the caller's points: write only
-    into a table from :meth:`reserve`.
+    table always has rows of points.  A table is never written: ``a + b``
+    is a new table of a's rows and then b's.
     """
 
     __slots__ = ("kernel", "columns")
@@ -253,24 +252,16 @@ class PointTable:
         _check_rows(rows)
         return PointTable(self.kernel, tuple([c[rows] for c in self.columns]))
 
-    def __setitem__(self, rows, other: PointTable) -> None:
-        _check_rows(rows)
+    def __add__(self, other: PointTable) -> PointTable:
         if other.kernel is not self.kernel:
             raise ParameterError("point table was built by another kernel")
-        for mine, theirs in zip(self.columns, other.columns):
-            mine[rows] = theirs
-
-    def reserve(self, n: int) -> PointTable:
-        """A table of n unset rows laid out like this one, to fill by rows.
-
-        The layout is read from this table's columns, so it needs at least
-        one point (a table of none holds the points alone).
-        """
+        # a table of no points may hold its points column alone
+        if not len(other):
+            return self
         if not len(self):
-            raise ParameterError("reserve needs a table of at least one point")
+            return other
         return PointTable(
-            self.kernel,
-            tuple(np.empty((n,) + c.shape[1:], dtype=c.dtype) for c in self.columns),
+            self.kernel, tuple([np.concatenate(c) for c in zip(self.columns, other.columns)])
         )
 
 
@@ -656,17 +647,15 @@ class DecayTrace:
     passed: bool
 
 
-def c0_probe(
-    k: Kernel,
-    x,
-    radii,
-    samples_per_radius: int = 32,
-    eps: float = 1e-3,
-    seed: int = 0,
-) -> DecayTrace:
+# the sampled sup at the largest radius that passes :func:`c0_probe`
+C0_PROBE_EPS = 1e-3
+
+
+def c0_probe(k: Kernel, x, radii, samples_per_radius: int = 32, seed: int = 0) -> DecayTrace:
     """Sample |k(x, .)| on spheres of growing radius around the origin.
 
-    Passes when the sampled sup at the largest radius falls below ``eps``.
+    Passes when the sampled sup at the largest radius falls below
+    ``C0_PROBE_EPS``.
     """
     r = np.asarray(radii, dtype=np.float64).ravel()
     if r.size == 0:
@@ -686,4 +675,6 @@ def c0_probe(
     for i, radius in enumerate(r):
         sphere = radius * dirs
         values[i] = float(np.max(np.abs(k.block(row, sphere))))
-    return DecayTrace(radii=r, values=values, eps=float(eps), passed=bool(values[-1] <= eps))
+    return DecayTrace(
+        radii=r, values=values, eps=C0_PROBE_EPS, passed=bool(values[-1] <= C0_PROBE_EPS)
+    )

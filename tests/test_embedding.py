@@ -595,6 +595,34 @@ class TestFarFieldSkip:
         for name, k in self.kernels(2).items():
             assert inner(k, mu, mu).hex() == inner(k, sorted_mu, sorted_mu).hex(), name
 
+    def test_a_patched_tile_size_reaches_the_size_gate(self, monkeypatch):
+        # 100 atoms, 10,000 entries: one default tile, many tiles of 64
+        monkeypatch.setattr(accumulate, "TILE_ENTRIES", 64)
+        rng = np.random.default_rng(76)
+        mu = spread_measure(rng, 100, 1, 4000.0, True)
+        k = gaussian(1.0)
+        want, unbanded = self.self_term(monkeypatch, k, mu, banded=False)
+        got, banded = self.self_term(monkeypatch, k, mu)
+        assert got.hex() == want.hex()
+        assert banded < unbanded / 4
+
+    def test_a_self_term_with_no_rule_reads_the_atoms_in_order(self, monkeypatch):
+        rng = np.random.default_rng(77)
+        mu = spread_measure(rng, 300, 1, 3.0, False)
+        assert not (np.diff(mu.atoms[:, 0]) >= 0).all()
+        rows = []
+        block = Kernel.block
+
+        def recording_block(self, X, Y):
+            rows.append(X.points)
+            return block(self, X, Y)
+
+        monkeypatch.setattr(Kernel, "block", recording_block)
+        inner(inverse_multiquadric(1.5, 0.5), mu, mu)
+        # row tiles from the first row down, in the measure's own order
+        assert len(rows) > 1
+        assert np.concatenate(rows).tobytes() == mu.atoms.tobytes()
+
     @pytest.mark.parametrize("dim, reach", [(1, 4000.0), (2, 300.0)])
     def test_mmd_agrees_with_the_oracle_on_spread_measures(self, dim, reach):
         rng = np.random.default_rng(80 + dim)

@@ -572,9 +572,8 @@ class TestPointTables:
                 k.block(other.table(X), X)
             with pytest.raises(ParameterError, match="another kernel"):
                 k.block(X, other.table(X)[2:4])
-            table = k.table(X).reserve(2)
             with pytest.raises(ParameterError, match="another kernel"):
-                table[0:1] = other.table(X)[3:4]
+                k.table(X) + other.table(X)
 
     def test_tables_validate_their_points_once(self):
         k = scale_kernel(gaussian(1.0, dim=2), c0_bump_at([0.0, 0.0]))
@@ -622,28 +621,45 @@ class TestPointTables:
         assert len(T.columns) == 2
         assert T.columns[1].tobytes() == g.fn(X).tobytes()
 
-    def test_rows_are_copied_into_a_reserved_table(self):
+    def test_concatenated_tables_equal_the_table_of_the_points(self):
+        X = np.array([[0.5], [1.5], [2.5], [-0.75], [3.0]])
+        specimens = dict(table_specimens(1))
+        for name in ("gaussian", "scale-gaussian", "shift-scale-gaussian", "center-gaussian"):
+            k = specimens[name]
+            T = k.table(X)
+            for a in range(1, len(X)):
+                joined = T[:a] + T[a:]
+                assert joined.kernel is k, name
+                assert len(joined.columns) == len(T.columns), name
+                for got, want in zip(joined.columns, T.columns):
+                    assert got.tobytes() == want.tobytes(), name
+            got = k.block(T[[2]] + T[[0]], T)
+            assert got.tobytes() == k.block(X[[2, 0]], X).tobytes(), name
+
+    def test_adding_a_table_of_no_points_returns_the_other(self):
         k = scale_kernel(gaussian(1.0), c0_bump_at(0.0))
-        X = np.array([[0.5], [1.5], [2.5]])
-        T = k.table(X)
-        R = T.reserve(2)
-        R[0:1] = T[2:3]
-        R[1:2] = T[0:1]
-        assert R.kernel is k
-        assert k.block(R, T).tobytes() == k.block(X[[2, 0]], X).tobytes()
+        T = k.table(np.array([[0.5], [1.5], [2.5]]))
+        empty = k.table(np.zeros((0, 1)))
+        # the points column alone: a zip of the columns would drop the field
+        assert len(empty.columns) == 1 and len(T.columns) == 2
+        assert empty + T is T
+        assert T + empty is T
+        assert T[:0] + T is T
+
+    def test_tables_are_never_written(self):
+        k = scale_kernel(gaussian(1.0), c0_bump_at(0.0))
+        T = k.table(np.array([[0.5], [1.5], [2.5]]))
+        with pytest.raises(TypeError):
+            T[0:1] = T[2:3]
+        assert T.points.tobytes() == np.array([[0.5], [1.5], [2.5]]).tobytes()
 
     def test_a_single_index_is_refused(self):
         # X[i] is one point, not a table of one row, so tables take no int
         k = scale_kernel(gaussian(1.0), c0_bump_at(0.0))
         T = k.table(np.array([[0.5], [1.5], [2.5]]))
-        R = T.reserve(2)
         for i in (1, np.int64(1), np.array(1)):
             with pytest.raises(TypeError, match="slice"):
                 T[i]
-            with pytest.raises(TypeError, match="slice"):
-                R[i] = T[0:1]
-        with pytest.raises(ParameterError, match="at least one point"):
-            T[:0].reserve(2)
 
     def test_empty_sides_never_evaluate_the_field(self):
         # a field may reduce over its rows, so it is never given none
