@@ -53,7 +53,7 @@ def main():
         d = mmd(kappa, p_n, target)
         print(f"{n:<5} {d:.9e}        {norm(null_k, p_n):.9e}  {integrate(p_n, hat_on_xi):.1f}")
 
-    seq = MeasureSequence(tuple(parts), label="escaping", indices=sizes)
+    seq = MeasureSequence(tuple(parts), indices=sizes)
     report = probe_sequence(seq, target, kappa, ball_center=xi)
     print("\nverdicts:")
     for key, value in report.verdicts.as_dict().items():

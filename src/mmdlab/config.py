@@ -36,10 +36,6 @@ from .measures import SignedDiscreteMeasure
 from .presets import PRESETS
 
 
-def measure_to_rows(mu: SignedDiscreteMeasure) -> list:
-    return [[[float(v) for v in atom], float(w)] for atom, w in zip(mu.atoms, mu.weights)]
-
-
 def _refuse_text_and_bools(val) -> None:
     # numpy would read "0.5" as 0.5 and true as 1.0
     if isinstance(val, (str, bytes, bool, np.bool_)):

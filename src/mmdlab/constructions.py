@@ -104,8 +104,8 @@ class SearchDomain:
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise ParameterError(f"unknown search strategy {self.strategy!r}")
-        if self.step <= 0:
-            raise ParameterError("search step must be positive")
+        if not 0 < self.step < math.inf:
+            raise ParameterError("search step must be finite and positive")
         if self.dim < 1:
             raise ParameterError("search dimension must be at least 1")
 
@@ -206,7 +206,7 @@ def diffusing_sequence(
     """
     if n < 1:
         raise ParameterError("n must be at least 1")
-    if eps <= 0:
+    if not eps > 0:
         raise ParameterError("eps must be positive")
     if max_candidates < 0:
         raise ParameterError("max_candidates must be nonnegative")
@@ -436,7 +436,7 @@ def escape_sequence(
         parts.append(p_n)
         items.append(mixture([1.0, scale], [neg, p_n]))
     return EscapeConstruction(
-        sequence=MeasureSequence(tuple(items), label="escape", indices=indices),
+        sequence=MeasureSequence(tuple(items), indices=indices),
         target=pos,
         residual=neg,
         scale=scale,

@@ -18,8 +18,7 @@ thresholds (see :func:`compute_verdicts`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from pathlib import Path
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -61,7 +60,6 @@ class TestFunction:
     dim: int
     tag: str
     name: str
-    descriptor: dict = field(default_factory=dict)
 
     def values(self, X: np.ndarray) -> np.ndarray:
         return np.asarray(self.fn(X), dtype=np.float64)
@@ -78,33 +76,19 @@ def bump(center, inner_r: float, outer_r: float) -> TestFunction:
         r = np.sqrt(((X - c[None, :]) ** 2).sum(axis=1))
         return np.clip((outer_r - r) / width, 0.0, 1.0)
 
-    return TestFunction(
-        fn=fn,
-        dim=c.shape[0],
-        tag=TAG_BUMP,
-        name="bump",
-        descriptor={
-            "kind": "bump",
-            "center": [float(v) for v in c],
-            "inner_r": float(inner_r),
-            "outer_r": float(outer_r),
-        },
-    )
+    return TestFunction(fn=fn, dim=c.shape[0], tag=TAG_BUMP, name="bump")
+
+
+def _one(X):
+    return np.ones(X.shape[0])
 
 
 def constant_one(dim: int) -> TestFunction:
-    """The constant function 1; the probe that distinguishes weak from vague."""
+    """The constant function 1; the probe that distinguishes weak from vague.
 
-    def fn(X):
-        return np.ones(X.shape[0])
-
-    return TestFunction(
-        fn=fn,
-        dim=dim,
-        tag=TAG_CB,
-        name="const1",
-        descriptor={"kind": "constant", "value": 1.0},
-    )
+    :func:`probe_sequence` recognises it by its function, whatever its name.
+    """
+    return TestFunction(fn=_one, dim=dim, tag=TAG_CB, name="const1")
 
 
 def kme_probe(k: Kernel, nu: SignedDiscreteMeasure, name: str = "kme") -> TestFunction:
@@ -122,13 +106,7 @@ def kme_probe(k: Kernel, nu: SignedDiscreteMeasure, name: str = "kme") -> TestFu
     def fn(X):
         return (k.block(X, nu.atoms) * nu.weights).sum(axis=1)
 
-    return TestFunction(
-        fn=fn,
-        dim=k.dim,
-        tag=TAG_RKHS,
-        name=name,
-        descriptor={"kind": "kme", "kernel": k.descriptor},
-    )
+    return TestFunction(fn=fn, dim=k.dim, tag=TAG_RKHS, name=name)
 
 
 def integrate(mu: SignedDiscreteMeasure, f: TestFunction) -> float:
@@ -222,13 +200,12 @@ class Verdicts:
     mass_escapes: bool
 
     def as_dict(self) -> dict:
-        return {
-            "mmd_converges": self.mmd_converges,
-            "weak_rkhs_converges": self.weak_rkhs_converges,
-            "vague_converges": self.vague_converges,
-            "weak_converges": self.weak_converges,
-            "mass_escapes": self.mass_escapes,
-        }
+        return asdict(self)
+
+
+def _shown(verdict: bool | None) -> str:
+    """A verdict as the CSV and the summary print it."""
+    return "none" if verdict is None else str(bool(verdict)).lower()
 
 
 def compute_verdicts(
@@ -285,14 +262,6 @@ class ConvergenceReport:
     thresholds: Thresholds
     verdicts: Verdicts
 
-    def column(self, name: str) -> np.ndarray:
-        """Trace of one test-function column by name."""
-        try:
-            j = self.fn_names.index(name)
-        except ValueError:
-            raise KeyError(f"no test function named {name!r}") from None
-        return self.fn_discrepancies[:, j]
-
     def csv_text(self) -> str:
         """Trace CSV with a trailing comment block stating the verdicts."""
         cols = (
@@ -311,38 +280,26 @@ class ConvergenceReport:
         t = self.thresholds
         rule = f"final_tol={t.final_tol!r} slack={t.slack!r} noise_floor={t.noise_floor!r}"
         for key, val in self.verdicts.as_dict().items():
-            shown = "none" if val is None else str(bool(val)).lower()
             extra = (
                 f"escape_deficit={t.escape_deficit!r} mass_tol={t.mass_tol!r}"
                 if key == "mass_escapes"
                 else rule
             )
-            lines.append(f"# verdict {key}={shown} {extra}")
+            lines.append(f"# verdict {key}={_shown(val)} {extra}")
         return "\n".join(lines) + "\n"
-
-    def write_csv(self, path) -> Path:
-        p = Path(path)
-        p.parent.mkdir(parents=True, exist_ok=True)
-        with open(p, "w", newline="\n") as handle:
-            handle.write(self.csv_text())
-        return p
 
     def summary_items(self) -> list[tuple[str, str]]:
         """Machine-readable key=value pairs for the separate summary file."""
-        t = self.thresholds
         items = [
             ("rows", str(len(self.indices))),
             ("final_index", str(int(self.indices[-1]))),
             ("final_mmd", repr(float(self.mmd_to_target[-1]))),
-            ("threshold_final_tol", repr(t.final_tol)),
-            ("threshold_slack", repr(t.slack)),
-            ("threshold_noise_floor", repr(t.noise_floor)),
-            ("threshold_escape_deficit", repr(t.escape_deficit)),
-            ("threshold_mass_tol", repr(t.mass_tol)),
         ]
-        for key, val in self.verdicts.as_dict().items():
-            shown = "none" if val is None else str(bool(val)).lower()
-            items.append((f"verdict_{key}", shown))
+        items += [
+            (f"threshold_{f.name}", repr(getattr(self.thresholds, f.name)))
+            for f in fields(Thresholds)
+        ]
+        items += [(f"verdict_{key}", _shown(val)) for key, val in self.verdicts.as_dict().items()]
         return items
 
 
@@ -358,17 +315,17 @@ def probe_sequence(
     """Run all probes on a sequence against a target measure.
 
     The battery defaults to :func:`default_battery` and must contain the
-    constant-1 function: without it the weak verdict would collapse into
-    the vague one and mass escaping to infinity would go unnoticed.
+    :func:`constant_one` function, under any name: without it the weak
+    verdict would collapse into the vague one and mass escaping to infinity
+    would go unnoticed.  Its column's sums are the total masses.
     """
     thresholds = thresholds or Thresholds()
     if target.dim != seq.dim or k.dim != seq.dim:
         raise DimensionMismatchError("sequence, target and kernel dimensions differ")
     if battery is None:
         battery = default_battery(k, target)
-    if not battery:
-        raise ParameterError("battery must not be empty")
-    if not any(f.descriptor.get("kind") == "constant" for f in battery):
+    one = next((j for j, f in enumerate(battery) if f.fn is _one), None)
+    if one is None:
         raise ParameterError(
             "battery must include the constant-1 function for a weak verdict"
         )
@@ -376,7 +333,7 @@ def probe_sequence(
         if f.dim != seq.dim:
             raise DimensionMismatchError(f"test function {f.name!r} dimension mismatch")
     r = np.asarray(radii, dtype=np.float64).ravel()
-    if r.size == 0 or np.any(r <= 0):
+    if r.size == 0 or not np.all(r > 0):
         raise ParameterError("ball radii must be positive and nonempty")
     r = np.sort(r)
     center = np.zeros(seq.dim) if ball_center is None else as_point(ball_center, seq.dim)
@@ -387,12 +344,12 @@ def probe_sequence(
     keep_self_inner(k, target)
     mmd_trace = np.array([mmd(k, mu_n, target) for mu_n in seq])
 
-    # each test function, the constant 1 (whose sums are the total
-    # masses) and ball membership are evaluated once on the distinct atoms
-    # of the whole sequence; each index gathers its atoms' values and sums
-    # the very terms integrate, total_mass and mass_in_ball sum
+    # each test function and ball membership are evaluated once on the
+    # distinct atoms of the whole sequence; each index gathers its atoms'
+    # values and sums the very terms integrate, total_mass and mass_in_ball
+    # sum (total_mass's terms w * 1.0 are the constant-1 column's)
     atoms, slots = support_union(seq.items, seq.dim)
-    table = np.ones((len(battery) + 1, atoms.shape[0]))
+    table = np.empty((len(battery), atoms.shape[0]))
     if atoms.shape[0]:
         for j, f in enumerate(battery):
             table[j] = f.values(atoms)
@@ -402,9 +359,8 @@ def probe_sequence(
     totals = np.empty(count)
     for i, (mu_n, idx) in enumerate(zip(seq, slots)):
         w = mu_n.weights
-        sums = exact_row_sums(table[:, idx] * w)
-        disc[i] = sums[:-1]
-        totals[i] = sums[-1]
+        disc[i] = exact_row_sums(table[:, idx] * w)
+        totals[i] = disc[i, one]
         balls[i] = [exact_sum(w[mask]) for mask in inside[:, idx]]
     disc -= target_vals
     np.abs(disc, out=disc)

@@ -493,8 +493,8 @@ def shift_kernel(k: Kernel, c: float) -> Kernel:
     """k + c.  Positive shifts preserve positive definiteness; negative ones
     would not, so c < 0 is rejected.  A positive shift destroys decay at
     infinity, hence ``claims_c0`` drops to False for c > 0."""
-    if c < 0:
-        raise ParameterError("shift constant must be nonnegative")
+    if not 0 <= c < math.inf:
+        raise ParameterError("shift constant must be finite and nonnegative")
     cc = float(c)
 
     def block(a, b):
@@ -588,8 +588,8 @@ def center_kernel(k: Kernel, p: SignedDiscreteMeasure, a: float = 0.0) -> Kernel
     annihilates ``p`` when a = 0 and leaves the metric on probability
     measures unchanged for any a >= 0.
     """
-    if a < 0:
-        raise ParameterError("centering offset a must be nonnegative")
+    if not 0 <= a < math.inf:
+        raise ParameterError("centering offset a must be finite and nonnegative")
     if p.dim != k.dim:
         raise DimensionMismatchError(
             f"measure dimension {p.dim} != kernel dimension {k.dim}"

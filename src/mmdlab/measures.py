@@ -139,10 +139,6 @@ class SignedDiscreteMeasure:
     def total_mass(self) -> float:
         return exact_sum(self.weights)
 
-    @property
-    def total_variation(self) -> float:
-        return exact_sum(np.abs(self.weights))
-
     def is_probability(self, tol: float = PROBABILITY_TOL) -> bool:
         """All weights nonnegative and total mass within ``tol`` of 1."""
         if self.support_size == 0:
@@ -248,7 +244,7 @@ def mixture(
 
 def mass_in_ball(mu: SignedDiscreteMeasure, center, radius: float) -> float:
     """Signed mass of the closed ball ``{x : |x - center| <= radius}``."""
-    if radius < 0:
+    if not radius >= 0:
         raise ParameterError("radius must be nonnegative")
     if mu.support_size == 0:
         return 0.0
@@ -297,14 +293,13 @@ def support_union(
 
 @dataclass(frozen=True)
 class MeasureSequence:
-    """An ordered, labelled list of measures sharing one dimension.
+    """An ordered list of measures sharing one dimension.
 
     ``indices`` carries the sequence index of each item (typically the n of
     a size-n construction); it defaults to 1-based positions.
     """
 
     items: tuple[SignedDiscreteMeasure, ...]
-    label: str = ""
     indices: tuple[int, ...] = ()
 
     def __post_init__(self):

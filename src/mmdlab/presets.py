@@ -107,7 +107,7 @@ def run_metrize_demo(cfg: ExperimentConfig) -> PresetOutcome:
     shift_dir = np.zeros(cfg.dim)
     shift_dir[0] = 1.0
     items = [dirac(target_point + shift_dir / n) for n in range(1, cfg.n_max + 1)]
-    seq = MeasureSequence(tuple(items), label="shrinking diracs")
+    seq = MeasureSequence(tuple(items))
     report = probe_sequence(
         seq,
         dirac(target_point),
@@ -129,7 +129,7 @@ def run_escape_demo(cfg: ExperimentConfig) -> PresetOutcome:
     dom = _domain(cfg)
     sizes = cons.default_indices(cfg.n_max)
     items = [cons.diffusing_sequence(k, n, 1.0 / n, excl, dom) for n in sizes]
-    seq = MeasureSequence(tuple(items), label="diffusing", indices=sizes)
+    seq = MeasureSequence(tuple(items), indices=sizes)
     # |P_n| ~ 1/sqrt(n): 0.127 at the default n_max of 64, so the settling
     # threshold sits at 0.15 (reported in the summary like every threshold)
     report = probe_sequence(
@@ -150,7 +150,7 @@ def run_flaw_counterexample(cfg: ExperimentConfig) -> PresetOutcome:
     dom = _domain(cfg)
     sizes = cons.default_indices(cfg.n_max)
     parts = [cons.diffusing_sequence(null_k, n, 1.0 / n, excl, dom) for n in sizes]
-    seq = MeasureSequence(tuple(parts), label="diffusing", indices=sizes)
+    seq = MeasureSequence(tuple(parts), indices=sizes)
     target = dirac(xi)
 
     report = probe_sequence(
@@ -184,7 +184,7 @@ def run_compact_regime(cfg: ExperimentConfig) -> PresetOutcome:
     for _ in range(cfg.n_max):
         t *= rho
         items.append(mixture([1.0 - t, t], [target, other]))
-    seq = MeasureSequence(tuple(items), label="box mixtures")
+    seq = MeasureSequence(tuple(items))
     # once t_n mmd(other, target) reaches ~1e-8 the trace is dominated by the
     # square root of summation cancellation; the floor absorbs that jitter
     report = probe_sequence(

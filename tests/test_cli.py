@@ -14,9 +14,10 @@ from mmdlab.config import (
     kernel_from_descriptor,
     load_config_file,
     measure_from_rows,
-    measure_to_rows,
 )
 from mmdlab.presets import PRESETS, preset_table
+
+from helpers import measure_to_rows
 
 
 def read_summary(path):

@@ -14,6 +14,7 @@ from mmdlab import (
     ExclusionRegion,
     Kernel,
     MeasureError,
+    MeasureSequence,
     NotAWitnessError,
     ParameterError,
     SearchDomain,
@@ -33,6 +34,7 @@ from mmdlab import (
     mass_in_ball,
     mmd,
     norm,
+    probe_sequence,
     saturating_at,
     scale_kernel,
     shift_kernel,
@@ -55,6 +57,42 @@ from helpers import dirac_centered_kernel
 
 def ball(center, radius, dim=1):
     return ExclusionRegion(np.full(dim, float(center)), radius)
+
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: shift_kernel(gaussian(1.0), NAN),
+        lambda: shift_kernel(gaussian(1.0), INF),
+        lambda: center_kernel(gaussian(1.0), dirac(0.0), NAN),
+        lambda: center_kernel(gaussian(1.0), dirac(0.0), INF),
+        lambda: diffusing_sequence(gaussian(1.0), 8, NAN, ball(0.0, 1.0), SearchDomain(1, "grid")),
+        lambda: SearchDomain(1, "grid", step=NAN),
+        lambda: SearchDomain(1, "grid", step=INF),
+        lambda: mass_in_ball(dirac(0.0), [0.0], NAN),
+        lambda: probe_sequence(
+            MeasureSequence((dirac(0.0), dirac(1.0))), dirac(0.0), gaussian(1.0), radii=[NAN]
+        ),
+    ],
+    ids=[
+        "shift-nan",
+        "shift-inf",
+        "center-nan",
+        "center-inf",
+        "diffusing-eps-nan",
+        "step-nan",
+        "step-inf",
+        "ball-radius-nan",
+        "probe-radius-nan",
+    ],
+)
+def test_nan_and_infinite_parameters_are_refused(build):
+    # each parameter is checked by a comparison that nan fails
+    with pytest.raises(ParameterError):
+        build()
 
 
 class TestSearchDomain:

@@ -1,5 +1,7 @@
 """Tests for test-function batteries, probes, verdicts and the CSV schema."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,8 @@ from mmdlab.diagnostics import constant_one, default_battery, trace_settles
 from mmdlab.measures import empty_measure, mixture
 from mmdlab.kernels import c0_bump_at
 
+from helpers import report_column
+
 
 def geometric_dirac_sequence(dim=1, rho=0.75, count=40, start=1.0):
     target = np.zeros(dim)
@@ -39,7 +43,7 @@ def geometric_dirac_sequence(dim=1, rho=0.75, count=40, start=1.0):
     for _ in range(count):
         t *= rho
         items.append(dirac(target + t * offset))
-    return MeasureSequence(tuple(items), label="geometric diracs"), dirac(target)
+    return MeasureSequence(tuple(items)), dirac(target)
 
 
 class TestBump:
@@ -208,11 +212,43 @@ class TestProbeSequence:
         seq, target = geometric_dirac_sequence(count=4)
         with pytest.raises(ParameterError, match="constant"):
             probe_sequence(seq, target, gaussian(1.0), battery=[bump([0.0], 0.5, 1.0)])
+        # the constant 1 is known by its function, not by its name or tag
+        lookalike = ProbeFunction(
+            fn=lambda X: np.ones(X.shape[0]), dim=1, tag="cb", name="const1"
+        )
+        with pytest.raises(ParameterError, match="constant"):
+            probe_sequence(seq, target, gaussian(1.0), battery=[lookalike])
 
     def test_battery_must_be_nonempty(self):
         seq, target = geometric_dirac_sequence(count=4)
         with pytest.raises(ParameterError):
             probe_sequence(seq, target, gaussian(1.0), battery=[])
+
+    def test_renamed_constant_counts(self):
+        seq, target = geometric_dirac_sequence(count=6)
+        k = gaussian(1.0)
+        battery = [bump([5.0], 0.5, 1.0), replace(constant_one(1), name="one")]
+        report = probe_sequence(seq, target, k, battery=battery)
+        assert report.fn_names == ("bump", "one")
+        assert report.total_masses.tolist() == [1.0] * 6
+        assert_probe_matches_oracle(seq, target, k, battery)
+
+    def test_one_table_row_per_test_function(self, monkeypatch):
+        from mmdlab import diagnostics
+
+        seq, target = geometric_dirac_sequence(count=5)
+        k = gaussian(1.0)
+        battery = default_battery(k, target)
+        shapes = []
+        row_sums = diagnostics.exact_row_sums
+        monkeypatch.setattr(
+            diagnostics,
+            "exact_row_sums",
+            lambda terms: shapes.append(terms.shape) or row_sums(terms),
+        )
+        probe_sequence(seq, target, k, battery=battery)
+        # the constant-1 column gives the total masses: no extra ones row
+        assert shapes == [(len(battery), 1)] * len(seq)
 
     def test_dimension_checks(self):
         seq, _ = geometric_dirac_sequence(count=4)
@@ -254,11 +290,9 @@ class TestProbeSequence:
     def test_column_accessor(self):
         seq, target = geometric_dirac_sequence(count=8)
         report = probe_sequence(seq, target, gaussian(1.0))
-        col = report.column("const1")
+        col = report_column(report, "const1")
         assert col.shape == (8,)
         assert np.all(col == 0.0)  # probability sequence vs probability target
-        with pytest.raises(KeyError):
-            report.column("nope")
 
 
 class TestForwardImplication:
@@ -315,12 +349,6 @@ class TestCsv:
         a = probe_sequence(seq, target, gaussian(1.0)).csv_text()
         b = probe_sequence(seq, target, gaussian(1.0)).csv_text()
         assert a == b
-
-    def test_write_csv_roundtrip(self, tmp_path):
-        seq, target = geometric_dirac_sequence(count=6)
-        report = probe_sequence(seq, target, gaussian(1.0))
-        path = report.write_csv(tmp_path / "trace.csv")
-        assert path.read_text() == report.csv_text()
 
     def test_summary_items_cover_verdicts_and_thresholds(self):
         seq, target = geometric_dirac_sequence(count=40)
@@ -404,7 +432,7 @@ class TestProbeEqualsPerIndexLoop:
         battery = default_battery(k, target) + [sign_of_first(dim)]
         report = probe_sequence(MeasureSequence(items), target, k, battery=battery)
         # the sign function sees 0.0 at index 1 and -0.0 in the target
-        assert report.column("sign").tolist() == [2.0, 0.0, 0.0, 1.5]
+        assert report_column(report, "sign").tolist() == [2.0, 0.0, 0.0, 1.5]
         assert_probe_matches_oracle(MeasureSequence(items), target, k, battery)
 
     @pytest.mark.parametrize("dim", [1, 3])

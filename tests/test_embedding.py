@@ -64,6 +64,30 @@ def random_probability(rng, dim, max_atoms=12):
     return SignedDiscreteMeasure(rng.uniform(-2, 2, (n, dim)), w / w.sum(), dim)
 
 
+def algebra_kernels(dim):
+    """One kernel of each base family and of each algebra operation."""
+    xi = np.zeros(dim)
+    base = gaussian(1.0, dim=dim)
+    p = SignedDiscreteMeasure(
+        np.random.default_rng(dim).uniform(-1, 1, (5, dim)), np.full(5, 0.2), dim
+    )
+    return {
+        "gaussian": base,
+        "laplacian": laplacian(0.7, dim=dim),
+        "imq": inverse_multiquadric(1.5, 0.5, dim=dim),
+        "shift": shift_kernel(base, 1.0),
+        "scale": scale_kernel(base, saturating_at(xi)),
+        "scale_null_at": scale_kernel(base, c0_null_at(np.stack([xi, xi + 1.0]))),
+        "center": center_kernel(base, p, 1.0),
+        "null": dirac_null_kernel(base, xi, c0_bump_at(xi)),
+        "shifted_null": shifted_dirac_null_kernel(base, xi),
+    }
+
+
+# every algebra kernel in dims 1 and 2, as (name, dim) pairs
+ALGEBRA_CASES = [(name, dim) for dim in (1, 2) for name in algebra_kernels(dim)]
+
+
 class TestKmeEval:
     def test_single_atom_is_kernel_value(self):
         k = gaussian(1.0)
@@ -122,10 +146,11 @@ class TestInner:
 
 
 class TestMmd:
-    def test_identical_measures_give_zero(self):
+    @pytest.mark.parametrize("name,dim", ALGEBRA_CASES)
+    def test_identical_measures_give_zero(self, name, dim):
         rng = np.random.default_rng(4)
-        mu = random_signed(rng, 1)
-        assert mmd(gaussian(1.0), mu, mu) == 0.0
+        mu = random_signed(rng, dim)
+        assert mmd(algebra_kernels(dim)[name], mu, mu) == 0.0
 
     def test_closed_form_dirac_distance(self):
         value = mmd(gaussian(1.0), dirac(0.0), dirac(1.0))
@@ -133,17 +158,19 @@ class TestMmd:
         assert value == pytest.approx(expected, abs=1e-15)
         assert value == pytest.approx(0.887095643419994, abs=1e-12)
 
-    def test_symmetry(self):
+    @pytest.mark.parametrize("name,dim", ALGEBRA_CASES)
+    def test_symmetry(self, name, dim):
         rng = np.random.default_rng(5)
-        k = gaussian(1.0, dim=2)
-        mu, nu = random_signed(rng, 2), random_signed(rng, 2)
+        k = algebra_kernels(dim)[name]
+        mu, nu = random_signed(rng, dim), random_signed(rng, dim)
         assert mmd(k, mu, nu) == mmd(k, nu, mu)
 
-    def test_triangle_inequality_randomized(self):
+    @pytest.mark.parametrize("name,dim", ALGEBRA_CASES)
+    def test_triangle_inequality_randomized(self, name, dim):
         rng = np.random.default_rng(6)
-        k = laplacian(1.0, dim=2)
+        k = algebra_kernels(dim)[name]
         for _ in range(50):
-            a, b, c = (random_signed(rng, 2) for _ in range(3))
+            a, b, c = (random_signed(rng, dim) for _ in range(3))
             assert mmd(k, a, c) <= mmd(k, a, b) + mmd(k, b, c) + 1e-10
 
     def test_clamp_flag_reported_for_indefinite_kernel(self):
@@ -290,24 +317,7 @@ class TestShiftAndNormBasics:
 class TestTiledInner:
     """inner() over row tiles equals one fsum over the whole weighted Gram."""
 
-    @staticmethod
-    def kernels(dim):
-        xi = np.zeros(dim)
-        base = gaussian(1.0, dim=dim)
-        p = SignedDiscreteMeasure(
-            np.random.default_rng(dim).uniform(-1, 1, (5, dim)), np.full(5, 0.2), dim
-        )
-        return {
-            "gaussian": base,
-            "laplacian": laplacian(0.7, dim=dim),
-            "imq": inverse_multiquadric(1.5, 0.5, dim=dim),
-            "shift": shift_kernel(base, 1.0),
-            "scale": scale_kernel(base, saturating_at(xi)),
-            "scale_null_at": scale_kernel(base, c0_null_at(np.stack([xi, xi + 1.0]))),
-            "center": center_kernel(base, p, 1.0),
-            "null": dirac_null_kernel(base, xi, c0_bump_at(xi)),
-            "shifted_null": shifted_dirac_null_kernel(base, xi),
-        }
+    kernels = staticmethod(algebra_kernels)
 
     @staticmethod
     def fsum_inner(k, mu, nu):
