@@ -25,6 +25,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from .config import build_config, load_config_file
 from .errors import DimensionMismatchError, MeasureError, ParameterError, SearchFailureError, UsageError
 from .presets import PRESETS, preset_table
@@ -85,7 +87,11 @@ def cmd_run(args) -> int:
     _output(out_dir, lambda d: d.mkdir(parents=True, exist_ok=True))
     start = time.perf_counter()
     try:
-        outcome = preset.run(cfg)
+        # floating-point exceptions take their IEEE results (an overflowed
+        # distance is inf, exp(-inf) is 0, a nan never settles), which the
+        # trace shows; numpy's warnings of them would add lines to stderr
+        with np.errstate(all="ignore"):
+            outcome = preset.run(cfg)
     except BaseException:
         for d in made:
             d.rmdir()
@@ -155,15 +161,19 @@ def main(argv=None) -> int:
             return cmd_run(args)
         return cmd_list(args)
     except (UsageError, ParameterError, MeasureError, DimensionMismatchError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_one_line(exc)}", file=sys.stderr)
         return EXIT_USAGE
     except SearchFailureError as exc:
-        print(f"construction failed: {exc}", file=sys.stderr)
+        print(f"construction failed: {_one_line(exc)}", file=sys.stderr)
         return EXIT_CONSTRUCTION_FAILED
     except Exception as exc:
-        message = " ".join(str(exc).splitlines())
-        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        print(f"internal error: {type(exc).__name__}: {_one_line(exc)}", file=sys.stderr)
         return EXIT_INTERNAL
+
+
+def _one_line(exc: Exception) -> str:
+    # a message may quote config values holding line breaks
+    return " ".join(str(exc).splitlines())
 
 
 def entry() -> None:

@@ -89,6 +89,8 @@ def _descriptor_coordinates(desc: dict, key: str):
 
 
 def field_from_descriptor(desc: dict):
+    if not isinstance(desc, dict):
+        raise ParameterError("scalar field descriptor must be a mapping")
     name = desc.get("g")
     builder = FIELD_BUILDERS.get(name)
     if builder is None:
@@ -101,16 +103,16 @@ def field_from_descriptor(desc: dict):
 def kernel_from_descriptor(desc: dict) -> Kernel:
     """Rebuild a kernel from its (possibly nested) descriptor.
 
-    Parameters must be JSON numbers, and ``dim`` a JSON integer: booleans,
-    strings and non-finite values raise :class:`ParameterError`, where
-    numpy or a comparison would read ``true`` as 1.
+    Parameters must be JSON numbers, and ``dim`` a positive JSON integer:
+    booleans, strings and non-finite values raise :class:`ParameterError`,
+    where numpy or a comparison would read ``true`` as 1.
     """
     if not isinstance(desc, dict):
         raise ParameterError("kernel descriptor must be a mapping")
     if "family" in desc:
         dim = desc.get("dim", 1)
-        if isinstance(dim, bool) or not isinstance(dim, numbers.Integral):
-            raise ParameterError(f"kernel descriptor dim must be an integer, not {dim!r}")
+        if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or dim < 1:
+            raise ParameterError(f"kernel descriptor dim must be a positive integer, not {dim!r}")
         params = {k: _descriptor_number(desc, k) for k in desc if k not in ("family", "dim")}
         return make_base_kernel(desc["family"], dim=int(dim), **params)
     op = desc.get("op")

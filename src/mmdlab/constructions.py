@@ -13,13 +13,13 @@ Three constructions live here.
   mu_n = neg + (1 - neg(X)) P_n whose MMD to the positive part equals
   (1 - neg(X)) |P_n| exactly, yet which keeps no mass near that target.
 
-* :func:`dirac_null_kernel` and friends build the kernels that admit such
-  witnesses: conjugating a separating kernel by a field vanishing at xi
-  kills the embedding of delta_xi while still separating mean-zero
-  differences away from xi; shifting by 1 restores separation of all
-  signed measures without changing the metric on probability measures;
-  recentering at delta_xi (``center_kernel(base, dirac(xi))``) gives the
-  reverse counterexample.
+* :func:`dirac_null_kernel` builds the kernels that admit such witnesses:
+  conjugating a separating kernel by a field vanishing at xi kills the
+  embedding of delta_xi while still separating mean-zero differences away
+  from xi.  Shifting it by 1 (``shift_kernel(null, 1.0)``) restores
+  separation of all signed measures without changing the metric on
+  probability measures; recentering at delta_xi
+  (``center_kernel(base, dirac(xi))``) gives the reverse counterexample.
 """
 
 from __future__ import annotations
@@ -44,12 +44,12 @@ from .kernels import (
     ScalarField,
     c0_bump_at,
     scale_kernel,
-    shift_kernel,
 )
 from .measures import (
     MeasureSequence,
     SignedDiscreteMeasure,
     as_point,
+    in_balls,
     jordan_decompose,
     mixture,
     normalize_positive_part,
@@ -75,8 +75,7 @@ class ExclusionRegion:
         object.__setattr__(self, "center", c)
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
-        d = np.sqrt(((pts - self.center[None, :]) ** 2).sum(axis=1))
-        return d <= self.radius
+        return in_balls(pts, self.center, [self.radius])[0]
 
 
 @dataclass(frozen=True)
@@ -371,12 +370,13 @@ def escape_sequence(
     k: Kernel,
     witness: SignedDiscreteMeasure,
     n_values=None,
-    n_max: int = 64,
     dom: SearchDomain | None = None,
     excl: ExclusionRegion | None = None,
     max_candidates: int = 200_000,
 ) -> EscapeConstruction:
     """Build mu_n = neg + (1 - neg(X)) P_n from an annihilated witness.
+
+    The sizes n of the P_n (eps = 1/n) are ``n_values``, by default 2, 4, ..., 64.
 
     The witness is normalized so its positive part has mass 1 and must have
     embedding norm <= ``WITNESS_TOL`` (exact vanishing holds analytically for
@@ -425,7 +425,7 @@ def escape_sequence(
     probe_radius = (support_radius + max_safe) / 2.0
     dom = dom or SearchDomain(dim=k.dim)
 
-    indices = tuple(int(n) for n in (n_values or default_indices(n_max)))
+    indices = tuple(int(n) for n in (n_values or default_indices(64)))
     if any(n < 1 for n in indices):
         raise ParameterError("sequence sizes must be positive")
     scale = 1.0 - neg_mass
@@ -506,9 +506,3 @@ def dirac_null_kernel(
         raise ParameterError("scaling field must be exactly zero at xi")
     return scale_kernel(base, g)
 
-
-def shifted_dirac_null_kernel(base: Kernel, xi, g: ScalarField | None = None) -> Kernel:
-    """dirac_null_kernel + 1: separates all signed measures again, but keeps
-    the null kernel's metric on probability measures, so MMD convergence to
-    delta_xi no longer implies any mass ever reaches xi."""
-    return shift_kernel(dirac_null_kernel(base, xi, g), 1.0)

@@ -38,8 +38,6 @@ from .accumulate import row_tiles, tiled_gram_sum
 from .errors import DimensionMismatchError, MeasureError, ParameterError
 from .measures import SignedDiscreteMeasure, as_point, as_points
 
-BASE_FAMILIES = ("gaussian", "laplacian", "inverse_multiquadric")
-
 # spacing is shaved slightly below the analytic solution of k(s) = eps so
 # the greedy acceptance test is not decided by the last ulp
 _SPACING_MARGIN = 1.0 - 1e-9
@@ -376,7 +374,7 @@ def make_base_kernel(family: str, dim: int = 1, **params) -> Kernel:
         builder = _FAMILY_BUILDERS[family]
     except KeyError:
         raise ParameterError(
-            f"unknown kernel family {family!r}; choose from {BASE_FAMILIES}"
+            f"unknown kernel family {family!r}; choose from {tuple(_FAMILY_BUILDERS)}"
         ) from None
     return builder(dim=dim, **params)
 
@@ -641,18 +639,19 @@ class DecayTrace:
     certificate.
     """
 
-    radii: np.ndarray
     values: np.ndarray
-    eps: float
     passed: bool
 
 
-# the sampled sup at the largest radius that passes :func:`c0_probe`
+# the sampled sup at the largest radius that passes :func:`c0_probe`, and
+# the directions sampled on each sphere
 C0_PROBE_EPS = 1e-3
+C0_PROBE_SAMPLES = 32
 
 
-def c0_probe(k: Kernel, x, radii, samples_per_radius: int = 32, seed: int = 0) -> DecayTrace:
-    """Sample |k(x, .)| on spheres of growing radius around the origin.
+def c0_probe(k: Kernel, x, radii, seed: int = 0) -> DecayTrace:
+    """Sample |k(x, .)| in ``C0_PROBE_SAMPLES`` seeded directions on spheres
+    of growing finite radius around the origin.
 
     Passes when the sampled sup at the largest radius falls below
     ``C0_PROBE_EPS``.
@@ -660,13 +659,11 @@ def c0_probe(k: Kernel, x, radii, samples_per_radius: int = 32, seed: int = 0) -
     r = np.asarray(radii, dtype=np.float64).ravel()
     if r.size == 0:
         raise ParameterError("c0_probe needs at least one radius")
-    if np.any(r <= 0) or np.any(np.diff(r) <= 0):
-        raise ParameterError("radii must be positive and strictly increasing")
-    if samples_per_radius < 1:
-        raise ParameterError("samples_per_radius must be at least 1")
+    if not (np.all(np.isfinite(r)) and np.all(r > 0) and np.all(np.diff(r) > 0)):
+        raise ParameterError(f"radii {r.tolist()} must be finite, positive and strictly increasing")
     row = k.table(as_point(x, k.dim)[None, :])
     rng = np.random.default_rng(seed)
-    dirs = rng.standard_normal((samples_per_radius, k.dim))
+    dirs = rng.standard_normal((C0_PROBE_SAMPLES, k.dim))
     norms = np.sqrt((dirs**2).sum(axis=1))
     norms[norms == 0] = 1.0
     dirs /= norms[:, None]
@@ -675,6 +672,4 @@ def c0_probe(k: Kernel, x, radii, samples_per_radius: int = 32, seed: int = 0) -
     for i, radius in enumerate(r):
         sphere = radius * dirs
         values[i] = float(np.max(np.abs(k.block(row, sphere))))
-    return DecayTrace(
-        radii=r, values=values, eps=C0_PROBE_EPS, passed=bool(values[-1] <= C0_PROBE_EPS)
-    )
+    return DecayTrace(values=values, passed=bool(values[-1] <= C0_PROBE_EPS))

@@ -27,9 +27,17 @@ from .errors import (
 PROBABILITY_TOL = 1e-12
 
 
+def _float_array(x) -> np.ndarray:
+    try:
+        return np.asarray(x, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        # a coordinate that is not a number, or ragged rows
+        raise ParameterError(f"coordinates must be numbers in a regular array: {exc}") from None
+
+
 def as_point(x, dim: int | None = None) -> np.ndarray:
     """Coerce a scalar or 1-D sequence to a finite float vector."""
-    p = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    p = np.atleast_1d(_float_array(x))
     if p.ndim != 1:
         raise ParameterError(f"a point must be one-dimensional, got shape {p.shape}")
     if not np.isfinite(p).all():
@@ -44,7 +52,7 @@ def as_points(pts, dim: int | None = None) -> np.ndarray:
 
     Accepts a single point, a flat list of 1-D points, or an (n, d) array.
     """
-    arr = np.asarray(pts, dtype=np.float64)
+    arr = _float_array(pts)
     if arr.ndim == 0:
         arr = arr.reshape(1, 1)
     elif arr.ndim == 1:

@@ -1,10 +1,11 @@
 """Tools the tests share: dense Grams, the eigenvalue and cancellation
-allowances their checks use, the kernel recentred at a Dirac, a measure's
-total variation and JSON rows, and a probe report's column by name."""
+allowances their checks use, the kernels recentred at a Dirac and shifted
+after annihilating one, a measure's total variation and JSON rows, and a
+probe report's column by name."""
 
 import numpy as np
 
-from mmdlab import center_kernel, dirac
+from mmdlab import center_kernel, dirac, dirac_null_kernel, shift_kernel
 from mmdlab.accumulate import exact_sum
 
 
@@ -30,6 +31,13 @@ def dirac_centered_kernel(base, xi):
     """``base`` recentred at delta_xi with offset 0: it annihilates delta_xi,
     yet induces exactly the base kernel's metric on probability measures."""
     return center_kernel(base, dirac(xi, base.dim), 0.0)
+
+
+def shifted_dirac_null_kernel(base, xi, g=None):
+    """dirac_null_kernel + 1: separates all signed measures again, but keeps
+    the null kernel's metric on probability measures, so MMD convergence to
+    delta_xi no longer implies any mass ever reaches xi."""
+    return shift_kernel(dirac_null_kernel(base, xi, g), 1.0)
 
 
 def total_variation(mu):

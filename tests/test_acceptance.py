@@ -32,11 +32,10 @@ from mmdlab import (
 )
 from mmdlab.cli import main as cli_main
 from mmdlab.config import ExperimentConfig
-from mmdlab.constructions import shifted_dirac_null_kernel
 from mmdlab.kernels import inverse_multiquadric
 from mmdlab.measures import mixture
 from mmdlab.presets import PRESETS
-from helpers import dirac_centered_kernel, gram, psd_tolerance
+from helpers import dirac_centered_kernel, gram, psd_tolerance, shifted_dirac_null_kernel
 
 EXP_HALF = math.exp(-0.5)
 

@@ -516,8 +516,17 @@ class TestBandedGramSums:
         ends = np.minimum(n, np.arange(n) + 40)
         G = np.abs(banded_gram(n, 8, value, ends))
         w = 1e160 * (np.ones(n) if uniform else rng.uniform(1.0, 2.0, n))
-        want = tiled_gram_sum(w, G.__getitem__, w)
-        got = symmetric_gram_sum(w, lambda a, b, e: G[a:b, a:e], (ends, value))
+        # both sums warn of the overflowing products w_i * w_j, and for
+        # value 0.0 of the nan products inf * 0.0, and of nothing else
+        messages = {"overflow encountered in multiply"}
+        if value == 0.0:
+            messages.add("invalid value encountered in multiply")
+        with pytest.warns(RuntimeWarning) as tiled:
+            want = tiled_gram_sum(w, G.__getitem__, w)
+        with pytest.warns(RuntimeWarning) as banded:
+            got = symmetric_gram_sum(w, lambda a, b, e: G[a:b, a:e], (ends, value))
+        for caught in (tiled, banded):
+            assert {str(c.message) for c in caught} == messages
         assert got.hex() == want.hex()
         assert math.isnan(want) if value == 0.0 else want == math.inf
 

@@ -1,6 +1,7 @@
 """Tests for the experiment runner: flags, config files, exit codes, output."""
 
 import json
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -112,6 +113,25 @@ class TestRun:
             code = main(["run", "--preset", "metrize_demo", "--out", str(tmp_path)])
             assert code == 2
             assert capsys.readouterr().err == f"error: {exc}\n"
+
+    def test_usage_error_quoting_a_line_break_stays_one_line(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"preset": "metrize_demo", "thresholds": {"a\nb\fc": 1}}))
+        code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: unknown threshold keys: a b c\n"
+
+    def test_overflowing_distances_print_no_warning(self, tmp_path, capsys):
+        # squared distances past the ball of radius 1e300 overflow to inf; the
+        # ray's candidates all round to one point, so the search fails
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"preset": "escape_demo", "n_max": 4, "radii": [1e300]}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert code == 4 and caught == []
+        err = capsys.readouterr().err
+        assert err.startswith("construction failed: ") and len(err.splitlines()) == 1
 
     def test_unexpected_exception_is_an_internal_error(self, tmp_path, capsys, monkeypatch):
         # a crash is neither a verdict mismatch (1) nor a usage error (2)
@@ -400,6 +420,16 @@ class TestConfigFile:
                 "field": {"g": "c0_null_at", "xis": [[False]]},
                 "child": {"family": "gaussian"},
             },
+            # a field that is no mapping, ragged field points, and a
+            # dimension below 1 under a recentring with no atoms
+            {"op": "scale", "field": -1, "child": {"family": "gaussian"}},
+            {
+                "op": "scale",
+                "field": {"g": "c0_null_at", "xis": [[1.0, 2.0], [3.0]]},
+                "child": {"family": "gaussian"},
+            },
+            {"op": "center", "child": {"family": "laplacian", "dim": -3}},
+            {"family": "gaussian", "dim": 0},
         ],
         ids=repr,
     )
@@ -423,6 +453,19 @@ class TestConfigFile:
         code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
         assert code == 2
         assert capsys.readouterr().err == "error: unknown scaler 'bogus'\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("preset", ["flaw_counterexample", "dirac_null_witness"])
+    def test_saturating_scaler_is_usage_error(self, tmp_path, capsys, preset):
+        # a field that does not vanish at infinity cannot build a null kernel
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"preset": preset, "scaler": "saturating_at"}))
+        code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: scaling field must vanish at infinity (is_c0=True); "
+            "got field {'g': 'saturating_at', 'xi': [0.0]}\n"
+        )
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("preset", ["flaw_counterexample", "dirac_null_witness"])

@@ -46,13 +46,12 @@ from mmdlab.constructions import (
     diffusing_norm_bound,
     equal_mass_pair,
     escape_sequence,
-    shifted_dirac_null_kernel,
 )
 from mmdlab import accumulate, constructions
 from mmdlab.accumulate import TILE_ENTRIES
 from mmdlab.kernels import C0_BUMP_SUP, inverse_multiquadric
 from mmdlab.measures import empty_measure
-from helpers import dirac_centered_kernel
+from helpers import dirac_centered_kernel, shifted_dirac_null_kernel
 
 
 def ball(center, radius, dim=1):

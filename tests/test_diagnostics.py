@@ -239,6 +239,7 @@ class TestProbeSequence:
         seq, target = geometric_dirac_sequence(count=5)
         k = gaussian(1.0)
         battery = default_battery(k, target)
+        radii = (2.0, 4.0, 8.0)
         shapes = []
         row_sums = diagnostics.exact_row_sums
         monkeypatch.setattr(
@@ -246,9 +247,24 @@ class TestProbeSequence:
             "exact_row_sums",
             lambda terms: shapes.append(terms.shape) or row_sums(terms),
         )
-        probe_sequence(seq, target, k, battery=battery)
-        # the constant-1 column gives the total masses: no extra ones row
-        assert shapes == [(len(battery), 1)] * len(seq)
+        probe_sequence(seq, target, k, battery=battery, radii=radii)
+        # one row per test function and per ball, for each index and then
+        # the target: the constant-1 row gives the total masses, with no
+        # extra ones row
+        rows = len(battery) + len(radii)
+        assert shapes == [(rows, mu.support_size) for mu in (*seq, target)]
+
+    def test_every_column_comes_from_the_row_sums(self, monkeypatch):
+        from mmdlab import diagnostics
+
+        def refuse(*args):
+            raise AssertionError("probe_sequence summed outside exact_row_sums")
+
+        monkeypatch.setattr(diagnostics, "integrate", refuse)
+        monkeypatch.setattr(diagnostics, "exact_sum", refuse)
+        seq, target = geometric_dirac_sequence(count=5)
+        report = probe_sequence(seq, target, gaussian(1.0))
+        assert report.total_masses.tolist() == [1.0] * 5
 
     def test_dimension_checks(self):
         seq, _ = geometric_dirac_sequence(count=4)

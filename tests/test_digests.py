@@ -1,14 +1,20 @@
-"""Golden sha256 digests of trace.csv, so any byte change fails a test.
+"""Golden sha256 digests of trace.csv and summary.txt, so any byte change
+fails a test.
 
-Speed-ups must leave every byte of trace.csv as it was.  These digests were
-taken with numpy 2.4.6 on x86-64; no kernel evaluation calls BLAS.  They
-depend on numpy's SIMD dispatch level: its AVX-512 exp and power round some
-lanes differently from its AVX2 and baseline versions, which agree with
-each other.  So there are two sets: ``x86_v4``, for a CPU where numpy
-reports the X86_V4 (AVX-512) feature, and ``x86_v3``, for one where it
-does not, or with NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR".
-This process checks the set of its own level, and runs this file again in a
-subprocess at the other level where the CPU can run it.
+Speed-ups must leave every byte of trace.csv as it was, and every byte of
+summary.txt apart from its ``wall_time_ms`` line: the summary carries what
+the trace does not, such as the identity residual, the probe-ball masses
+and the c0 trace.
+
+These digests were taken with numpy 2.4.6 on x86-64; no kernel evaluation
+calls BLAS.  They depend on numpy's SIMD dispatch level: its AVX-512 exp
+and power round some lanes differently from its AVX2 and baseline
+versions, which agree with each other.  So there are two sets:
+``x86_v4``, for a CPU where numpy reports the X86_V4 (AVX-512) feature, and
+``x86_v3``, for one where it does not, or with
+NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR".  This process
+checks the set of its own level, and runs this file again in a subprocess
+at the other level where the CPU can run it.
 """
 
 import hashlib
@@ -50,6 +56,30 @@ PRESET_DIGESTS = {
     },
 }
 
+# summary.txt without its wall_time_ms line, every preset at nmax 64, seed 3
+SUMMARY_DIGESTS = {
+    "x86_v4": {
+        "metrize_demo": "d9193fa4e192922f4febfa16a1ab2eeec1dd1b075122566d33af8e69ed196b7f",
+        "escape_demo": "b11ab4d83d5e722208feed937f5db3906b19a1563a9f8a6447bdb1eece80039b",
+        "flaw_counterexample": "453fb546fb4482b9ceab1cf51cb839ddca58e3bf47e9188b5979bb46a13313e9",
+        "shift_invariance": "24cddbb83a6736664d802fb71ae4526285b5cc6413805e28150314feb45da241",
+        "center_invariance": "bd35593e5213d142f5e249d93bcaf12e917b549ad9492d74cade8e0ca1ff5c67",
+        "compact_regime": "815cf5fa4811ce854a4a97f7c76c5ff71656a06e30bdb2917204b417c30171e4",
+        "dirac_null_witness": "60b3ea27d369f963c5a50f486631865c74382e728f1a120d6b497c63d11b4d0a",
+        "signed_witness_escape": "337f8412aa154461790630a6049f37fa0395220e7b5cc1338702a953bdd36f57",
+    },
+    "x86_v3": {
+        "metrize_demo": "d9193fa4e192922f4febfa16a1ab2eeec1dd1b075122566d33af8e69ed196b7f",
+        "escape_demo": "b11ab4d83d5e722208feed937f5db3906b19a1563a9f8a6447bdb1eece80039b",
+        "flaw_counterexample": "453fb546fb4482b9ceab1cf51cb839ddca58e3bf47e9188b5979bb46a13313e9",
+        "shift_invariance": "5f781bedc00c8f33c9b10456bcb1eafdb7e66e1e89e2c12ec00cd09c8cce83e4",
+        "center_invariance": "bd35593e5213d142f5e249d93bcaf12e917b549ad9492d74cade8e0ca1ff5c67",
+        "compact_regime": "815cf5fa4811ce854a4a97f7c76c5ff71656a06e30bdb2917204b417c30171e4",
+        "dirac_null_witness": "60b3ea27d369f963c5a50f486631865c74382e728f1a120d6b497c63d11b4d0a",
+        "signed_witness_escape": "337f8412aa154461790630a6049f37fa0395220e7b5cc1338702a953bdd36f57",
+    },
+}
+
 # escape_demo at nmax 256, seed 3: the grid and random searches
 SEARCH_DIGESTS = {
     "x86_v4": {
@@ -77,23 +107,38 @@ SEARCH_DIGESTS = {
 FLAW_1024_DIGEST = "33e9dc488151fd1e40bb133237c6dd87768c6e01490ce790c769b9697fb73744"
 
 
-def trace_digest(tmp_path, config, nmax):
+def run_preset(tmp_path, config, nmax):
+    """The output directory of one run at seed 3."""
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config))
     out = tmp_path / "out"
     argv = ["run", "--config", str(cfg_path), "--nmax", str(nmax), "--seed", "3"]
     assert main(argv + ["--out", str(out)]) == 0
+    return out
+
+
+def trace_digest(tmp_path, config, nmax):
+    out = run_preset(tmp_path, config, nmax)
     return hashlib.sha256((out / "trace.csv").read_bytes()).hexdigest()
 
 
 def test_every_preset_is_covered():
-    for level in PRESET_DIGESTS.values():
+    for level in (*PRESET_DIGESTS.values(), *SUMMARY_DIGESTS.values()):
         assert set(level) == set(PRESETS)
 
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 def test_preset_trace_at_nmax_64(tmp_path, preset):
     assert trace_digest(tmp_path, {"preset": preset}, 64) == PRESET_DIGESTS[LEVEL][preset]
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_preset_summary_at_nmax_64(tmp_path, preset):
+    out = run_preset(tmp_path, {"preset": preset}, 64)
+    lines = (out / "summary.txt").read_text().splitlines(keepends=True)
+    kept = "".join(line for line in lines if not line.startswith("wall_time_ms="))
+    assert len(kept) < sum(map(len, lines))
+    assert hashlib.sha256(kept.encode()).hexdigest() == SUMMARY_DIGESTS[LEVEL][preset]
 
 
 @pytest.mark.parametrize("strategy, dim", sorted(SEARCH_DIGESTS["x86_v4"]))
@@ -120,4 +165,4 @@ def test_digests_at_the_other_dispatch_level():
         timeout=600,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "16 passed, 1 skipped" in proc.stdout, proc.stdout
+    assert "24 passed, 1 skipped" in proc.stdout, proc.stdout

@@ -33,11 +33,10 @@ from mmdlab import (
     shift_kernel,
     verify_diffusing,
 )
-from mmdlab.constructions import shifted_dirac_null_kernel
 from mmdlab.embedding import keep_self_inner
 from mmdlab.kernels import inverse_multiquadric
 from mmdlab.measures import empty_measure
-from helpers import self_inner_tolerance
+from helpers import self_inner_tolerance, shifted_dirac_null_kernel
 
 EXP_HALF = math.exp(-0.5)
 

@@ -448,8 +448,25 @@ class TestC0Probe:
             c0_probe(k, 0.0, radii=[])
         with pytest.raises(ParameterError):
             c0_probe(k, 0.0, radii=[2.0, 1.0])
-        with pytest.raises(ParameterError):
-            c0_probe(k, 0.0, radii=[1.0], samples_per_radius=0)
+
+    @pytest.mark.parametrize(
+        "radii",
+        [[math.nan], [1.0, math.nan], [1.0, math.inf], [-math.inf], [math.inf], [0.0]],
+        ids=["nan", "then-nan", "then-inf", "-inf", "inf", "zero"],
+    )
+    def test_bad_radii_are_named(self, radii):
+        with pytest.raises(ParameterError, match=r"radii \[.*\] must be finite"):
+            c0_probe(gaussian(1.0), 0.0, radii=radii)
+
+    def test_samples_per_sphere_come_from_the_module_constant(self, monkeypatch):
+        monkeypatch.setattr(kernels, "C0_PROBE_SAMPLES", 3)
+        k = gaussian(1.0, dim=2)
+        x = np.array([0.5, -0.25])
+        dirs = np.random.default_rng(4).standard_normal((3, 2))
+        dirs /= np.sqrt((dirs**2).sum(axis=1))[:, None]
+        trace = c0_probe(k, x, radii=[1.0, 2.0], seed=4)
+        for r, value in zip([1.0, 2.0], trace.values):
+            assert value == np.abs(k.block(x[None, :], r * dirs)).max()
 
 
 class TestGram:
@@ -676,11 +693,12 @@ class TestPointTables:
             assert k.block(a, b).shape == (len(a), len(b))
         assert gram(k, np.zeros((0, 2))).shape == (0, 0)
 
-    def test_gram_and_probe_read_tables(self):
+    def test_gram_and_probe_read_tables(self, monkeypatch):
         k = scale_kernel(gaussian(1.0, dim=2), c0_bump_at([0.0, 0.0]))
         X = random_points(np.random.default_rng(7), 12, 2)
         assert gram(k, X).tobytes() == k.block(X, X).tobytes()
-        trace = c0_probe(k, [0.5, 0.5], radii=(1.0, 2.0), samples_per_radius=4)
+        monkeypatch.setattr(kernels, "C0_PROBE_SAMPLES", 4)
+        trace = c0_probe(k, [0.5, 0.5], radii=(1.0, 2.0))
         assert trace.values.shape == (2,)
 
 
