@@ -30,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accumulate import row_tiles, symmetric_gram_sum
+from . import accumulate
+from .accumulate import symmetric_gram_sum
 from .embedding import mmd, norm
 from .errors import (
     DimensionMismatchError,
@@ -159,13 +160,36 @@ STRATEGIES = {
 }
 
 
-def _raise_worst(k: Kernel, worst: np.ndarray, rows, atoms) -> None:
-    """worst[i] = max(worst[i], max_j |k(rows_i, atoms_j)|), a row tile
-    (:func:`~mmdlab.accumulate.row_tiles`) at a time.  max and np.maximum
-    both keep a nan."""
-    for tile in row_tiles(len(rows), len(atoms)):
-        part = worst[tile]
-        np.maximum(part, np.abs(k.block(rows[tile], atoms)).max(axis=1), out=part)
+def _reach(c: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """``reach[i] > i`` such that every row j >= reach[i] lies more than r
+    from row i in coordinate 0, given ``hi = fl(c + r)``: ``c_j > hi_i`` or
+    ``c_i > hi_j``, either of which makes |c_j - c_i| > r exactly.
+
+    From the suffix minimum of c and the suffix maximum of hi: the rows
+    from reach[i] on all lie beyond row i on one side, so the bound holds
+    for rows in any order, and is tight for rows sorted in c.  An r of inf
+    gives every row the end of c.
+    """
+    right = np.searchsorted(np.minimum.accumulate(c[::-1])[::-1], hi, side="right")
+    left = np.searchsorted(-np.maximum.accumulate(hi[::-1])[::-1], -c, side="right")
+    return np.maximum(np.minimum(right, left), np.arange(1, len(c) + 1))
+
+
+def _window_tiles(lo: np.ndarray, hi: np.ndarray):
+    """Row tiles ``(rows, first, end)`` of a banded block whose row i reads
+    columns ``lo[i]:hi[i]``: each slice of rows reads the union
+    ``first:end`` of their windows, and a tile holds at most
+    ``TILE_ENTRIES`` entries, or one row when a row holds more.  A tile
+    takes the most rows that fit, as :func:`symmetric_gram_sum`'s do."""
+    start = 0
+    while start < len(lo):
+        most = max(1, accumulate.TILE_ENTRIES // max(1, int(hi[start] - lo[start])))
+        first = np.minimum.accumulate(lo[start : start + most])
+        end = np.maximum.accumulate(hi[start : start + most])
+        sizes = np.arange(1, len(first) + 1) * (end - first)
+        rows = max(1, int(np.searchsorted(sizes, accumulate.TILE_ENTRIES, side="right")))
+        yield slice(start, start + rows), int(first[rows - 1]), int(end[rows - 1])
+        start += rows
 
 
 def diffusing_sequence(
@@ -193,11 +217,22 @@ def diffusing_sequence(
     so far.  It is raised once against the atoms accepted before the chunk,
     then walked in order: row i is accepted when ``worst[i] <= eps`` (a nan
     maximum is accepted, as ``nan > eps`` is false), and each accept raises
-    the rows after it against the new atom alone.  So no (candidate, atom) pair is evaluated twice, and every
-    candidate is judged against exactly the atoms accepted before it, as
-    in a one-at-a-time loop: the kernel's tiling contract makes each row
-    the same bits as a single-row block, and a maximum is exact in any
-    order.  Blocks hold at most ``TILE_ENTRIES`` kernel values.
+    the rows after it against the new atom alone, by one kernel call.  So
+    no (candidate, atom) pair is evaluated twice, and every candidate is
+    judged against exactly the atoms accepted before it, as in a
+    one-at-a-time loop: the kernel's tiling contract makes each row the
+    same bits as a single-row block, and a maximum is exact in any order.
+    Blocks hold at most ``TILE_ENTRIES`` kernel values.
+
+    When the chunk's table and the accepted atoms' table share a far-field
+    rule ``(r, 0.0)`` (:meth:`Kernel.far_field`), only pairs within r of
+    each other in coordinate 0 are evaluated: the accepted atoms are kept
+    sorted in that coordinate, each row tile of the chunk is raised against
+    the atoms within r of its rows, and an accept raises only the rows up
+    to ``_reach``.  Every skipped |k| is exactly 0.0, which cannot raise a
+    maximum, so each decision keeps its bits.  Without such a rule the
+    radius is inf and every window holds every row and atom.  The measure
+    keeps the atoms in acceptance order.
 
     Raises :class:`SearchFailureError` naming the first index that could
     not be filled within ``max_candidates`` candidates, and the number of
@@ -224,8 +259,11 @@ def diffusing_sequence(
         raise DimensionMismatchError("exclusion center dimension mismatch")
 
     stream = STRATEGIES[dom.strategy](dom, excl, k.spacing(eps) or dom.step)
-    # the table of the atoms accepted before the current chunk
-    accepted = None
+    # the table of the atoms accepted before the current chunk, in order of
+    # coordinate 0, and that coordinate; the points in acceptance order
+    near = None
+    near_c = np.empty(0)
+    placed = []
     count = scanned = 0
     while count < n and scanned < max_candidates:
         chunk = next(stream)[: max_candidates - scanned]
@@ -234,9 +272,22 @@ def diffusing_sequence(
         if not len(rows):
             continue
         pending = k.table(rows)
+        rule = k.far_field(pending)
+        shared = near is None or k.far_field(near) == rule
+        r = rule[0] if shared and rule is not None and rule[1] == 0.0 else math.inf
+        c = rows[:, 0]
+        # fl(x + r) is inf past the float range, which reads as near
+        with np.errstate(over="ignore"):
+            c_r, near_r = c + r, near_c + r
         worst = np.zeros(len(pending))
-        if accepted is not None:
-            _raise_worst(k, worst, pending, accepted)
+        lo = np.searchsorted(near_r, c, side="left")
+        hi = np.searchsorted(near_c, c_r, side="right")
+        for tile, first, end in _window_tiles(lo, hi):
+            if first < end:
+                part = worst[tile]
+                block = k.block(pending[tile], near[first:end])
+                np.maximum(part, np.abs(block).max(axis=1), out=part)
+        reach = _reach(c, c_r)
         taken = []
         for i in range(len(pending)):
             if worst[i] > eps:
@@ -244,10 +295,20 @@ def diffusing_sequence(
             taken.append(i)
             if count + len(taken) == n:
                 break
-            _raise_worst(k, worst[i + 1 :], pending[i + 1 :], pending[i : i + 1])
+            # one call: a chunk holds fewer rows than a tile has entries
+            for start in range(i + 1, reach[i], accumulate.TILE_ENTRIES):
+                part = worst[start : min(reach[i], start + accumulate.TILE_ENTRIES)]
+                column = k.block(pending[start : start + len(part)], pending[i : i + 1])[:, 0]
+                np.maximum(part, np.abs(column), out=part)
         if taken:
             count += len(taken)
-            accepted = pending[taken] if accepted is None else accepted + pending[taken]
+            placed.append(rows[taken])
+            near = pending[taken] if near is None else near + pending[taken]
+            near_c = near.points[:, 0]
+            if not (near_c[:-1] <= near_c[1:]).all():
+                # two sorted runs, which a stable sort merges in about linear time
+                order = np.argsort(near_c, kind="stable")
+                near, near_c = near[order], near_c[order]
     if count < n:
         failed = count + 1
         raise SearchFailureError(
@@ -257,7 +318,7 @@ def diffusing_sequence(
             failed_index=failed,
             candidates_scanned=scanned,
         )
-    return SignedDiscreteMeasure(accepted.points, np.full(n, 1.0 / n), k.dim)
+    return SignedDiscreteMeasure(np.concatenate(placed), np.full(n, 1.0 / n), k.dim)
 
 
 @dataclass(frozen=True)

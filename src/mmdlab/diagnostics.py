@@ -286,7 +286,9 @@ class ConvergenceReport:
                 else rule
             )
             lines.append(f"# verdict {key}={_shown(val)} {extra}")
-        return "\n".join(lines) + "\n"
+        # an empty last line ends the text with a line break in one join
+        lines.append("")
+        return "\n".join(lines)
 
     def summary_items(self) -> list[tuple[str, str]]:
         """Machine-readable key=value pairs for the separate summary file."""

@@ -143,9 +143,11 @@ class Kernel:
     far-field rule ``(radius, value)``, or None when no rule is known:
     every entry of a block between rows of that table whose two points are
     more than ``radius`` apart, in exact arithmetic, is bit for bit
-    ``value``, at every numpy SIMD dispatch level.  It is a proof from the
-    float operations of ``block_fn``, not an estimate; a sum may skip those
-    entries (:func:`mmdlab.accumulate.symmetric_gram_sum`).  The gaussian
+    ``value``, at every numpy SIMD dispatch level.  A rule that two tables
+    share holds for the blocks between them too.  It is a proof from the
+    float operations of ``block_fn``, not an estimate; a sum or a search may
+    skip those entries (:func:`mmdlab.accumulate.symmetric_gram_sum`,
+    :func:`mmdlab.constructions.diffusing_sequence`).  The gaussian
     and laplacian families have ``(r, 0.0)``, with r just past the distance
     where their exp argument falls below -746; :func:`shift_kernel` keeps
     the radius and adds its constant to the value; :func:`scale_kernel`

@@ -263,9 +263,19 @@ def mass_in_ball(mu: SignedDiscreteMeasure, center, radius: float) -> float:
 def in_balls(atoms: np.ndarray, center: np.ndarray, radii) -> np.ndarray:
     """``inside[j, i]``: atom i lies in the closed ball of radius ``radii[j]``.
 
-    Each atom's distance to ``center`` depends on its own row alone.
+    Each atom's distance to ``center`` depends on its own row alone.  A row
+    whose squares overflow while its differences are finite is measured
+    again scaled by its largest difference, so a far atom keeps a finite
+    distance; a difference that overflows is a distance of inf.
     """
-    dist = np.sqrt(((atoms - center[None, :]) ** 2).sum(axis=1))
+    with np.errstate(over="ignore"):
+        diff = atoms - center[None, :]
+        dist = np.sqrt((diff**2).sum(axis=1))
+        redo = np.isinf(dist) & np.isfinite(diff).all(axis=1)
+        if redo.any():
+            d = diff[redo]
+            top = np.abs(d).max(axis=1)
+            dist[redo] = top * np.sqrt(((d / top[:, None]) ** 2).sum(axis=1))
     return dist[None, :] <= np.asarray(radii, dtype=np.float64)[:, None]
 
 

@@ -277,9 +277,10 @@ def _invariance_rows(cfg: ExperimentConfig, variants) -> PresetOutcome:
         cells = [str(i), repr(base_val)] + [repr(v) for v in vals]
         cells += [repr(tol), str(row_ok).lower()]
         lines.append(",".join(cells))
+    lines.append("")
     return PresetOutcome(
         actual={"invariance_holds": all_ok},
-        csv_text="\n".join(lines) + "\n",
+        csv_text="\n".join(lines),
         extras=(
             ("pairs", str(cfg.pairs)),
             ("invariance_tol", repr(INVARIANCE_TOL)),
@@ -349,7 +350,8 @@ def run_dirac_null_witness(cfg: ExperimentConfig) -> PresetOutcome:
         ("separation_tol", repr(SEPARATION_TOL)),
         ("c0_trace", " ".join(repr(float(v)) for v in decay.values)),
     )
-    return PresetOutcome(actual=actual, csv_text="\n".join(lines) + "\n", extras=extras)
+    lines.append("")
+    return PresetOutcome(actual=actual, csv_text="\n".join(lines), extras=extras)
 
 
 # ---------------------------------------------------------------------------

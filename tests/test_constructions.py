@@ -5,6 +5,7 @@ import itertools
 import math
 import tracemalloc
 from dataclasses import astuple, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -390,6 +391,9 @@ def nan_gaussian(dim):
 
 def search_kernels(dim):
     g = gaussian(1.0, dim=dim)
+    # a field with negative values: tables holding them have no far-field
+    # rule, so the search falls back to every row and atom
+    signed = ScalarField(lambda X: np.tanh(X[:, 0] - 20.0), dim, is_c0=False, sup=1.0)
     return {
         "gaussian": g,
         "laplacian": laplacian(0.7, dim=dim),
@@ -397,6 +401,7 @@ def search_kernels(dim):
         # a kernel with no point table of its own, judged in blocks too
         "custom": Kernel(g.block_fn, dim, 1.0, True, {"family": "custom"}),
         "nan": nan_gaussian(dim),
+        "signed": scale_kernel(g, signed),
     }
 
 
@@ -421,7 +426,9 @@ class TestBatchedSearch:
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("strategy", ["ray", "grid", "random"])
-    @pytest.mark.parametrize("kernel", ["gaussian", "laplacian", "null", "custom", "nan"])
+    @pytest.mark.parametrize(
+        "kernel", ["gaussian", "laplacian", "null", "custom", "nan", "signed"]
+    )
     def test_atoms_equal_the_one_at_a_time_loop(self, dim, strategy, kernel):
         k = search_kernels(dim)[kernel]
         excl = ExclusionRegion(np.full(dim, 0.3), 1.5)
@@ -493,6 +500,56 @@ class TestBatchedSearch:
         order = {a.tobytes(): i for i, a in enumerate(p.atoms)}
         for x, y in pairs:
             assert order.get(x, math.inf) > order[y]
+
+    def test_tables_with_different_rules_fall_back(self, monkeypatch):
+        # the ray's first chunk holds negative field values and has no rule;
+        # its second chunk, past x = 20, is all positive and has one
+        k = search_kernels(1)["signed"]
+        excl = ExclusionRegion(np.zeros(1), 1.0)
+        dom = SearchDomain(dim=1)
+        rules = []
+        far_field = Kernel.far_field
+
+        def recording_far_field(self, X):
+            rules.append(far_field(self, X))
+            return rules[-1]
+
+        monkeypatch.setattr(Kernel, "far_field", recording_far_field)
+        got = diffusing_sequence(k, 300, 1.0 / 300, excl, dom)
+        monkeypatch.undo()
+        want, _, _ = greedy_oracle(k, 300, 1.0 / 300, excl, dom)
+        assert got.atoms.tobytes() == want.tobytes()
+        # first chunk, then (second chunk, accepted atoms)
+        assert rules[0] is None and rules[2] is None and rules[1] is not None
+
+    def test_a_ray_search_evaluates_only_nearby_pairs(self, monkeypatch):
+        k = dirac_null_kernel(gaussian(1.0), np.zeros(1))
+        r = k.far_field([0.0])[0]
+        excl = ExclusionRegion(np.zeros(1), 5.0)
+        blocks = []
+        block = Kernel.block
+
+        def recording_block(self, X, Y):
+            blocks.append((X.points[:, 0].copy(), Y.points[:, 0].copy()))
+            return block(self, X, Y)
+
+        monkeypatch.setattr(Kernel, "block", recording_block)
+        p = diffusing_sequence(k, 1024, 1.0 / 1024, excl)
+        monkeypatch.undo()
+        assert p.support_size == 1024
+        entries = 0
+        for rows, atoms in blocks:
+            entries += rows.size * atoms.size
+            # an atom more than r from a row: c_j > fl(c_i + r) or c_i > fl(c_j + r)
+            far = (atoms[None, :] > rows[:, None] + r) | (rows[:, None] > atoms[None, :] + r)
+            # every atom of a block lies within r of one of its rows
+            assert not far.all(axis=0).any()
+            if atoms.size == 1:
+                # an accept raises only the rows within r of the new atom
+                assert not far.any()
+        # the all-pairs search of the parent layout evaluated 1024 * 1023 / 2
+        # pairs and more; the ray's atoms lie about 3.5 apart, r about 38.6
+        assert entries < 30 * 1024
 
     def test_blocks_hold_many_rows_within_a_tile(self, block_shapes):
         k = gaussian(1.0, dim=2)
@@ -619,6 +676,40 @@ def test_search_equals_the_one_at_a_time_loop_property():
         else:
             assert failed is None
             assert got.atoms.tobytes() == want.tobytes()
+
+    check()
+
+
+def test_reach_equals_the_pairwise_rule_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    coords = st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, -1.0, 38.6, 5e-324, 1e308, -1e308, 1.7976931348623157e308]),
+        st.floats(-100.0, 100.0).map(lambda x: round(x, 1)),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+    radii = st.one_of(
+        st.sampled_from([0.0, 5e-324, 1.0, 38.6, 1e300, math.inf]), st.floats(0.0, 1e3)
+    )
+
+    @hypothesis.settings(max_examples=400, deadline=None, derandomize=True)
+    @hypothesis.given(st.lists(coords, min_size=1, max_size=30), radii, st.booleans())
+    def check(c, r, ordered):
+        c = sorted(c) if ordered else c
+        m = len(c)
+        reach = constructions._reach(np.array(c), np.array([x + r for x in c]))
+        for i in range(m):
+            # Python's float addition rounds as numpy's does
+            right = [c[j] > c[i] + r for j in range(m)]
+            left = [c[i] > c[j] + r for j in range(m)]
+            want = next(R for R in range(i + 1, m + 1) if all(right[R:]) or all(left[R:]))
+            assert reach[i] == want, (i, c, r)
+            # the rows from reach on are more than r away in exact arithmetic
+            for j in range(want, m):
+                assert abs(Fraction(c[j]) - Fraction(c[i])) > Fraction(r)
+            if ordered and want > i + 1:
+                # tight for sorted rows: the last row before reach is near
+                assert not (right[want - 1] or left[want - 1])
 
     check()
 

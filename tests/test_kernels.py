@@ -866,6 +866,26 @@ class TestFarField:
         whole = scale_kernel(base, g).block(X, X)
         assert whole[~np.eye(3, dtype=bool)].tobytes() != np.zeros(6).tobytes()
 
+    def test_a_rule_two_scaled_tables_share_holds_between_them(self):
+        # g >= 0 with finite squares on both tables, up to 1e150, and 0.0
+        g = ScalarField(
+            fn=lambda X: np.where(X[:, 0] < 0.0, 0.0, 1e150 * np.exp(-np.abs(X[:, 1]))),
+            dim=2,
+            is_c0=False,
+        )
+        k = scale_kernel(gaussian(1.0, dim=2), g)
+        rng = np.random.default_rng(11)
+        P = rng.uniform(-5.0, 5.0, (30, 2))
+        r = gaussian(1.0, dim=2).far_field(P)[0]
+        Q = P + [r + 11.0, 0.0]
+        X, Y = k.table(P), k.table(np.concatenate([Q, P[:3]]))
+        assert k.far_field(X) == k.far_field(Y) == (r, 0.0)
+        cross = k.block(X, Y)
+        far = cross[:, :30]
+        assert far.tobytes() == np.zeros_like(far).tobytes()
+        # the near columns are evaluated, not zero
+        assert (cross[np.arange(3), 30 + np.arange(3)] != 0.0).any()
+
     def test_scale_of_a_nonzero_far_value_has_no_rule(self):
         bump = c0_bump_at([0.0])
         assert scale_kernel(shift_kernel(gaussian(1.0), 1.0), bump).far_field([0.0]) is None

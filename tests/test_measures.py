@@ -6,6 +6,7 @@ import pytest
 from mmdlab import (
     DegenerateMeasureError,
     DimensionMismatchError,
+    ExclusionRegion,
     MeasureSequence,
     ParameterError,
     SignedDiscreteMeasure,
@@ -336,6 +337,34 @@ class TestMassInBall:
     def test_negative_radius_rejected(self):
         with pytest.raises(ParameterError):
             mass_in_ball(dirac(0.0), 0.0, -1.0)
+
+    def test_holds_an_atom_whose_square_overflows(self):
+        # 1e200 squared is inf; the pyproject filter turns a RuntimeWarning
+        # from the package into an error
+        assert mass_in_ball(dirac([1e200]), [0.0], 1e300) == 1.0
+        assert mass_in_ball(dirac([1e200, -1e200]), [0.0, 0.0], 1.414e200) == 0.0
+        assert mass_in_ball(dirac([1e200, -1e200]), [0.0, 0.0], 1.4143e200) == 1.0
+
+    def test_a_difference_that_overflows_is_outside(self):
+        assert mass_in_ball(dirac([1.7e308]), [-1.7e308], 1e308) == 0.0
+
+
+class TestExclusionContains:
+    def test_far_atoms_are_placed_without_overflow(self):
+        excl = ExclusionRegion(np.zeros(2), 1e300)
+        pts = np.array([[1e200, -1e200], [2e300, 0.0], [0.0, 0.5], [1e-200, 1e-200]])
+        assert excl.contains(pts).tolist() == [True, False, True, True]
+
+    def test_finite_squares_keep_their_bits(self):
+        rng = np.random.default_rng(12)
+        atoms = rng.standard_normal((200, 3)) * 10.0 ** rng.integers(-150, 150, (200, 1))
+        center = rng.standard_normal(3)
+        radii = np.sqrt(((atoms - center) ** 2).sum(axis=1))
+        inside = in_balls(atoms, center, radii)
+        # each atom lies on the sphere through itself, and on no smaller one
+        assert inside.diagonal().all()
+        smaller = in_balls(atoms, center, np.nextafter(radii, 0.0))
+        assert not smaller.diagonal().any()
 
 
 class TestProbabilityPredicate:
