@@ -547,8 +547,8 @@ class TestBatchedSearch:
             if atoms.size == 1:
                 # an accept raises only the rows within r of the new atom
                 assert not far.any()
-        # the all-pairs search of the parent layout evaluated 1024 * 1023 / 2
-        # pairs and more; the ray's atoms lie about 3.5 apart, r about 38.6
+        # an all-pairs search evaluates 1024 * 1023 / 2 pairs and more; the
+        # ray's atoms lie about 3.5 apart and r is about 38.6
         assert entries < 30 * 1024
 
     def test_blocks_hold_many_rows_within_a_tile(self, block_shapes):
