@@ -15,9 +15,16 @@ They share no sums, so their agreement checks the expansion, the merge and
 the triangle path.  They do share the kernel: both sum the same rounded
 values k(x, y), so an error in those values is invisible to the check.  All
 double sums are exactly rounded (see :mod:`mmdlab.accumulate`), and Gram
-blocks larger than one tile are evaluated one row tile at a time, from point
-tables built once per sum (:meth:`Kernel.table`), so memory stays O(tile) on
-both routes.  Tiling relies on the contract of :class:`Kernel`.
+blocks larger than one tile are evaluated one row tile at a time, so memory
+stays O(tile) on both routes.  Tiling relies on the contract of
+:class:`Kernel`.
+
+Every sum reads point tables (:meth:`Kernel.table`), at every size.
+:func:`mmd` builds one table per call, of mu's atoms followed by nu's: the
+atoms are validated once and a kernel's per-point values (a recentred
+kernel's m(X)) computed once.  Its three sums read the table's two parts
+in three blocks, or three sets of row tiles, and :func:`inner` reads the
+two sides of a cross term the same way.
 
 Only the self terms of :func:`inner` (hence of :func:`mmd` and
 :func:`norm`) skip the far field of :meth:`Kernel.far_field`: a Gram that
@@ -74,15 +81,10 @@ def inner(k: Kernel, mu: SignedDiscreteMeasure, nu: SignedDiscreteMeasure) -> fl
     _check_dims(k, mu, nu)
     if mu.support_size == 0 or nu.support_size == 0:
         return 0.0
-    if mu is not nu:
-        return _full_gram_sum(k, mu, nu)
-    memo = mu._self_inner
-    if memo is not None and memo[0] is k:
-        return memo[1]
-    value = _self_gram_sum(k, mu)
-    if _spans_tiles(mu.support_size**2):
-        object.__setattr__(mu, "_self_inner", (k, value))
-    return value
+    if mu is nu:
+        return _self_term(k, mu)
+    X, Y = _tables(k, mu, nu)
+    return _full_gram_sum(k, X, mu.weights, Y, nu.weights)
 
 
 def keep_self_inner(k: Kernel, mu: SignedDiscreteMeasure) -> None:
@@ -94,37 +96,56 @@ def keep_self_inner(k: Kernel, mu: SignedDiscreteMeasure) -> None:
     object.__setattr__(mu, "_self_inner", (k, inner(k, mu, mu)))
 
 
+def _tables(k: Kernel, mu: SignedDiscreteMeasure, nu: SignedDiscreteMeasure):
+    """Tables of mu's atoms and of nu's, cut from one table of both: the
+    atoms are validated once and the kernel's per-point values computed in
+    one pass."""
+    T = k.table(np.concatenate([mu.atoms, nu.atoms]))
+    n = mu.support_size
+    return T[:n], T[n:]
+
+
 def _spans_tiles(entries: int) -> bool:
     """Whether a Gram of ``entries`` values spans more than one tile.
 
-    Only such a Gram is read from point tables: a Gram of one tile is one
-    :meth:`Kernel.block` call on the points, which a table would only make
-    dearer.  Only such a self term is kept in the
-    measure's slot: a slot on every small measure, of which a run makes
-    thousands, costs memory.
+    Only such a self term has its far field skipped, and only such a self
+    term is kept in the measure's slot: a slot on every small measure, of
+    which a run makes thousands, costs memory.
     """
     return entries > accumulate.TILE_ENTRIES
 
 
-def _self_gram_sum(k: Kernel, mu: SignedDiscreteMeasure) -> float:
-    """Sum of the upper triangle of an exactly symmetric Gram.
+def _self_term(k: Kernel, mu: SignedDiscreteMeasure, X=None) -> float:
+    """inner(k, mu, mu) read from mu's slot, or summed from X, a table of
+    mu's atoms (built here when None), and kept in the slot if it spans
+    tiles."""
+    memo = mu._self_inner
+    if memo is not None and memo[0] is k:
+        return memo[1]
+    value = _self_gram_sum(k, k.table(mu.atoms) if X is None else X, mu.weights)
+    if _spans_tiles(mu.support_size**2):
+        object.__setattr__(mu, "_self_inner", (k, value))
+    return value
 
-    A Gram that spans tiles is read from a table of the atoms.  When the
-    kernel has a far-field rule for it, the table is ordered along
-    coordinate 0, so each row tile's columns more than the far-field radius
-    away in that coordinate form a tail, which :func:`symmetric_gram_sum`
-    does not fetch; atoms already in order are used as they are.  A table's
-    rows are its points' alone, and the sum is exact, so the order changes
-    no bit.
+
+def _self_gram_sum(k: Kernel, X, w: np.ndarray) -> float:
+    """Exact sum of w_i w_j k(x_i, x_j) over the table X, from the upper
+    triangle of its exactly symmetric Gram.
+
+    When the Gram spans tiles and the kernel has a far-field rule for X,
+    the rows are ordered along coordinate 0, so each row tile's columns
+    more than the far-field radius away in that coordinate form a tail,
+    which :func:`symmetric_gram_sum` does not fetch; rows already in order
+    are used as they are.  A table's rows are its points' alone, and the
+    sum is exact, so the order changes no bit.
     """
-    w = mu.weights
-    X = mu.atoms
+    if not w.size:
+        return 0.0
     far = None
     if _spans_tiles(w.size**2):
-        X = k.table(X)
         rule = k.far_field(X)
         if rule is not None:
-            c = mu.atoms[:, 0]
+            c = X.points[:, 0]
             if not (c[:-1] <= c[1:]).all():
                 order = np.argsort(c)
                 X, w, c = X[order], w[order], c[order]
@@ -139,14 +160,12 @@ def _self_gram_sum(k: Kernel, mu: SignedDiscreteMeasure) -> float:
     return symmetric_gram_sum(w, upper_rows, far)
 
 
-def _full_gram_sum(k: Kernel, mu: SignedDiscreteMeasure, nu: SignedDiscreteMeasure) -> float:
-    """Exact sum of w_i v_j k(a_i, b_j) over every (i, j), by row tiles."""
-    if _spans_tiles(mu.support_size * nu.support_size):
-        X = k.table(mu.atoms)
-        Y = X if nu is mu else k.table(nu.atoms)
-        return tiled_gram_sum(mu.weights, lambda rows: k.block(X[rows], Y), nu.weights)
-    # a Gram of one tile is evaluated whole, then read by rows
-    return tiled_gram_sum(mu.weights, k.block(mu.atoms, nu.atoms).__getitem__, nu.weights)
+def _full_gram_sum(k: Kernel, X, w: np.ndarray, Y, v: np.ndarray) -> float:
+    """Exact sum of w_i v_j k(x_i, y_j) over every (i, j) of the tables X
+    and Y, by row tiles."""
+    if not (w.size and v.size):
+        return 0.0
+    return tiled_gram_sum(w, lambda rows: k.block(X[rows], Y), v)
 
 
 def _clamped_sqrt(squared: float) -> float:
@@ -183,9 +202,14 @@ def mmd_detail(
     k: Kernel, mu: SignedDiscreteMeasure, nu: SignedDiscreteMeasure
 ) -> MMDResult:
     """MMD with clamp metadata; see :func:`mmd` for the plain value."""
-    ii = inner(k, mu, mu)
-    jj = inner(k, nu, nu)
-    ij = inner(k, mu, nu)
+    _check_dims(k, mu, nu)
+    if mu is nu:
+        ii = jj = ij = _self_term(k, mu)
+    else:
+        X, Y = _tables(k, mu, nu)
+        ii = _self_term(k, mu, X)
+        jj = _self_term(k, nu, Y)
+        ij = _full_gram_sum(k, X, mu.weights, Y, nu.weights)
     squared = math.fsum([ii, jj, -ij, -ij])
     clamped = squared < 0.0
     return MMDResult(
@@ -210,6 +234,5 @@ def mmd_oracle(k: Kernel, mu: SignedDiscreteMeasure, nu: SignedDiscreteMeasure) 
     """
     _check_dims(k, mu, nu)
     diff = mu - nu
-    if diff.support_size == 0:
-        return 0.0
-    return _clamped_sqrt(_full_gram_sum(k, diff, diff))
+    X = k.table(diff.atoms)
+    return _clamped_sqrt(_full_gram_sum(k, X, diff.weights, X, diff.weights))

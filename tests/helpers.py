@@ -1,7 +1,12 @@
-"""Tools the tests share: dense Grams, the eigenvalue and cancellation
-allowances their checks use, the kernels recentred at a Dirac and shifted
-after annihilating one, a measure's total variation and JSON rows, and a
-probe report's column by name."""
+"""Tools the tests share: dense Grams, a reference MMD over whole Grams,
+the eigenvalue and cancellation allowances their checks use, the kernels
+recentred at a Dirac and shifted after annihilating one, a measure's total
+variation and JSON rows, a probe report's column by name, and the literal
+constants of the benchmark's runner."""
+
+import ast
+import math
+from pathlib import Path
 
 import numpy as np
 
@@ -13,6 +18,19 @@ def gram(k, pts_a, pts_b=None):
     """Dense matrix k(a_i, b_j); exactly symmetric when pts_b is omitted."""
     A = k.table(pts_a)
     return k.block(A, A if pts_b is None else pts_b)
+
+
+def mmd_reference(k, mu, nu):
+    """``(value, squared_raw, clamped)`` of the MMD as the fsum of ii, jj,
+    -ij and -ij, each term one fsum over a whole Gram of k."""
+
+    def whole(a, b):
+        terms = np.multiply.outer(a.weights, b.weights) * gram(k, a.atoms, b.atoms)
+        return math.fsum(terms.ravel().tolist())
+
+    ij = whole(mu, nu)
+    squared = math.fsum([whole(mu, mu), whole(nu, nu), -ij, -ij])
+    return math.sqrt(0.0 if squared < 0.0 else squared), squared, squared < 0.0
 
 
 def psd_tolerance(n, sup_bound):
@@ -53,3 +71,16 @@ def measure_to_rows(mu):
 def report_column(report, name):
     """Trace of one test-function column of a probe report, by name."""
     return report.fn_discrepancies[:, report.fn_names.index(name)]
+
+
+def run_constants(*names):
+    """Literal module-level constants of ``perfbench/run.py``, read without
+    importing it."""
+    values = {}
+    source = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+    for node in ast.parse(source.read_text()).body:
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name) and target.id in names:
+                    values[target.id] = ast.literal_eval(node.value)
+    return [values[name] for name in names]

@@ -574,3 +574,52 @@ def test_permutation_invariance_property():
         assert len(sums) <= 1
 
     check()
+
+
+def test_sums_equal_fsum_on_every_kind_of_batch_property(monkeypatch):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    fold_limit = accumulate.FOLD_LIMIT
+
+    def batch(rng, kind, n):
+        signs = rng.choice([-1.0, 1.0], n)
+        if kind == "zeros":
+            return signs * 0.0
+        if kind == "one exponent":
+            return signs * rng.uniform(0.5, 1.0, n) * 2.0 ** int(rng.integers(-1021, 960))
+        x = signs * np.ldexp(rng.uniform(0.5, 1.0, n), rng.integers(-1021, 961, n))
+        if kind == "extremes":
+            # the smallest and the largest exponents binned, side by side
+            x[: n // 2] = np.where(rng.random(n // 2) < 0.5, 2.0**-1021, 2.0**959)
+            x[0], x[n // 2], x[-1] = 2.0**-1021, -(2.0**-1022), -(2.0**959)
+        elif kind == "subnormals":
+            x[rng.random(n) < 0.5] = rng.standard_normal() * 2.0**-1060
+            x[-1] = 2.0**-1074
+        return x
+
+    kinds = st.sampled_from(["wide", "extremes", "subnormals", "zeros", "one exponent"])
+    sizes = st.sampled_from([1, 7, SMALL_INPUT - 1, SMALL_INPUT, SMALL_INPUT + 1, 3000])
+
+    # derandomized, so every run draws the same batches and a failure repeats
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+    @hypothesis.given(
+        st.lists(st.tuples(kinds, sizes), min_size=1, max_size=3),
+        # the real limit, and ones that fold inside and between batches
+        st.sampled_from([fold_limit, SMALL_INPUT + 2, 1000]),
+        st.integers(0, 2**32 - 1),
+    )
+    def check(specs, limit, seed):
+        rng = np.random.default_rng(seed)
+        batches = [batch(rng, kind, n) for kind, n in specs]
+        every = [t for x in batches for t in x.tolist()]
+        with monkeypatch.context() as m:
+            m.setattr(accumulate, "FOLD_LIMIT", limit)
+            for x in batches:
+                assert exact_sum(x).hex() == math.fsum(x.tolist()).hex()
+            for twice in (False, True):
+                acc = ExactAccumulator()
+                for x in batches:
+                    acc.add(x, twice=twice)
+                assert acc.value().hex() == math.fsum(every * (1 + twice)).hex()
+
+    check()

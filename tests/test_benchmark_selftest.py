@@ -6,7 +6,6 @@ the benchmark reads ``correct: false`` otherwise.  The constants are read
 from ``perfbench/run.py`` itself, so this test follows the benchmark.
 """
 
-import ast
 import json
 import os
 import subprocess
@@ -14,20 +13,10 @@ import sys
 import time
 from pathlib import Path
 
+from helpers import run_constants
+
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "perfbench"
-
-
-def run_constants(*names):
-    """Literal module-level constants of ``perfbench/run.py``, read without
-    importing it."""
-    values = {}
-    for node in ast.parse((BENCH / "run.py").read_text()).body:
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                if isinstance(target, ast.Name) and target.id in names:
-                    values[target.id] = ast.literal_eval(node.value)
-    return [values[name] for name in names]
 
 
 def test_traced_selftest_run_holds_its_pins(tmp_path):

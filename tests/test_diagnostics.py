@@ -289,7 +289,7 @@ class TestProbeSequence:
         monkeypatch.setattr(
             embedding,
             "_self_gram_sum",
-            lambda k, mu: self_terms.append(mu is target) or self_gram_sum(k, mu),
+            lambda k, X, w: self_terms.append(w is target.weights) or self_gram_sum(k, X, w),
         )
         monkeypatch.setattr(
             diagnostics, "mmd", lambda *args: mmd_calls.append(args) or mmd(*args)

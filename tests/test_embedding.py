@@ -1,5 +1,6 @@
 """Tests for mean embeddings, inner products and the two MMD routes."""
 
+import dataclasses
 import functools
 import math
 import tracemalloc
@@ -36,7 +37,8 @@ from mmdlab import (
 from mmdlab.embedding import keep_self_inner
 from mmdlab.kernels import inverse_multiquadric
 from mmdlab.measures import empty_measure
-from helpers import self_inner_tolerance, shifted_dirac_null_kernel
+from mmdlab.errors import DimensionMismatchError
+from helpers import mmd_reference, self_inner_tolerance, shifted_dirac_null_kernel
 
 EXP_HALF = math.exp(-0.5)
 
@@ -213,6 +215,82 @@ class TestMmd:
         # nan only in the cross term
         cross = mmd_detail(k, dirac(0.0), dirac(1.0))
         assert math.isnan(cross.value) and not cross.clamped
+
+
+class TestOneTableMmd:
+    """mmd reads its three sums from one table of both measures' atoms and
+    keeps the bits of three whole-Gram fsums."""
+
+    def test_equals_whole_gram_fsums_across_the_tile_bound(self, monkeypatch):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        # a Gram of more than 64 entries spans tiles: sides of 0 to 20
+        # atoms fall on both sides of the bound, in the self and cross terms
+        monkeypatch.setattr(accumulate, "TILE_ENTRIES", 64)
+        kernels = {dim: algebra_kernels(dim) for dim in (1, 2)}
+
+        def measure(rng, n, dim, spread, uniform):
+            w = np.full(n, 1.0 / max(n, 1)) if uniform else rng.standard_normal(n)
+            return SignedDiscreteMeasure(rng.uniform(-spread, spread, (n, dim)), w, dim)
+
+        # derandomized, so every run draws the same measures and a failure repeats
+        @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+        @hypothesis.given(
+            st.sampled_from(ALGEBRA_CASES),
+            st.integers(0, 20),
+            st.integers(0, 20),
+            st.sampled_from(["distinct", "same", "empty"]),
+            # spread atoms make far fields, equal weights constant far tails
+            st.sampled_from([1.0, 100.0]),
+            st.booleans(),
+            st.integers(0, 2**32 - 1),
+        )
+        def check(case, n, m, pair, spread, uniform, seed):
+            name, dim = case
+            k = kernels[dim][name]
+            rng = np.random.default_rng(seed)
+            mu = measure(rng, n, dim, spread, uniform)
+            nu = {"same": mu, "empty": empty_measure(dim)}.get(pair)
+            if nu is None:
+                nu = measure(rng, m, dim, spread, uniform)
+            want = mmd_reference(k, mu, nu)
+            got = mmd_detail(k, mu, nu)
+            assert (got.value.hex(), got.squared_raw.hex(), got.clamped) == (
+                want[0].hex(),
+                want[1].hex(),
+                want[2],
+            ), name
+            assert mmd(k, nu, mu).hex() == got.value.hex(), name
+            # fresh measures, so neither side reads a kept self term
+            copies = [SignedDiscreteMeasure(a.atoms, a.weights, dim) for a in (nu, mu)]
+            assert mmd(k, *copies).hex() == got.value.hex(), name
+
+        check()
+
+    def test_a_centred_kernel_builds_one_table_per_mmd(self):
+        rows = []
+        p = SignedDiscreteMeasure(np.array([[0.0], [0.5]]), np.full(2, 0.5), 1)
+        k = center_kernel(gaussian(1.0), p, 1.0)
+        table_fn = k.table_fn
+        k = dataclasses.replace(k, table_fn=lambda X: rows.append(len(X)) or table_fn(X))
+        rng = np.random.default_rng(90)
+        # one tile, and self terms that span tiles
+        for n, m in ((3, 5), (40, 7), (300, 200)):
+            mu = SignedDiscreteMeasure(rng.uniform(-2, 2, (n, 1)), rng.standard_normal(n), 1)
+            nu = SignedDiscreteMeasure(rng.uniform(-2, 2, (m, 1)), rng.standard_normal(m), 1)
+            rows.clear()
+            mmd(k, mu, nu)
+            # m(X) computed once, for mu's atoms and nu's together
+            assert rows == [n + m]
+
+    def test_measures_of_other_dimensions_are_refused_before_the_table(self):
+        k = gaussian(1.0)
+        for mu, nu in ((dirac(0.0), dirac([0.0, 1.0])), (dirac([0.0, 1.0]), dirac(0.0))):
+            with pytest.raises(DimensionMismatchError):
+                mmd_detail(k, mu, nu)
+        with pytest.raises(DimensionMismatchError):
+            mmd(gaussian(1.0, dim=2), dirac([0.0, 1.0]), dirac(0.0))
 
 
 class TestOracle:
