@@ -251,13 +251,20 @@ def exact_row_sums(rows: np.ndarray) -> list[float]:
     """:func:`exact_sum` of each row of a 2-D array, bit for bit.
 
     Short rows take the same ``math.fsum`` over ``tolist()`` that
-    :func:`exact_sum` takes, one ``tolist`` for the whole array; overflow
-    errors and inf/nan results therefore match too.
+    :func:`exact_sum` takes, so overflow errors and inf/nan results match
+    too.  They become Python floats a block of about ``SMALL_INPUT`` terms
+    at a time: one ``tolist`` of a large array would hold all its floats
+    alive at once, and the memory they take stays with the process.
     """
     arr = np.asarray(rows, dtype=np.float64)
-    if arr.shape[1] < SMALL_INPUT:
-        return list(map(math.fsum, arr.tolist()))
-    return [exact_sum(row) for row in arr]
+    n, m = arr.shape
+    if m >= SMALL_INPUT:
+        return [exact_sum(row) for row in arr]
+    step = SMALL_INPUT // max(1, m)
+    sums: list[float] = []
+    for start in range(0, n, step):
+        sums += map(math.fsum, arr[start : start + step].tolist())
+    return sums
 
 
 def row_tiles(n: int, m: int) -> Iterator[slice]:

@@ -87,7 +87,10 @@ class SearchDomain:
       ray    -- points at center + (R + m s) e1, m = 1, 2, ...; s is
                 derived analytically from the kernel when possible, else
                 ``step``.
-      grid   -- expanding integer shells scaled by ``step``.
+      grid   -- expanding integer shells scaled by ``step``; the shells
+                wholly inside the exclusion ball come first as one int,
+                the number of their points, which are counted against the
+                budget but never enumerated.
       random -- seeded isotropic draws with linearly growing radius.
 
     All three enumerate an unbounded region, which the diffusing search
@@ -124,12 +127,53 @@ def _ray_candidates(dom: SearchDomain, excl: ExclusionRegion, spacing: float):
         yield excl.center + (excl.radius + m[:, None] * spacing) * u
 
 
+# a bound on a grid point's distance from the center, widened by this, is
+# a bound on the distance in_balls computes: the point's sum and product,
+# the difference, d squares, d - 1 additions and the sqrt round at most
+# d + 5 times, each by under 2**-53 relative, as in kernels._FAR_MARGIN
+_INSIDE_MARGIN = 1.0 + 1e-6
+
+
+def _shells_inside(dom: SearchDomain, excl: ExclusionRegion) -> int:
+    """The number of grid shells, from the first, whose every point
+    ``ExclusionRegion.contains`` calls inside the ball.
+
+    Shell s's points lie at most ``step * s`` from the center in every
+    coordinate.  Adding that offset to the center rounds by at most 2**-53
+    of the center's largest coordinate, which the bound adds twice over,
+    and ``_INSIDE_MARGIN`` covers the rounding of the distance.  The bound
+    is monotone in s, its float operations too, so the count is found by
+    doubling and bisection.  A shell past 2**1023 is not called inside.
+    """
+    top = float(np.abs(excl.center).max()) * 2.0**-52
+    root = math.sqrt(dom.dim) * _INSIDE_MARGIN
+
+    def inside(shell: int) -> bool:
+        return shell < 2**1023 and root * (dom.step * float(shell) + top) <= excl.radius
+
+    hi = 1
+    while inside(hi):
+        hi *= 2
+    lo = hi // 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if inside(mid) else (lo, mid)
+    return lo
+
+
 def _grid_candidates(dom: SearchDomain, excl: ExclusionRegion, spacing: float):
-    # integer points with max |z_i| == shell in itertools.product's
-    # lexicographic order: the C-order flat indices of the shell's cube, a
-    # chunk at a time so memory stays bounded in any dimension
+    # the shells wholly inside the ball first, as the count of their
+    # points, (2 s + 1)**d - 1 for s shells: they are never candidates
+    # outside the ball, and a large ball holds more of them than any budget
+    # could enumerate.  Then integer points with max |z_i| == shell in
+    # itertools.product's lexicographic order: the C-order flat indices of
+    # the shell's cube, a chunk at a time so memory stays bounded in any
+    # dimension
     d = dom.dim
-    for shell in itertools.count(1):
+    inside = _shells_inside(dom, excl)
+    if inside:
+        yield (2 * inside + 1) ** d - 1
+    for shell in itertools.count(inside + 1):
         side = 2 * shell + 1
         for start in range(0, side**d, _GRID_CHUNK):
             flat = np.arange(start, min(start + _GRID_CHUNK, side**d))
@@ -266,7 +310,12 @@ def diffusing_sequence(
     placed = []
     count = scanned = 0
     while count < n and scanned < max_candidates:
-        chunk = next(stream)[: max_candidates - scanned]
+        chunk = next(stream)
+        if isinstance(chunk, int):
+            # that many candidates, all inside the ball
+            scanned += min(chunk, max_candidates - scanned)
+            continue
+        chunk = chunk[: max_candidates - scanned]
         scanned += len(chunk)
         rows = chunk[~excl.contains(chunk)]
         if not len(rows):

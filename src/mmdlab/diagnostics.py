@@ -19,11 +19,13 @@ thresholds (see :func:`compute_verdicts`).
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields, replace
+from itertools import islice
 
 import numpy as np
 
+from . import accumulate
 from .accumulate import exact_row_sums, exact_sum
-from .embedding import keep_self_inner, mmd
+from .embedding import keep_self_inner, mmd, mmd_from_inner
 from .errors import DimensionMismatchError, ParameterError
 from .kernels import Kernel
 from .measures import (
@@ -271,11 +273,17 @@ class ConvergenceReport:
             + ["total_mass"]
         )
         lines = [",".join(cols)]
-        for i, n in enumerate(self.indices):
-            row = [str(int(n)), repr(float(self.mmd_to_target[i]))]
-            row += [repr(float(v)) for v in self.fn_discrepancies[i]]
-            row += [repr(float(v)) for v in self.ball_masses[i]]
-            row.append(repr(float(self.total_masses[i])))
+        rows = zip(
+            self.indices, self.mmd_to_target, self.fn_discrepancies, self.ball_masses,
+            self.total_masses,
+        )
+        for n, dist, disc, balls, total in rows:
+            # a row's tolist() gives the Python floats that repr(float(v))
+            # prints, in one call; a tolist() of the whole array would hold
+            # every cell's float at once
+            row = [str(int(n)), repr(float(dist)), *map(repr, disc.tolist())]
+            row += map(repr, balls.tolist())
+            row.append(repr(float(total)))
             lines.append(",".join(row))
         t = self.thresholds
         rule = f"final_tol={t.final_tol!r} slack={t.slack!r} noise_floor={t.noise_floor!r}"
@@ -305,6 +313,52 @@ class ConvergenceReport:
         return items
 
 
+# the probe sums the measures a chunk at a time: consecutive measures of
+# one support size whose sums hold about this many terms in all
+CHUNK_TERMS = 4096
+
+
+def _chunks(sizes: list[int], terms):
+    """Consecutive ``(start, stop)`` ranges of the measures: the first, the
+    target, alone, then runs of one support size s and about
+    ``CHUNK_TERMS`` terms in all, ``terms(s)`` a measure."""
+    yield 0, 1
+    start = 1
+    while start < len(sizes):
+        s = sizes[start]
+        stop = min(len(sizes), start + max(1, CHUNK_TERMS // max(1, terms(s))))
+        stop = next((i for i in range(start + 1, stop) if sizes[i] != s), stop)
+        yield start, stop
+        start = stop
+
+
+def _union_gram(k: Kernel, atoms: np.ndarray, sizes: list[int]) -> np.ndarray | None:
+    """The kernel block of the union's atoms with themselves, when the MMD
+    trace reads every index from it, else None.
+
+    It is read when it fits in one tile and holds fewer entries than the
+    per-index blocks would evaluate: ``s_n * (s_n + m)`` for an index of
+    ``s_n`` atoms against a target of m, whose self term is kept.  Every
+    per-index sum of that size is one block, one exact sum of the same
+    products in the same order, so the union's entries, each of which
+    depends on its two points alone, give every MMD bit for bit.
+    """
+    u2 = atoms.shape[0] ** 2
+    m = sizes[0]
+    if u2 > accumulate.TILE_ENTRIES or u2 >= sum(s * (s + m) for s in sizes[1:]):
+        return None
+    return k.block(atoms, atoms)
+
+
+def _pair_sums(gram: np.ndarray, idx, w, jdx, v) -> list[float]:
+    """Row c's exact sum of ``(w[c, i] * v[c, j]) * gram[idx[c, i], jdx[c, j]]``
+    over every (i, j), in the row-major order of a per-measure block;
+    ``jdx`` and ``v`` of one row serve every row."""
+    terms = w[:, :, None] * v[:, None, :]
+    terms *= gram[idx[:, :, None], jdx[:, None, :]]
+    return exact_row_sums(terms.reshape(len(terms), -1))
+
+
 def probe_sequence(
     seq: MeasureSequence,
     target: SignedDiscreteMeasure,
@@ -319,8 +373,19 @@ def probe_sequence(
     The battery defaults to :func:`default_battery` and must contain the
     :func:`constant_one` function, under any name: without it the weak
     verdict would collapse into the vague one and mass escaping to infinity
-    would go unnoticed.  Its column's sums are the total masses.  Every
-    column comes from one :func:`exact_row_sums` call per measure and target.
+    would go unnoticed.  Its column's sums are the total masses.
+
+    The target and the indices are walked in chunks (:func:`_chunks`): the
+    target alone, then runs of indices of one support size whose sums hold
+    about ``CHUNK_TERMS`` terms in all, whose slots in
+    :func:`support_union` are stacked into one array.  Every test-function
+    and ball column of a chunk comes from one :func:`exact_row_sums` call,
+    one row per (measure, column) pair.  The MMD trace reads one kernel block of the union's
+    atoms when the entry rule of :func:`_union_gram` allows: the target's
+    self term is then one row of the first chunk, and each chunk's self
+    and cross terms are rows gathered from the block.  Otherwise each index
+    takes :func:`mmd`, with the target's self term kept in its slot.  Both
+    routes give the same bits (see :func:`_union_gram`).
     """
     thresholds = thresholds or Thresholds()
     if target.dim != seq.dim or k.dim != seq.dim:
@@ -341,41 +406,68 @@ def probe_sequence(
     r = np.sort(r)
     center = np.zeros(seq.dim) if ball_center is None else as_point(ball_center, seq.dim)
 
-    # every index's mmd reads the target's self term from its slot; the
-    # trace is filled without a list of every index's float
-    keep_self_inner(k, target)
-    mmd_trace = np.fromiter((mmd(k, mu_n, target) for mu_n in seq), np.float64, len(seq))
-
-    measures = (*seq.items, target)
-    atoms, slots = support_union(measures, seq.dim)
+    # the target first: its slots and its self term are read before any index
+    measures = (target, *seq.items)
+    sizes = [mu.support_size for mu in measures]
+    # a union holds at least the atoms of its largest measure; when their
+    # block alone spans tiles, the per-index trace runs before the union,
+    # whose slots keep a key per distinct atom, is made
+    union = None
+    if max(sizes) ** 2 <= accumulate.TILE_ENTRIES:
+        union = support_union(measures, seq.dim)
+    gram = None if union is None else _union_gram(k, union[0], sizes)
+    if gram is None:
+        # every index's mmd reads the target's self term from its slot
+        keep_self_inner(k, target)
+        mmd_trace = np.fromiter((mmd(k, mu_n, target) for mu_n in seq), np.float64, len(seq))
+    else:
+        mmd_trace = np.empty(len(seq))
+    atoms, slots = union or support_union(measures, seq.dim)
     nf = len(battery)
     table = np.empty((nf, atoms.shape[0]))
     if atoms.shape[0]:
         for j, f in enumerate(battery):
             table[j] = f.values(atoms)
     inside = in_balls(atoms, center, r)
-    # contiguous arrays filled a row at a time and differenced in place:
+    # contiguous arrays filled a chunk at a time and differenced in place:
     # numpy buffers an in-place operation on a strided view
     values = np.empty((len(measures), nf))
     balls = np.empty((len(measures), r.size))
-    for i, (mu, idx) in enumerate(zip(measures, slots)):
-        # its atoms' test-function values, then their balls' indicators
-        # (1.0 inside; a term w * 0.0 adds nothing to an exact sum), times
-        # the weights, in one array; take with mode "clip" (every index is
-        # valid) writes into it without a gathered copy
-        terms = np.empty((nf + r.size, idx.size))
+    # a measure of s atoms sums s terms a column and, from the union's
+    # Gram, s * s self and s * m cross terms
+    ncols, m = nf + r.size, sizes[0]
+    per_atom = (lambda s: ncols) if gram is None else (lambda s: ncols + s + m)
+    for start, stop in _chunks(sizes, lambda s: s * per_atom(s)):
+        idx = np.stack(list(islice(slots, stop - start)))
+        w = np.stack([mu.weights for mu in measures[start:stop]])
+        # the chunk's atoms' test-function values, then their balls'
+        # indicators (1.0 inside; a term w * 0.0 adds nothing to an exact
+        # sum), times the weights, in one array; take with mode "clip"
+        # (every index is valid) writes into it without a gathered copy
+        terms = np.empty((ncols, *idx.shape))
         np.take(table, idx, axis=1, out=terms[:nf], mode="clip")
         terms[nf:] = inside[:, idx]
-        terms *= mu.weights
-        row = exact_row_sums(terms)
-        values[i], balls[i] = row[:nf], row[nf:]
-    totals = values[:-1, one].copy()
-    disc = values[:-1]
-    disc -= values[-1]
+        terms *= w
+        rows = exact_row_sums(terms.reshape(ncols * len(idx), idx.shape[1]))
+        rows = np.array(rows).reshape(ncols, len(idx))
+        values[start:stop], balls[start:stop] = rows[:nf].T, rows[nf:].T
+        if gram is None:
+            continue
+        ii = _pair_sums(gram, idx, w, idx, w)
+        if not start:
+            jj, t, v = ii[0], idx[:1], w[:1]
+            continue
+        ij = _pair_sums(gram, idx, w, t, v)
+        mmd_trace[start - 1 : stop - 1] = [
+            mmd_from_inner(a, jj, b)[0] for a, b in zip(ii, ij)
+        ]
+    totals = values[1:, one].copy()
+    disc = values[1:]
+    disc -= values[0]
     np.abs(disc, out=disc)
 
     fn_tags = tuple(f.tag for f in battery)
-    verdicts = compute_verdicts(mmd_trace, list(fn_tags), disc, balls[:-1], totals, thresholds)
+    verdicts = compute_verdicts(mmd_trace, list(fn_tags), disc, balls[1:], totals, thresholds)
     return ConvergenceReport(
         indices=np.asarray(seq.indices, dtype=np.int64),
         mmd_to_target=mmd_trace,
@@ -383,7 +475,7 @@ def probe_sequence(
         fn_tags=fn_tags,
         fn_discrepancies=disc,
         radii=r,
-        ball_masses=balls[:-1],
+        ball_masses=balls[1:],
         total_masses=totals,
         thresholds=thresholds,
         verdicts=verdicts,

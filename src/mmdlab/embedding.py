@@ -35,6 +35,13 @@ known bit for bit.  Cross terms, and :func:`mmd_oracle`, evaluate every
 entry, so the oracle also checks the skip.  Sums are exact, so neither the
 order nor the skip changes a bit.
 
+Every MMD is read from its three inner products by one rule,
+:func:`mmd_from_inner`.  :func:`mmd` sums them itself;
+:func:`mmdlab.diagnostics.probe_sequence` may instead read a whole trace's
+from one kernel block of the sequence's and the target's atoms, gathering
+each index's products from it in the order of its own blocks, and then
+combines them by the same rule.
+
 A self inner product whose Gram spans more than one tile is kept in one
 slot on the measure, with the kernel object that computed it, and returned
 when the same kernel object asks again: evaluation is pure, so the value
@@ -176,6 +183,16 @@ def _clamped_sqrt(squared: float) -> float:
     return math.sqrt(0.0 if squared < 0.0 else squared)
 
 
+def mmd_from_inner(ii: float, jj: float, ij: float) -> tuple[float, float]:
+    """``(value, squared)`` of |mu - nu| from the inner products
+    ``ii = <mu, mu>``, ``jj = <nu, nu>`` and ``ij = <mu, nu>``: the square
+    is their exactly rounded expansion, the value its clamped root.  Every
+    MMD, of :func:`mmd_detail` and of the probe's trace, is read this way.
+    """
+    squared = math.fsum([ii, jj, -ij, -ij])
+    return _clamped_sqrt(squared), squared
+
+
 def norm(k: Kernel, mu: SignedDiscreteMeasure) -> float:
     """Embedding norm |mu| (self inner product, clamped at zero)."""
     return _clamped_sqrt(inner(k, mu, mu))
@@ -210,12 +227,11 @@ def mmd_detail(
         ii = _self_term(k, mu, X)
         jj = _self_term(k, nu, Y)
         ij = _full_gram_sum(k, X, mu.weights, Y, nu.weights)
-    squared = math.fsum([ii, jj, -ij, -ij])
-    clamped = squared < 0.0
+    value, squared = mmd_from_inner(ii, jj, ij)
     return MMDResult(
-        value=_clamped_sqrt(squared),
+        value=value,
         squared_raw=squared,
-        clamped=clamped,
+        clamped=squared < 0.0,
         kernel_descriptor=k.descriptor,
     )
 

@@ -290,6 +290,9 @@ def support_union(
     indices ``idx`` with ``atoms[idx]`` equal to its atoms bit for bit.
     They are made as they are read, so a long sequence never holds the
     index arrays of all its measures at once.
+    :func:`mmdlab.diagnostics.probe_sequence` passes its target first, so
+    the target's atoms lead the union and its slots come first, and takes
+    the slots a chunk of consecutive measures at a time.
     """
     slot_of: dict[bytes, int] = {}
     new_rows = []

@@ -1,6 +1,7 @@
 """Tests for the experiment runner: flags, config files, exit codes, output."""
 
 import json
+import time
 import warnings
 from dataclasses import fields, replace
 
@@ -132,6 +133,18 @@ class TestRun:
         assert code == 4 and caught == []
         err = capsys.readouterr().err
         assert err.startswith("construction failed: ") and len(err.splitlines()) == 1
+
+    def test_grid_search_inside_a_huge_ball_fails_fast(self, tmp_path, capsys):
+        # every grid shell the budget reaches lies inside the ball of radius
+        # 1e300 + 1; the shells are counted against the budget, not walked
+        cfg_path = tmp_path / "cfg.json"
+        config = {"preset": "escape_demo", "strategy": "grid", "n_max": 4, "radii": [1e300]}
+        cfg_path.write_text(json.dumps(config))
+        start = time.monotonic()
+        code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert code == 4 and time.monotonic() - start < 10.0
+        err = capsys.readouterr().err
+        assert "after scanning 200000 of at most 200000 candidates" in err
 
     def test_unexpected_exception_is_an_internal_error(self, tmp_path, capsys, monkeypatch):
         # a crash is neither a verdict mismatch (1) nor a usage error (2)

@@ -355,6 +355,16 @@ def first_rows(chunks, count):
     return np.concatenate(out)
 
 
+def split_count(chunks):
+    """``(count, rest)``: the count a grid stream yields first for the
+    shells wholly inside the ball, 0 when it yields points first, and the
+    stream of points after it."""
+    first = next(chunks)
+    if isinstance(first, int):
+        return first, chunks
+    return 0, itertools.chain([first], chunks)
+
+
 def greedy_oracle(k, n, eps, excl, dom, max_candidates=200_000):
     """One candidate at a time: (atoms, failed index or None, candidates drawn)."""
     spacing = k.spacing(eps) or dom.step
@@ -592,6 +602,10 @@ class TestFieldEvaluations:
         seen = outside = 0
         while seen < drawn:
             chunk = next(chunks)
+            if isinstance(chunk, int):
+                # the grid's shells wholly inside the ball, as a count
+                seen += chunk
+                continue
             seen += len(chunk)
             outside += int((~excl.contains(chunk)).sum())
         rows.clear()
@@ -628,9 +642,63 @@ class TestGridCandidates:
         for center, step in ((0.0, 1.0), (0.37, 2.5), (-1e3, 0.1)):
             excl = ExclusionRegion(np.full(dim, center) + 0.1 * np.arange(dim), 1.0)
             dom = SearchDomain(dim=dim, strategy="grid", step=step)
-            got = first_rows(constructions._grid_candidates(dom, excl, step), count)
-            want = list(itertools.islice(grid_reference(dom, excl), count))
-            assert got.tobytes() == np.array(want).tobytes()
+            chunks = constructions._grid_candidates(dom, excl, step)
+            want = np.array(list(itertools.islice(grid_reference(dom, excl), count)))
+            skipped, chunks = split_count(chunks)
+            # a step of 0.1 puts the first shells wholly inside the ball
+            assert (skipped > 0) == (step == 0.1)
+            assert excl.contains(want[:skipped]).all()
+            got = first_rows(chunks, count - skipped)
+            assert got.tobytes() == want[skipped:].tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_count_covers_the_shells_wholly_inside(self, dim):
+        for center, radius, step in ((0.0, 1.0, 0.1), (0.37, 5.0, 0.3), (-1e3, 2.0, 0.25)):
+            excl = ExclusionRegion(np.full(dim, center) + 0.1 * np.arange(dim), radius)
+            dom = SearchDomain(dim=dim, strategy="grid", step=step)
+            skipped, _ = split_count(constructions._grid_candidates(dom, excl, step))
+            shells = constructions._shells_inside(dom, excl)
+            assert shells > 0 and skipped == (2 * shells + 1) ** dim - 1
+            # each skipped point is inside the ball as contains computes
+            # it, and the shell after the next has a point outside: the
+            # margin may leave one more shell to enumerate (center 0.0
+            # puts shell 10 on the sphere), but no more
+            walk = grid_reference(dom, excl)
+            points = np.array(list(itertools.islice(walk, (2 * shells + 5) ** dim - 1)))
+            assert excl.contains(points[:skipped]).all()
+            assert not excl.contains(points[(2 * shells + 3) ** dim - 1 :]).all()
+
+    def test_a_boundary_shell_is_enumerated(self):
+        # shell 1 lies on the sphere: inside, but not by the margin
+        excl = ExclusionRegion(np.zeros(1), 1.0)
+        dom = SearchDomain(dim=1, strategy="grid", step=1.0)
+        first = next(constructions._grid_candidates(dom, excl, 1.0))
+        assert first.tolist() == [[-1.0], [1.0]]
+        assert excl.contains(first).all()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_a_huge_ball_is_one_count(self, dim):
+        for center in (0.0, 1e300, -3.5):
+            excl = ExclusionRegion(np.full(dim, center), 1e300)
+            dom = SearchDomain(dim=dim, strategy="grid", step=1.0)
+            skipped, _ = split_count(constructions._grid_candidates(dom, excl, 1.0))
+            assert skipped > 10**299
+
+    def test_budget_ends_as_the_point_walk_does(self):
+        # shells 1 to 42 lie wholly inside the ball, 7,224 points in all
+        k = gaussian(1.0, dim=2)
+        excl = ExclusionRegion(np.zeros(2), 30.0)
+        dom = SearchDomain(dim=2, strategy="grid", step=0.5)
+        assert constructions._shells_inside(dom, excl) == 42
+        for budget in (0, 5, 900, 7224, 7225, 7400):
+            want, failed, drawn = greedy_oracle(k, 8, 0.5, excl, dom, max_candidates=budget)
+            try:
+                got = diffusing_sequence(k, 8, 0.5, excl, dom, max_candidates=budget)
+            except SearchFailureError as err:
+                assert (err.failed_index, err.candidates_scanned) == (failed, drawn)
+            else:
+                assert failed is None
+                assert got.atoms.tobytes() == want.tobytes()
 
 
 class TestRayAndRandomCandidates:

@@ -1,5 +1,7 @@
 """Tests for test-function batteries, probes, verdicts and the CSV schema."""
 
+import itertools
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -28,10 +30,21 @@ from mmdlab import (
 )
 from mmdlab.diagnostics import TestFunction as ProbeFunction
 from mmdlab.diagnostics import constant_one, default_battery, trace_settles
-from mmdlab.measures import empty_measure, mixture
-from mmdlab.kernels import c0_bump_at
+from mmdlab.measures import empty_measure, in_balls, mixture, support_union
+from mmdlab.kernels import Kernel, c0_bump_at
 
 from helpers import report_column
+from test_embedding import algebra_kernels
+
+
+def shared_atom_sequence(count=12):
+    """Mixtures of a three-atom target and a two-atom measure: every index
+    has the same five atoms, so the probe reads its MMD trace from one
+    kernel block of them."""
+    target = SignedDiscreteMeasure(np.array([[0.0], [0.3], [1.0]]), [0.25, 0.5, 0.25], 1)
+    other = SignedDiscreteMeasure(np.array([[-1.5], [2.0]]), [0.5, 0.5], 1)
+    items = [mixture([1.0 - 0.8**n, 0.8**n], [target, other]) for n in range(1, count + 1)]
+    return MeasureSequence(tuple(items)), target
 
 
 def geometric_dirac_sequence(dim=1, rho=0.75, count=40, start=1.0):
@@ -233,26 +246,48 @@ class TestProbeSequence:
         assert report.total_masses.tolist() == [1.0] * 6
         assert_probe_matches_oracle(seq, target, k, battery)
 
-    def test_one_table_row_per_test_function(self, monkeypatch):
+    @pytest.mark.parametrize("union", [False, True])
+    def test_every_measure_column_row_is_summed_once(self, monkeypatch, union):
         from mmdlab import diagnostics
 
-        seq, target = geometric_dirac_sequence(count=5)
-        k = gaussian(1.0)
+        if union:
+            seq, target = shared_atom_sequence(count=30)
+            k = shift_kernel(gaussian(1.0), 1.0)
+        else:
+            seq, target = geometric_dirac_sequence(count=5)
+            k = gaussian(1.0)
         battery = default_battery(k, target)
         radii = (2.0, 4.0, 8.0)
-        shapes = []
+        # each (measure, column) row as the per-measure loop forms it: the
+        # weights times the test function's values or the ball's indicator
+        want = Counter()
+        for mu in (target, *seq):
+            for f in battery:
+                want[(f.values(mu.atoms) * mu.weights).tobytes()] += 1
+            for r in radii:
+                inside = in_balls(mu.atoms, np.zeros(1), [r])[0]
+                want[(inside * mu.weights).tobytes()] += 1
+        summed = Counter()
+        calls = []
         row_sums = diagnostics.exact_row_sums
         monkeypatch.setattr(
             diagnostics,
             "exact_row_sums",
-            lambda terms: shapes.append(terms.shape) or row_sums(terms),
+            lambda terms: calls.append(len(terms))
+            or summed.update(map(np.ndarray.tobytes, terms))
+            or row_sums(terms),
         )
         probe_sequence(seq, target, k, battery=battery, radii=radii)
-        # one row per test function and per ball, for each index and then
-        # the target: the constant-1 row gives the total masses, with no
-        # extra ones row
-        rows = len(battery) + len(radii)
-        assert shapes == [(rows, mu.support_size) for mu in (*seq, target)]
+        assert summed & want == want
+        if union:
+            # and one self-term row per measure and one cross-term row per
+            # index, each in its own call per chunk
+            assert sum(summed.values()) == sum(want.values()) + 2 * len(seq) + 1
+        else:
+            # the target's rows in one call, then the indices', all of one
+            # atom, in one chunk
+            assert summed == want
+            assert calls == [len(battery) + len(radii), (len(battery) + len(radii)) * len(seq)]
 
     def test_every_column_comes_from_the_row_sums(self, monkeypatch):
         from mmdlab import diagnostics
@@ -276,32 +311,83 @@ class TestProbeSequence:
         with pytest.raises(ParameterError):
             probe_sequence(seq, target, gaussian(1.0), radii=[])
 
-    def test_target_self_term_is_evaluated_once(self, monkeypatch):
+    @pytest.mark.parametrize("union", [False, True])
+    def test_target_self_term_is_evaluated_once(self, monkeypatch, union):
         from mmdlab import diagnostics, embedding
 
-        seq, _ = geometric_dirac_sequence(count=12)
-        target = SignedDiscreteMeasure(np.array([[0.0], [0.3], [1.0]]), np.full(3, 1 / 3), 1)
+        if union:
+            seq, target = shared_atom_sequence(count=12)
+        else:
+            seq, _ = geometric_dirac_sequence(count=12)
+            target = SignedDiscreteMeasure(np.array([[0.0], [0.3], [1.0]]), np.full(3, 1 / 3), 1)
+        # a kernel that does not claim c0 gets no embedded test functions,
+        # so every kernel block is the MMD trace's
         k = shift_kernel(gaussian(1.0), 1.0)
         want = embedding.inner(k, target, SignedDiscreteMeasure(target.atoms, target.weights, 1))
-        self_terms = []
-        mmd_calls = []
+        self_terms = (
+            np.multiply.outer(target.weights, target.weights)
+            * k.block(target.atoms, target.atoms)
+        ).tobytes()
+        expected = [mmd(k, mu_n, target) for mu_n in seq]
+        gram_sums, mmd_calls, blocks, rows = [], [], [], []
         self_gram_sum = embedding._self_gram_sum
         monkeypatch.setattr(
             embedding,
             "_self_gram_sum",
-            lambda k, X, w: self_terms.append(w is target.weights) or self_gram_sum(k, X, w),
+            lambda k, X, w: gram_sums.append(w is target.weights) or self_gram_sum(k, X, w),
         )
         monkeypatch.setattr(
             diagnostics, "mmd", lambda *args: mmd_calls.append(args) or mmd(*args)
         )
+        block = Kernel.block
+        monkeypatch.setattr(
+            Kernel, "block", lambda self, X, Y: blocks.append(1) or block(self, X, Y)
+        )
+        row_sums = diagnostics.exact_row_sums
+        monkeypatch.setattr(
+            diagnostics,
+            "exact_row_sums",
+            lambda terms: rows.extend(map(np.ndarray.tobytes, terms)) or row_sums(terms),
+        )
         report = probe_sequence(seq, target, k)
-        # one mmd per index, and the target's self term once in all
-        assert len(mmd_calls) == len(seq)
-        assert self_terms.count(True) == 1
-        assert target._self_inner[0] is k
-        assert target._self_inner[1].hex() == want.hex()
-        expected = [mmd(k, mu_n, target) for mu_n in seq]
         assert report.mmd_to_target.tolist() == expected
+        if union:
+            # one kernel block of the union's atoms for the whole trace, no
+            # per-index mmd, and the target's self term one summed row
+            assert len(blocks) == 1 and mmd_calls == [] and gram_sums == []
+            assert rows.count(self_terms) == 1
+        else:
+            # one mmd per index, and the target's self term once in all,
+            # kept in its slot
+            assert len(mmd_calls) == len(seq)
+            assert gram_sums.count(True) == 1
+            assert target._self_inner[0] is k
+            assert target._self_inner[1].hex() == want.hex()
+
+    def test_entry_rule(self, monkeypatch):
+        from mmdlab import accumulate, diagnostics
+
+        k = gaussian(1.0)
+        # 5 atoms in all: 25 entries against 12 * 5 * (5 + 3) per index
+        seq, target = shared_atom_sequence(count=12)
+        atoms, _ = support_union((target, *seq), 1)
+        sizes = [mu.support_size for mu in (target, *seq)]
+        assert diagnostics._union_gram(k, atoms, sizes).shape == (5, 5)
+        # more union entries than the per-index blocks would evaluate
+        assert diagnostics._union_gram(k, atoms, sizes[:1] + [1] * 2) is None
+        # a union Gram of more than one tile
+        monkeypatch.setattr(accumulate, "TILE_ENTRIES", 24)
+        assert diagnostics._union_gram(k, atoms, sizes) is None
+
+    def test_chunks_hold_one_support_size(self, monkeypatch):
+        from mmdlab import diagnostics
+
+        monkeypatch.setattr(diagnostics, "CHUNK_TERMS", 12)
+        sizes = [3, 2, 2, 2, 2, 0, 0, 5, 2, 4]
+        chunks = list(diagnostics._chunks(sizes, lambda s: 3 * s))
+        # the target alone, then at most two measures of two atoms, and
+        # any number of empty ones
+        assert chunks == [(0, 1), (1, 3), (3, 5), (5, 7), (7, 8), (8, 9), (9, 10)]
 
     def test_column_accessor(self):
         seq, target = geometric_dirac_sequence(count=8)
@@ -410,6 +496,18 @@ def assert_probe_matches_oracle(
         assert g.tobytes() == w.tobytes()
 
 
+def nan_on_unit_gaps(dim):
+    """A gaussian that is nan for pairs exactly 1 apart in coordinate 0."""
+    g = gaussian(1.0, dim=dim)
+
+    def block(a, b):
+        out = g.block_fn(a, b)
+        out[np.abs(a[0][:, :1] - b[0][:, 0]) == 1.0] = np.nan
+        return out
+
+    return Kernel(block, dim, 1.0, True, {"family": "nan_on_unit_gaps"})
+
+
 def sign_of_first(dim):
     """A pointwise function that tells 0.0 from -0.0."""
     return ProbeFunction(
@@ -501,6 +599,65 @@ class TestProbeEqualsPerIndexLoop:
         items = [SignedDiscreteMeasure(pool[:n], rng.normal(size=n), 1) for n in sizes]
         k = gaussian(1.0)
         assert_probe_matches_oracle(MeasureSequence(tuple(items)), dirac(0.0), k)
+
+    @pytest.mark.parametrize("union", [True, False])
+    def test_union_and_per_index_routes_property(self, monkeypatch, union):
+        """Every column of the probe, on either MMD route, equals per-index
+        mmd, integrate and mass_in_ball bit for bit, over every algebra
+        kernel and a kernel with nan entries."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        from mmdlab import accumulate, diagnostics
+
+        if not union:
+            # no union Gram fits in a tile of no entries
+            monkeypatch.setattr(accumulate, "TILE_ENTRIES", 0)
+        kernels = {dim: {**algebra_kernels(dim), "nan": nan_on_unit_gaps(dim)} for dim in (1, 2)}
+        cases = [(name, dim) for dim in kernels for name in kernels[dim]]
+        # few coordinates, signed zeros among them, so atoms repeat across
+        # measures and the union stays small
+        coords = [0.0, -0.0, 0.5, 1.0, -1.5]
+        weights = st.sampled_from([0.5, -0.25, 1.0, 0.125, -3.0, 1e-3])
+
+        def measure(draw, dim):
+            pool = list(itertools.product(coords[: 5 if dim == 1 else 3], repeat=dim))
+            rows = draw(st.lists(st.sampled_from(pool), max_size=5, unique=True))
+            w = draw(st.lists(weights, min_size=len(rows), max_size=len(rows)))
+            return SignedDiscreteMeasure(np.array(rows).reshape(len(rows), dim), w, dim)
+
+        calls = []
+        mmd_of = diagnostics.mmd
+        monkeypatch.setattr(diagnostics, "mmd", lambda *a: calls.append(1) or mmd_of(*a))
+
+        @hypothesis.settings(max_examples=120, deadline=None, derandomize=True)
+        @hypothesis.given(st.sampled_from(cases), st.data())
+        def check(case, data):
+            name, dim = case
+            k = kernels[dim][name]
+            target = measure(data.draw, dim)
+            kinds = st.sampled_from(["new", "new", "empty", "target"])
+            items = []
+            for kind in data.draw(st.lists(kinds, min_size=1, max_size=8)):
+                if kind == "new":
+                    items.append(measure(data.draw, dim))
+                else:
+                    items.append(target if kind == "target" else empty_measure(dim))
+            measures = (target, *items)
+            atoms, _ = support_union(measures, dim)
+            m = target.support_size
+            entries = sum(mu.support_size * (mu.support_size + m) for mu in items)
+            if union:
+                # repeat the items until the per-index blocks hold more
+                # entries than the union's block
+                hypothesis.assume(entries > 0)
+                items = items * (atoms.shape[0] ** 2 // entries + 1)
+            seq = MeasureSequence(tuple(items))
+            calls.clear()
+            battery = default_battery(k, target) + [sign_of_first(dim)]
+            assert_probe_matches_oracle(seq, target, k, battery, radii=(0.5, 1.0, 2.0))
+            assert len(calls) == (0 if union else len(seq))
+
+        check()
 
     def test_random_mixtures_property(self):
         hypothesis = pytest.importorskip("hypothesis")

@@ -107,6 +107,14 @@ SEARCH_DIGESTS = {
 # same at both levels
 FLAW_1024_DIGEST = "33e9dc488151fd1e40bb133237c6dd87768c6e01490ce790c769b9697fb73744"
 
+# compact_regime at nmax 1024, seed 3: its 1,024 mixtures fill several of
+# the probe's chunks, so the chunk walk of the columns and the MMD trace is
+# pinned too
+COMPACT_1024_DIGESTS = {
+    "x86_v4": "088eae17634adc99a136ec0caf9792605d6e20a0092ef748537c3b86da929ef2",
+    "x86_v3": "a76c544f418d5abe6c6d36b8aceaa31976136e7dde5f7e028984bca317064138",
+}
+
 
 # the benchmark's four workloads (``WORKLOADS`` in perfbench/run.py) at
 # benchmark seed 1, whole: the bytes of the claimed workload at its full
@@ -178,6 +186,11 @@ def test_flaw_trace_at_nmax_1024(tmp_path):
     assert trace_digest(tmp_path, {"preset": "flaw_counterexample"}, 1024) == FLAW_1024_DIGEST
 
 
+def test_compact_trace_at_nmax_1024(tmp_path):
+    digest = trace_digest(tmp_path, {"preset": "compact_regime"}, 1024)
+    assert digest == COMPACT_1024_DIGESTS[LEVEL]
+
+
 @pytest.mark.parametrize("workload", sorted(WORKLOAD_DIGESTS["x86_v4"]))
 def test_benchmark_workload_trace(tmp_path, workload):
     (configs,) = run_constants("WORKLOADS")
@@ -201,4 +214,4 @@ def test_digests_at_the_other_dispatch_level():
         timeout=600,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "28 passed, 1 skipped" in proc.stdout, proc.stdout
+    assert "29 passed, 1 skipped" in proc.stdout, proc.stdout
