@@ -18,16 +18,26 @@ summation (IEEE TC, 2015):
 * ``np.frexp`` splits each term into a mantissa m in [0.5, 1) and an
   exponent e; m * 2**26 splits into an integer high half (26 bits) and a
   fraction low half (27 bits);
-* ``np.bincount`` sums each half per exponent, over only the range of
-  exponents the batch uses (``e - e_min``), not every exponent the format
-  allows.  Every bin sums at most 2**26 terms between folds, so both bin
-  sums stay exact in float64, and so does any sum of those halves in any
-  order.  Two batches skip ``np.bincount``, which is slow when every term
-  lands in one bin: exact zeros, which add nothing and are dropped first,
-  and a batch whose terms share one exponent, whose halves are summed with
-  ``ndarray.sum``;
+* ``np.bincount`` sums each half per label and exponent, over only the
+  range of exponents the batch uses: a term of label l and exponent e
+  lands in bin ``l * span + (e - e_min)``.  Every bin sums at most 2**26
+  terms between folds, so both bin sums stay exact in float64, and so does
+  any sum of those halves in any order.  Two unlabelled batches skip
+  ``np.bincount``, which is slow when every term lands in one bin: exact
+  zeros, which add nothing and are dropped first, and a batch whose terms
+  share one exponent, whose halves are summed with ``ndarray.sum``;
 * a fold scales the bin sums by 2**(e - 26), which is exact, into a list of
   partials, and one ``math.fsum`` over the partials gives the result.
+
+One routine, ``_bin_halves``, does this split and binning for every sum.
+:func:`exact_sum` and :class:`ExactAccumulator` give every term label 0.
+:func:`quadrant_sums` labels each term of a square block by its quadrant,
+2 * z_i + z_j with z = 0 for the first n rows and columns and 1 after, and
+folds each label's bins into its own sum: three exact sums of one block in
+one pass, however few terms each quadrant holds.  Labelled terms stay where
+they are, so their zeros are binned, at exponent 0, where they add nothing,
+and a labelled pass gives up on a subnormal term or one of magnitude 2**960
+or more.
 
 :func:`exact_sum` of fewer than ``FOLD_LIMIT`` terms bins them in one pass
 and folds those bins directly.  :class:`ExactAccumulator`, for sums fed in
@@ -39,7 +49,9 @@ Subnormal terms, whose low halves would round when scaled, skip the bins and
 join the partials as they are.  So do non-finite terms and terms of
 magnitude 2**960 or more; :func:`exact_sum` hands any input holding one of
 those to ``math.fsum`` whole, because fsum's overflow error and its inf/nan
-handling depend on term order.
+handling depend on term order, and :func:`quadrant_sums` sums a block
+holding one, or a subnormal term, one quadrant at a time by
+:func:`exact_sum`.
 
 Because the result does not depend on order, a double sum can be fed to one
 accumulator a row tile at a time (:func:`tiled_gram_sum`): peak memory is
@@ -81,7 +93,7 @@ _EXP_MAX = 960
 _HUGE = 2.0**_EXP_MAX
 _NBINS = _EXP_MAX - _EXP_MIN + 1
 _SCALE = np.ldexp(1.0, np.arange(_EXP_MIN, _EXP_MAX + 1) - 26)
-_NO_BINS = np.zeros(0)
+_NO_BINS = np.zeros((1, 0))
 
 
 class ExactAccumulator:
@@ -152,7 +164,7 @@ class ExactAccumulator:
             small = np.abs(x) < _HUGE
             self._partials.extend(x[~small].tolist() * copies)
             x = x[small]
-        first, hi, lo, rest = _bin_halves(x)
+        first, (hi,), (lo,), rest = _bin_halves(x)
         self._partials.extend(rest * copies)
         if not hi.size:
             return
@@ -188,29 +200,43 @@ def _binnable(x: np.ndarray) -> bool:
     return bool(-_HUGE < x.min() and x.max() < _HUGE)
 
 
-def _bin_halves(x: np.ndarray) -> tuple[int, np.ndarray, np.ndarray, list[float]]:
-    """Per-exponent sums of the halves of the terms of x, all below 2**960
-    in magnitude, over the exponents they use.
+def _bin_halves(x: np.ndarray, count: int = 1, label=None):
+    """Per-label, per-exponent sums of the halves of the finite terms of x,
+    over the exponents they use.
 
-    Returns ``(first, hi, lo, rest)``: ``hi[i]`` and ``lo[i]`` are the exact
-    sums of the high and low halves of the terms of frexp exponent
-    ``_EXP_MIN + first + i``, and ``rest`` lists the subnormal terms, which
-    skip the bins.  Exact zeros are in neither.  The sums are exact for up
-    to ``FOLD_LIMIT`` terms.
+    Every term has label 0 unless ``label`` is given, as a function that
+    adds ``l * span`` to each term's entry of an integer array shaped like
+    x, for its label l from 0 to ``count - 1``.  Returns
+    ``(first, hi, lo, rest)``: ``hi[l, i]`` and ``lo[l, i]`` are the exact
+    sums of the high and low halves of the terms of label l and frexp
+    exponent ``_EXP_MIN + first + i``, and ``rest`` lists the subnormal
+    terms, which skip the bins.  Exact zeros add nothing to any bin.  The
+    sums are exact for up to ``FOLD_LIMIT`` terms.
+
+    Unlabelled terms must all be below 2**960 in magnitude.  Labelled terms
+    keep their places, in x, which their mantissas overwrite: zeros are
+    binned, at exponent 0, and an x holding a subnormal term, or one of
+    magnitude 2**960 or more, is not binned at all.  It is then left as it
+    was, and the result is None.
     """
-    # an exact zero adds nothing to any bin.  On a tile, counting a boolean
-    # mask is much faster than counting floats; below 2,048 terms it is
-    # not, and a mask below 1 KiB stays in numpy's per-size block cache
-    # (peak RSS +0.1 MiB on center_invariance)
-    mask = x != 0.0 if x.size >= 2048 else None
-    nonzero = np.count_nonzero(x if mask is None else mask)
-    if nonzero < x.size:
-        x = x[x != 0.0 if mask is None else mask]
-    if not nonzero:
-        return 0, _NO_BINS, _NO_BINS, []
-    m, e = np.frexp(x)
-    e_min = e.min()
+    if label is None:
+        # an exact zero adds nothing to any bin.  On a tile, counting a
+        # boolean mask is much faster than counting floats; below 2,048
+        # terms it is not, and a mask below 1 KiB stays in numpy's per-size
+        # block cache (peak RSS +0.1 MiB on center_invariance)
+        mask = x != 0.0 if x.size >= 2048 else None
+        nonzero = np.count_nonzero(x if mask is None else mask)
+        if nonzero < x.size:
+            x = x[x != 0.0 if mask is None else mask]
+        if not nonzero:
+            return 0, _NO_BINS, _NO_BINS, []
+    # the exponents are written as the bincount keys they become
+    m, e = np.frexp(x, out=(None if label is None else x, np.empty(x.shape, np.intp)))
+    e_min, e_max = e.min(), e.max()
     rest = []
+    if label is not None and not _EXP_MIN <= e_min <= e_max <= _EXP_MAX:
+        np.ldexp(m, e, out=m)
+        return None
     if e_min < _EXP_MIN:
         normal = e >= _EXP_MIN
         rest = x[~normal].tolist()
@@ -218,18 +244,23 @@ def _bin_halves(x: np.ndarray) -> tuple[int, np.ndarray, np.ndarray, list[float]
         if not m.size:
             return 0, _NO_BINS, _NO_BINS, rest
         e_min = e.min()
-    e_max = e.max()
+    first = int(e_min) - _EXP_MIN
+    span = int(e_max - e_min) + 1
+    # one bin: np.bincount's loop-carried sum into a single bin is far
+    # slower than a pairwise sum, and both are exact
+    one_bin = span == 1 and label is None
+    if not one_bin:
+        e -= e_min
+        if label is not None:
+            label(e, span)
     m *= 2.0**26
     hi = np.trunc(m)
     m -= hi  # the low half: a multiple of 2**-27 in (-1, 1)
-    first = int(e_min) - _EXP_MIN
-    if e_min == e_max:
-        # one bin: np.bincount's loop-carried sum into a single bin is
-        # far slower than a pairwise sum, and both are exact
-        return first, hi.sum(keepdims=True), m.sum(keepdims=True), rest
-    bins = e.astype(np.intp)
-    bins -= e_min
-    return first, np.bincount(bins, weights=hi), np.bincount(bins, weights=m), rest
+    if one_bin:
+        return first, hi.sum().reshape(1, 1), m.sum().reshape(1, 1), rest
+    bins = e.ravel()
+    sums = [np.bincount(bins, h.ravel(), count * span).reshape(count, span) for h in (hi, m)]
+    return first, *sums, rest
 
 
 def exact_sum(values) -> float:
@@ -242,9 +273,38 @@ def exact_sum(values) -> float:
         acc.add(arr)
         return acc.value()
     # one binning pass holds every term exactly: fold its bins directly
-    first, hi, lo, rest = _bin_halves(arr)
+    first, (hi,), (lo,), rest = _bin_halves(arr)
     scale = _SCALE[first : first + hi.size]
     return math.fsum(rest + (hi * scale).tolist() + (lo * scale).tolist())
+
+
+def quadrant_sums(terms: np.ndarray, n: int) -> list[float]:
+    """Exact sums of the top-left, top-right and bottom-right quadrants of
+    a non-empty square array of terms, split after row and column n: each
+    is :func:`exact_sum` of that quadrant, bit for bit.
+
+    One binning pass labels each term by its quadrant, 2 * z_i + z_j with
+    z = 0 before the split and 1 after, whatever the quadrants' sizes, and
+    ``terms`` is overwritten.  An array holding a non-finite term, a term
+    of magnitude 2**960 or more, or a subnormal term is summed one quadrant
+    at a time by :func:`exact_sum` instead, which keeps fsum's overflow
+    error and inf/nan results.
+    """
+
+    def label(keys, span):
+        keys[n:] += 2 * span
+        keys[:, n:] += span
+
+    # finite terms too large to bin are caught by their exponents
+    binned = np.isfinite(terms).all() and _bin_halves(terms, 4, label)
+    # lists, not tuples built from generators: each of those would leave a
+    # 3-tuple on Python's free list, 96 KiB in all over center_invariance
+    if not binned:
+        return [exact_sum(q) for q in (terms[:n, :n], terms[:n, n:], terms[n:, n:])]
+    first, hi, lo, _ = binned
+    scale = _SCALE[first : first + hi.shape[1]]
+    # label 2, the bottom-left quadrant, is not read
+    return [math.fsum((hi[q] * scale).tolist() + (lo[q] * scale).tolist()) for q in (0, 1, 3)]
 
 
 def exact_row_sums(rows: np.ndarray) -> list[float]:

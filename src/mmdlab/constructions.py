@@ -60,6 +60,12 @@ from .measures import (
 WITNESS_TOL = 1e-10
 # the default exclusion ball's radius beyond the witness support
 EXCLUSION_MARGIN = 1.0
+# a search for n atoms scans at most max(MIN_CANDIDATES,
+# CANDIDATES_PER_ATOM * n) candidates unless told otherwise: a ray places
+# one atom per candidate, so a budget that did not grow with n would stop
+# every large enough search
+MIN_CANDIDATES = 200_000
+CANDIDATES_PER_ATOM = 8
 
 
 @dataclass(frozen=True)
@@ -242,7 +248,7 @@ def diffusing_sequence(
     eps: float,
     excl: ExclusionRegion,
     dom: SearchDomain | None = None,
-    max_candidates: int = 200_000,
+    max_candidates: int | None = None,
 ) -> SignedDiscreteMeasure:
     """Uniform probability measure on n greedily chosen points.
 
@@ -279,13 +285,16 @@ def diffusing_sequence(
     keeps the atoms in acceptance order.
 
     Raises :class:`SearchFailureError` naming the first index that could
-    not be filled within ``max_candidates`` candidates, and the number of
+    not be filled within ``max_candidates`` candidates, by default
+    ``max(MIN_CANDIDATES, CANDIDATES_PER_ATOM * n)``, and the number of
     candidates scanned.
     """
     if n < 1:
         raise ParameterError("n must be at least 1")
     if not eps > 0:
         raise ParameterError("eps must be positive")
+    if max_candidates is None:
+        max_candidates = max(MIN_CANDIDATES, CANDIDATES_PER_ATOM * n)
     if max_candidates < 0:
         raise ParameterError("max_candidates must be nonnegative")
     if not k.claims_c0:
@@ -482,11 +491,13 @@ def escape_sequence(
     n_values=None,
     dom: SearchDomain | None = None,
     excl: ExclusionRegion | None = None,
-    max_candidates: int = 200_000,
+    max_candidates: int | None = None,
 ) -> EscapeConstruction:
     """Build mu_n = neg + (1 - neg(X)) P_n from an annihilated witness.
 
     The sizes n of the P_n (eps = 1/n) are ``n_values``, by default 2, 4, ..., 64.
+    Each P_n's search scans at most ``max_candidates`` candidates, by
+    default the budget :func:`diffusing_sequence` gives its n.
 
     The witness is normalized so its positive part has mass 1 and must have
     embedding norm <= ``WITNESS_TOL`` (exact vanishing holds analytically for

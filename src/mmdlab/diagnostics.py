@@ -384,8 +384,10 @@ def probe_sequence(
     atoms when the entry rule of :func:`_union_gram` allows: the target's
     self term is then one row of the first chunk, and each chunk's self
     and cross terms are rows gathered from the block.  Otherwise each index
-    takes :func:`mmd`, with the target's self term kept in its slot.  Both
-    routes give the same bits (see :func:`_union_gram`).
+    takes :func:`mmd`, with the target's self term kept in its slot, which
+    only the indices whose pair is too large for one block of its own read
+    (see :mod:`mmdlab.embedding`).  Both routes give the same bits (see
+    :func:`_union_gram`).
     """
     thresholds = thresholds or Thresholds()
     if target.dim != seq.dim or k.dim != seq.dim:
@@ -417,7 +419,8 @@ def probe_sequence(
         union = support_union(measures, seq.dim)
     gram = None if union is None else _union_gram(k, union[0], sizes)
     if gram is None:
-        # every index's mmd reads the target's self term from its slot
+        # an index's mmd too large for one block reads the target's self
+        # term from its slot
         keep_self_inner(k, target)
         mmd_trace = np.fromiter((mmd(k, mu_n, target) for mu_n in seq), np.float64, len(seq))
     else:

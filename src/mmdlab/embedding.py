@@ -22,9 +22,16 @@ stays O(tile) on both routes.  Tiling relies on the contract of
 Every sum reads point tables (:meth:`Kernel.table`), at every size.
 :func:`mmd` builds one table per call, of mu's atoms followed by nu's: the
 atoms are validated once and a kernel's per-point values (a recentred
-kernel's m(X)) computed once.  Its three sums read the table's two parts
-in three blocks, or three sets of row tiles, and :func:`inner` reads the
-two sides of a cross term the same way.
+kernel's m(X)) computed once.  When the block of the whole table holds at
+most half a tile, :func:`mmd` evaluates that one block and reads its three
+sums from the block's quadrants in one binning pass
+(:func:`mmdlab.accumulate.quadrant_sums`).  Each entry is the same term as
+in a block of one part against another, and the sums are exact, so the
+bits do not change.  Half a tile, not a whole one: that pass holds about
+three arrays of the block's size at once, and whole-tile blocks raised
+center_invariance's peak RSS by 0.11 MiB.  Larger pairs read the table's
+two parts in three blocks, or three sets of row tiles, and :func:`inner`
+reads the two sides of a cross term the same way.
 
 Only the self terms of :func:`inner` (hence of :func:`mmd` and
 :func:`norm`) skip the far field of :meth:`Kernel.far_field`: a Gram that
@@ -48,7 +55,9 @@ when the same kernel object asks again: evaluation is pure, so the value
 is the same bits.  A different kernel object, even one with an equal
 descriptor, recomputes and takes the slot.  :func:`keep_self_inner` keeps
 a self term of any size there, and :func:`inner` reads the slot before it
-looks at the size.  :func:`mmd_oracle` does not read the slot.
+looks at the size.  An MMD read from one block re-sums both self terms
+inside it, so only larger pairs read the slot.  :func:`mmd_oracle` does not
+read the slot.
 """
 
 from __future__ import annotations
@@ -98,7 +107,9 @@ def keep_self_inner(k: Kernel, mu: SignedDiscreteMeasure) -> None:
     """Keep inner(k, mu, mu) in mu's slot whatever mu's size.
 
     For one measure that many inner products read, such as the target of a
-    sequence: :func:`inner` keeps only self terms that span tiles.
+    sequence: :func:`inner` keeps only self terms that span tiles.  Only
+    an MMD too large for one block (see the module docstring) reads the
+    slot; a smaller one re-sums the self term inside its block.
     """
     object.__setattr__(mu, "_self_inner", (k, inner(k, mu, mu)))
 
@@ -220,8 +231,18 @@ def mmd_detail(
 ) -> MMDResult:
     """MMD with clamp metadata; see :func:`mmd` for the plain value."""
     _check_dims(k, mu, nu)
+    n, m = mu.support_size, nu.support_size
     if mu is nu:
         ii = jj = ij = _self_term(k, mu)
+    elif n and m and 2 * (n + m) ** 2 <= accumulate.TILE_ENTRIES:
+        # one block of mu's atoms followed by nu's, of at most half a tile;
+        # each entry becomes the same term (w_i * v_j) * k(x_i, y_j) as in
+        # the blocks of the route below
+        T = k.table(np.concatenate([mu.atoms, nu.atoms]))
+        s = np.concatenate([mu.weights, nu.weights])
+        terms = k.block(T, T)
+        terms *= np.multiply.outer(s, s)
+        ii, ij, jj = accumulate.quadrant_sums(terms, n)
     else:
         X, Y = _tables(k, mu, nu)
         ii = _self_term(k, mu, X)

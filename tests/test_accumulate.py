@@ -1,6 +1,7 @@
 """Tests for exact summation: bit-identity with math.fsum on every path."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from mmdlab.accumulate import (
     ExactAccumulator,
     exact_row_sums,
     exact_sum,
+    quadrant_sums,
     row_tiles,
     symmetric_gram_sum,
     tiled_gram_sum,
@@ -623,3 +625,69 @@ def test_sums_equal_fsum_on_every_kind_of_batch_property(monkeypatch):
                 assert acc.value().hex() == math.fsum(every * (1 + twice)).hex()
 
     check()
+
+
+def test_quadrant_sums_equal_exact_sums_of_each_quadrant_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    def block(rng, kind, size):
+        shape = (size, size)
+        signs = rng.choice([-1.0, 1.0], shape)
+        if kind == "one exponent":
+            return signs * rng.uniform(0.5, 1.0, shape) * 2.0 ** int(rng.integers(-1021, 960))
+        x = signs * np.ldexp(rng.uniform(0.5, 1.0, shape), rng.integers(-1021, 960, shape))
+        spots = rng.random(shape) < 0.2
+        if kind == "signed zeros":
+            x[spots] = signs[spots] * 0.0
+        elif kind == "zeros and one exponent":
+            x = signs * rng.uniform(0.5, 1.0, shape) * 2.0**-3
+            x[spots] = signs[spots] * 0.0
+        elif kind == "subnormals":
+            x[spots] = rng.standard_normal(np.count_nonzero(spots)) * 2.0**-1060
+        elif kind == "non-finite":
+            x.flat[rng.integers(0, x.size, 2)] = rng.choice([np.inf, -np.inf, np.nan], 2)
+        elif kind == "huge":
+            # 2**960 is the first magnitude that is not binned; 1e308 pairs
+            # can overflow fsum's partial sums
+            x.flat[rng.integers(0, x.size, 3)] = rng.choice([2.0**960, -(2.0**960), 1e308], 3)
+        return x
+
+    kinds = st.sampled_from(
+        ["wide", "signed zeros", "zeros and one exponent", "one exponent",
+         "subnormals", "non-finite", "huge"]
+    )
+    # quadrants of up to 66**2 terms, on both sides of SMALL_INPUT
+    sizes = st.sampled_from([1, 2, 7, 25, 26, 40, 66])
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+    @hypothesis.given(kinds, sizes, st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+    def check(kind, size, cut, seed):
+        terms = block(np.random.default_rng(seed), kind, size)
+        n = round(cut * size)
+        quadrants = (terms[:n, :n], terms[:n, n:], terms[n:, n:])
+        try:
+            want = [exact_sum(q) for q in quadrants]
+        except (OverflowError, ValueError) as exc:
+            # fsum's overflow, or inf - inf, raised by the first such quadrant
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                quadrant_sums(terms.copy(), n)
+            return
+        got = quadrant_sums(terms.copy(), n)
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+
+    check()
+
+
+def test_quadrant_sums_bin_small_quadrants_in_one_pass(monkeypatch):
+    # quadrants of 25, 35 and 49 terms, far below SMALL_INPUT: one pass
+    calls = []
+    bin_halves = accumulate._bin_halves
+    monkeypatch.setattr(
+        accumulate, "_bin_halves", lambda *a, **kw: calls.append(1) or bin_halves(*a, **kw)
+    )
+    terms = np.random.default_rng(9).standard_normal((12, 12))
+    want = [exact_sum(q) for q in (terms[:5, :5], terms[:5, 5:], terms[5:, 5:])]
+    got = quadrant_sums(terms.copy(), 5)
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+    assert calls == [1]

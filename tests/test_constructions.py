@@ -292,6 +292,23 @@ class TestDiffusingSequence:
         assert err.value.candidates_scanned == 20
         assert "scanning 20 " in str(err.value)
 
+    def test_default_budget_grows_with_n(self, monkeypatch):
+        # a ray places one atom per candidate: 64 atoms take 64 candidates
+        k = gaussian(1.0)
+        want = diffusing_sequence(k, 64, 1.0 / 64, ball(0.0, 1.0))
+        monkeypatch.setattr(constructions, "MIN_CANDIDATES", 10)
+        # max(10, 8 * 64) candidates: the search finishes as before
+        got = diffusing_sequence(k, 64, 1.0 / 64, ball(0.0, 1.0))
+        assert got.atoms.tobytes() == want.atoms.tobytes()
+        monkeypatch.setattr(constructions, "CANDIDATES_PER_ATOM", 0)
+        with pytest.raises(SearchFailureError) as err:
+            diffusing_sequence(k, 64, 1.0 / 64, ball(0.0, 1.0))
+        assert (err.value.failed_index, err.value.candidates_scanned) == (11, 10)
+        assert "after scanning 10 of at most 10 candidates" in str(err.value)
+        # an explicit budget is used as given
+        got = diffusing_sequence(k, 64, 1.0 / 64, ball(0.0, 1.0), max_candidates=64)
+        assert got.atoms.tobytes() == want.atoms.tobytes()
+
     @pytest.mark.parametrize("strategy", ["grid", "random"])
     def test_alternative_strategies_certify(self, strategy):
         k = gaussian(1.0, dim=2)

@@ -357,9 +357,12 @@ class TestProbeSequence:
             assert len(blocks) == 1 and mmd_calls == [] and gram_sums == []
             assert rows.count(self_terms) == 1
         else:
-            # one mmd per index, and the target's self term once in all,
-            # kept in its slot
+            # one mmd per index.  The target's self term is summed on its
+            # own once in all, by keep_self_inner, and kept in its slot.
+            # Every pair here fits one block, so each index's mmd makes one
+            # block, sums the target's quadrant of it, and reads no slot
             assert len(mmd_calls) == len(seq)
+            assert len(blocks) == 1 + len(seq)
             assert gram_sums.count(True) == 1
             assert target._self_inner[0] is k
             assert target._self_inner[1].hex() == want.hex()

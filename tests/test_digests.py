@@ -116,6 +116,25 @@ COMPACT_1024_DIGESTS = {
 }
 
 
+# the invariance presets off their defaults, at seed 3: center_invariance
+# at 2,000 pairs, the benchmark's input, and shift_invariance in dim 3.
+# Taken from the three-block MMD route, before small pairs were read from
+# one kernel block, so they pin that route's bits
+INVARIANCE_CONFIGS = {
+    "center_invariance": {"preset": "center_invariance", "pairs": 2000},
+    "shift_invariance": {"preset": "shift_invariance", "dim": 3},
+}
+INVARIANCE_DIGESTS = {
+    "x86_v4": {
+        "center_invariance": "9c1b60c279e3aade6ba905429eda1d05280a415303d9a7a0c53460499a9a4ea6",
+        "shift_invariance": "856941ed864d4e22929946cb43550f379ce4916fc324847b4825a9857f5bba62",
+    },
+    "x86_v3": {
+        "center_invariance": "c79af6816834410538e2aec35945634f4b8ea36b9bdb7367fde40a512467b658",
+        "shift_invariance": "2cdd537d04539536c67f1cbb162b27998b9b1d66c82082385fdb934dd0dcc533",
+    },
+}
+
 # the benchmark's four workloads (``WORKLOADS`` in perfbench/run.py) at
 # benchmark seed 1, whole: the bytes of the claimed workload at its full
 # 2,000 pairs are pinned here, not only compared between runs of one code
@@ -191,6 +210,11 @@ def test_compact_trace_at_nmax_1024(tmp_path):
     assert digest == COMPACT_1024_DIGESTS[LEVEL]
 
 
+@pytest.mark.parametrize("preset", sorted(INVARIANCE_CONFIGS))
+def test_invariance_trace_off_defaults(tmp_path, preset):
+    digest = trace_digest(tmp_path, INVARIANCE_CONFIGS[preset])
+    assert digest == INVARIANCE_DIGESTS[LEVEL][preset]
+
 @pytest.mark.parametrize("workload", sorted(WORKLOAD_DIGESTS["x86_v4"]))
 def test_benchmark_workload_trace(tmp_path, workload):
     (configs,) = run_constants("WORKLOADS")
@@ -214,4 +238,4 @@ def test_digests_at_the_other_dispatch_level():
         timeout=600,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "29 passed, 1 skipped" in proc.stdout, proc.stdout
+    assert "31 passed, 1 skipped" in proc.stdout, proc.stdout

@@ -495,6 +495,57 @@ class TestTiledInner:
         assert 0.0 < value < kappa.sup_bound
 
 
+class TestOneBlockMmd:
+    """An MMD whose block of both supports holds at most half a tile reads
+    its three inner products from that one block, with the bits of the
+    tiled route."""
+
+    # the largest pair is 2 * 90**2 = 16,200 entries: just inside half a tile
+    SIZES = ((1, 1), (3, 7), (40, 45), (1, 89), (60, 30))
+
+    @staticmethod
+    def pair(rng, dim, n, m):
+        """Two signed measures of n and m atoms."""
+        return tuple(
+            SignedDiscreteMeasure(rng.uniform(-3, 3, (s, dim)), rng.standard_normal(s), dim)
+            for s in (n, m)
+        )
+
+    @pytest.mark.parametrize("name, dim", ALGEBRA_CASES)
+    def test_equals_the_tiled_route(self, name, dim, monkeypatch):
+        k = algebra_kernels(dim)[name]
+        rng = np.random.default_rng(90 + dim)
+        for n, m in self.SIZES:
+            assert 2 * (n + m) ** 2 <= accumulate.TILE_ENTRIES
+            mu, nu = self.pair(rng, dim, n, m)
+            got = mmd_detail(k, mu, nu)
+            with monkeypatch.context() as patched:
+                # every pair spans tiles of 64; the tiled route keeps self
+                # terms in slots, so it sums equal measures with empty ones
+                patched.setattr(accumulate, "TILE_ENTRIES", 64)
+                want = mmd_detail(k, fresh(mu), fresh(nu))
+            assert got.value.hex() == want.value.hex(), (name, n, m)
+            assert got.squared_raw.hex() == want.squared_raw.hex(), (name, n, m)
+            assert got.clamped == want.clamped
+
+    def test_one_kernel_block_per_small_mmd(self, monkeypatch):
+        shapes = []
+        block = Kernel.block
+        monkeypatch.setattr(
+            Kernel, "block", lambda self, X, Y: shapes.append((len(X), len(Y))) or block(self, X, Y)
+        )
+        k = center_kernel(gaussian(1.0), dirac(0.5), 1.0)
+        rng = np.random.default_rng(95)
+        for n, m in self.SIZES:
+            shapes.clear()
+            mmd(k, *self.pair(rng, 1, n, m))
+            assert shapes == [(n + m, n + m)]
+        # one atom more than half a tile allows: three blocks, as before
+        shapes.clear()
+        mmd(k, *self.pair(rng, 1, 50, 41))
+        assert sorted(shapes) == [(41, 41), (50, 41), (50, 50)]
+
+
 class TestSelfTermMemo:
     """A self term over more than one Gram tile is kept in one slot on the
     measure, for the kernel object that computed it."""

@@ -1,5 +1,7 @@
 """Tests for signed discrete measures and their decompositions."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -394,3 +396,111 @@ class TestMeasureSequence:
     def test_empty_rejected(self):
         with pytest.raises(ParameterError):
             MeasureSequence(())
+
+
+def merged_by_fsum(parts):
+    """(row bytes, weight) of each kept atom of the merge of ``parts``, a
+    list of (atoms, weights) pairs: rows in order of first occurrence, each
+    weight the math.fsum of the row's weights, zero sums dropped."""
+    sums = {}
+    for atoms, weights in parts:
+        for row, w in zip(atoms, np.asarray(weights).tolist()):
+            sums.setdefault(row.tobytes(), []).append(w)
+    merged = [(key, math.fsum(ws)) for key, ws in sums.items()]
+    return [(key, w) for key, w in merged if w != 0.0]
+
+
+def atoms_and_weights(mu):
+    return [(row.tobytes(), w) for row, w in zip(mu.atoms, mu.weights.tolist())]
+
+
+class TestAlgebraProperties:
+    """hypothesis suites for merging, the Jordan split and mixtures.
+
+    Atoms come from a small pool of coordinates, so rows repeat, and 0.0
+    and -0.0 are both in it.  Weights are any finite float up to 1e300 in
+    magnitude, so no sum of a dozen of them overflows.  Derandomized, so
+    every run draws the same measures and a failure repeats.
+    """
+
+    @staticmethod
+    def strategies():
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        coords = st.sampled_from([0.0, -0.0, 1.0, -1.5, 2.0**-1074, 3.0])
+        weights = st.floats(-1e300, 1e300) | st.sampled_from([0.0, -0.0, 2.0**-1074, 1.0])
+
+        @st.composite
+        def measure(draw, dim):
+            n = draw(st.integers(0, 12))
+            rows = draw(st.lists(st.lists(coords, min_size=dim, max_size=dim), min_size=n, max_size=n))
+            ws = draw(st.lists(weights, min_size=n, max_size=n))
+            return np.array(rows, dtype=float).reshape(n, dim), np.array(ws, dtype=float)
+
+        settings = hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+        return hypothesis, st, settings, measure
+
+    def test_merge_sums_repeated_rows_exactly_in_first_occurrence_order(self):
+        hypothesis, st, settings, measure = self.strategies()
+
+        @settings
+        @hypothesis.given(st.sampled_from([1, 2]).flatmap(lambda d: st.tuples(st.just(d), measure(d))))
+        def check(case):
+            dim, (atoms, weights) = case
+            mu = SignedDiscreteMeasure(atoms, weights, dim)
+            # rows are compared by their bytes, so 0.0 and -0.0 stay apart
+            want = merged_by_fsum([(atoms, weights)])
+            assert [(k, w.hex()) for k, w in atoms_and_weights(mu)] == [
+                (k, w.hex()) for k, w in want
+            ]
+
+        check()
+
+    def test_jordan_split_reconstructs_the_measure_on_disjoint_supports(self):
+        hypothesis, st, settings, measure = self.strategies()
+
+        @settings
+        @hypothesis.given(measure(2))
+        def check(case):
+            mu = SignedDiscreteMeasure(*case, 2)
+            pos, neg = jordan_decompose(mu)
+            assert (pos.weights > 0.0).all() and (neg.weights > 0.0).all()
+            pos_rows = {row.tobytes() for row in pos.atoms}
+            neg_rows = {row.tobytes() for row in neg.atoms}
+            assert not pos_rows & neg_rows
+            # nothing merges across disjoint supports: pos - neg is mu's
+            # atoms and weights, bit for bit, positive atoms first
+            back = pos - neg
+            assert sorted(atoms_and_weights(back)) == sorted(atoms_and_weights(mu))
+            assert pos.support_size + neg.support_size == mu.support_size
+
+        check()
+
+    def test_mixture_is_linear(self):
+        hypothesis, st, settings, measure = self.strategies()
+        coefficient = st.floats(-1e3, 1e3).filter(lambda c: c != 0.0)
+
+        @settings
+        @hypothesis.given(measure(1), measure(1), coefficient, coefficient)
+        def check(first, second, a, b):
+            mu = SignedDiscreteMeasure(*first, 1)
+            nu = SignedDiscreteMeasure(*second, 1)
+            mix = mixture([a, b], [mu, nu])
+            # each atom's weight is the exactly rounded sum of its parts'
+            # weights times their coefficients
+            want = merged_by_fsum([(mu.atoms, a * mu.weights), (nu.atoms, b * nu.weights)])
+            assert [(k, w.hex()) for k, w in atoms_and_weights(mix)] == [
+                (k, w.hex()) for k, w in want
+            ]
+            # the same measure as the sum of the scaled parts.  Its atoms
+            # may come in another order: a product that underflows to zero
+            # drops an atom from a scaled part, not from the mixture's
+            # order of first occurrence
+            total = mu.scaled(a) + nu.scaled(b)
+            assert sorted(atoms_and_weights(mix)) == sorted(atoms_and_weights(total))
+            # and a mixture of one part is that part scaled
+            one = mixture([a], [mu])
+            assert one.weights.tobytes() == mu.scaled(a).weights.tobytes()
+            assert one.atoms.tobytes() == mu.scaled(a).atoms.tobytes()
+
+        check()
