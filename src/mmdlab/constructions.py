@@ -89,14 +89,15 @@ class ExclusionRegion:
 class SearchDomain:
     """Candidate enumeration for the greedy point search.
 
-    Strategies, each a stream of (m, d) candidate arrays:
+    Strategies, each a stream of candidate arrays of ``_LOOKAHEAD`` rows:
       ray    -- points at center + (R + m s) e1, m = 1, 2, ...; s is
                 derived analytically from the kernel when possible, else
                 ``step``.
-      grid   -- expanding integer shells scaled by ``step``; the shells
-                wholly inside the exclusion ball come first as one int,
-                the number of their points, which are counted against the
-                budget but never enumerated.
+      grid   -- expanding integer shells scaled by ``step``, each in
+                itertools.product's order, in chunks that may span
+                shells; the shells wholly inside the exclusion ball come
+                first as one int, the number of their points, which are
+                counted against the budget but never enumerated.
       random -- seeded isotropic draws with linearly growing radius.
 
     All three enumerate an unbounded region, which the diffusing search
@@ -119,9 +120,7 @@ class SearchDomain:
             raise ParameterError("search dimension must be at least 1")
 
 
-# grid points enumerated at a time, and candidates the ray and random
-# streams yield at a time
-_GRID_CHUNK = 4096
+# candidates each stream yields at a time
 _LOOKAHEAD = 256
 
 
@@ -167,25 +166,101 @@ def _shells_inside(dom: SearchDomain, excl: ExclusionRegion) -> int:
     return lo
 
 
+def _cube_rows(out: np.ndarray, shell: int, first: int) -> None:
+    """Fill ``out`` with the points of the cube [-shell, shell]**c, c its
+    columns, whose C-order flat indices run from ``first``: their digits in
+    base 2 shell + 1, less shell.
+
+    Only the last k digits, those of a block of at least ``len(out)``
+    indices, vary along the rows, and the digits before them step once at
+    most, so an index past intp costs nothing more."""
+    n, c = out.shape
+    if not c:
+        return
+    side = 2 * shell + 1
+    k = 1
+    while k < c and side**k < n:
+        k += 1
+    high, low = divmod(first, side**k)
+    # the rows before ``split`` share the leading digits of ``high``, the
+    # rest those of high + 1
+    split = side**k - low
+    for lead, rows in ((high, out[:split]), (high + 1, out[split:])):
+        for j in range(c - k - 1, -1, -1):
+            lead, digit = divmod(lead, side)
+            rows[:, j] = digit - shell
+    v = np.arange(low, low + n) % side**k
+    for j in range(c - 1, c - k - 1, -1):
+        out[:, j] = v % side - shell
+        v //= side
+
+
+def _shell_rows(out: np.ndarray, shell: int, first: int) -> None:
+    """Fill ``out`` with the points z of Z**c, c its columns, with max |z_i|
+    == shell whose ranks in itertools.product's order run from ``first``.
+
+    That order walks the face z_0 = -shell, a whole (c - 1)-cube, then for
+    each -shell < z_0 < shell the (c - 1)-shell of the same radius, then the
+    face z_0 = shell.  A run of rows over whole (c - 1)-shells repeats one
+    copy of it, built here, so the work is proportional to the rows."""
+    n, c = out.shape
+    side = 2 * shell + 1
+    face = side ** (c - 1)
+    ring = face - (side - 2) ** (c - 1)
+    # the rank of the first point of the face z_0 = shell
+    upper = face + (side - 2) * ring
+    segments = ((0, face, -shell), (face, upper, None), (upper, upper + face, shell))
+    for start, stop, z0 in segments:
+        a, b = max(first, start), min(first + n, stop)
+        if a >= b:
+            continue
+        rows = out[a - first : b - first]
+        if z0 is not None:
+            rows[:, 0] = z0
+            _cube_rows(rows[:, 1:], shell, a - start)
+            continue
+        block, at = divmod(a - start, ring)
+        if ring <= len(rows):
+            ring_rows = np.empty((ring, c - 1))
+            _shell_rows(ring_rows, shell, 0)
+            i = np.arange(at, at + len(rows))
+            rows[:, 0] = i // ring + (block + 1 - shell)
+            np.take(ring_rows, i, axis=0, out=rows[:, 1:], mode="wrap")
+            continue
+        # fewer rows than one (c - 1)-shell: they span two blocks at most
+        while len(rows):
+            take = min(ring - at, len(rows))
+            rows[:take, 0] = block + 1 - shell
+            _shell_rows(rows[:take, 1:], shell, at)
+            rows, block, at = rows[take:], block + 1, 0
+
+
 def _grid_candidates(dom: SearchDomain, excl: ExclusionRegion, spacing: float):
     # the shells wholly inside the ball first, as the count of their
     # points, (2 s + 1)**d - 1 for s shells: they are never candidates
     # outside the ball, and a large ball holds more of them than any budget
     # could enumerate.  Then integer points with max |z_i| == shell in
-    # itertools.product's lexicographic order: the C-order flat indices of
-    # the shell's cube, a chunk at a time so memory stays bounded in any
-    # dimension
+    # itertools.product's lexicographic order, shell after shell, cut into
+    # chunks of _LOOKAHEAD rows that may span shells; each chunk's rows are
+    # decoded from their ranks in the shell, so no array holds more than
+    # a chunk in any dimension
     d = dom.dim
     inside = _shells_inside(dom, excl)
     if inside:
         yield (2 * inside + 1) ** d - 1
+    z = np.empty((_LOOKAHEAD, d))
+    filled = 0
     for shell in itertools.count(inside + 1):
-        side = 2 * shell + 1
-        for start in range(0, side**d, _GRID_CHUNK):
-            flat = np.arange(start, min(start + _GRID_CHUNK, side**d))
-            z = np.stack(np.unravel_index(flat, (side,) * d), axis=1) - shell
-            z = z[np.abs(z).max(axis=1) == shell]
-            yield excl.center + dom.step * z.astype(np.float64)
+        size = (2 * shell + 1) ** d - (2 * shell - 1) ** d
+        first = 0
+        while first < size:
+            take = min(len(z) - filled, size - first)
+            _shell_rows(z[filled : filled + take], shell, first)
+            filled += take
+            first += take
+            if filled == len(z):
+                yield excl.center + dom.step * z
+                filled = 0
 
 
 def _random_candidates(dom: SearchDomain, excl: ExclusionRegion, spacing: float):

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import accumulate
 from .accumulate import exact_row_sums, exact_sum
-from .embedding import keep_self_inner, mmd, mmd_from_inner
+from .embedding import keep_self_inner, mmd, mmd_from_inner, one_block
 from .errors import DimensionMismatchError, ParameterError
 from .kernels import Kernel
 from .measures import (
@@ -384,10 +384,10 @@ def probe_sequence(
     atoms when the entry rule of :func:`_union_gram` allows: the target's
     self term is then one row of the first chunk, and each chunk's self
     and cross terms are rows gathered from the block.  Otherwise each index
-    takes :func:`mmd`, with the target's self term kept in its slot, which
-    only the indices whose pair is too large for one block of its own read
-    (see :mod:`mmdlab.embedding`).  Both routes give the same bits (see
-    :func:`_union_gram`).
+    takes :func:`mmd`.  The target's self term is then kept in its slot
+    only when some index's MMD is not read from one block of its own
+    (:func:`mmdlab.embedding.one_block`), as only such an index reads the
+    slot.  Both routes give the same bits (see :func:`_union_gram`).
     """
     thresholds = thresholds or Thresholds()
     if target.dim != seq.dim or k.dim != seq.dim:
@@ -419,9 +419,10 @@ def probe_sequence(
         union = support_union(measures, seq.dim)
     gram = None if union is None else _union_gram(k, union[0], sizes)
     if gram is None:
-        # an index's mmd too large for one block reads the target's self
-        # term from its slot
-        keep_self_inner(k, target)
+        # only an index whose mmd is not read from one block reads the
+        # target's self term from its slot
+        if not all(one_block(mu_n, target) for mu_n in seq):
+            keep_self_inner(k, target)
         mmd_trace = np.fromiter((mmd(k, mu_n, target) for mu_n in seq), np.float64, len(seq))
     else:
         mmd_trace = np.empty(len(seq))

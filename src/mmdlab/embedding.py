@@ -108,8 +108,8 @@ def keep_self_inner(k: Kernel, mu: SignedDiscreteMeasure) -> None:
 
     For one measure that many inner products read, such as the target of a
     sequence: :func:`inner` keeps only self terms that span tiles.  Only
-    an MMD too large for one block (see the module docstring) reads the
-    slot; a smaller one re-sums the self term inside its block.
+    an MMD that :func:`one_block` refuses reads the slot; the others re-sum
+    the self term inside their block.
     """
     object.__setattr__(mu, "_self_inner", (k, inner(k, mu, mu)))
 
@@ -186,6 +186,15 @@ def _full_gram_sum(k: Kernel, X, w: np.ndarray, Y, v: np.ndarray) -> float:
     return tiled_gram_sum(w, lambda rows: k.block(X[rows], Y), v)
 
 
+def one_block(mu: SignedDiscreteMeasure, nu: SignedDiscreteMeasure) -> bool:
+    """Whether :func:`mmd_detail` reads |mu - nu| from one kernel block of
+    mu's atoms followed by nu's: two distinct, non-empty measures whose
+    block holds at most half a tile.  Every other MMD reads each self term
+    from its measure's slot where one is kept."""
+    n, m = mu.support_size, nu.support_size
+    return mu is not nu and n > 0 and m > 0 and 2 * (n + m) ** 2 <= accumulate.TILE_ENTRIES
+
+
 def _clamped_sqrt(squared: float) -> float:
     """sqrt of a squared norm, with a value cancelled below zero read as 0.
 
@@ -231,18 +240,16 @@ def mmd_detail(
 ) -> MMDResult:
     """MMD with clamp metadata; see :func:`mmd` for the plain value."""
     _check_dims(k, mu, nu)
-    n, m = mu.support_size, nu.support_size
-    if mu is nu:
-        ii = jj = ij = _self_term(k, mu)
-    elif n and m and 2 * (n + m) ** 2 <= accumulate.TILE_ENTRIES:
-        # one block of mu's atoms followed by nu's, of at most half a tile;
+    if one_block(mu, nu):
         # each entry becomes the same term (w_i * v_j) * k(x_i, y_j) as in
-        # the blocks of the route below
+        # the blocks of the routes below
         T = k.table(np.concatenate([mu.atoms, nu.atoms]))
         s = np.concatenate([mu.weights, nu.weights])
         terms = k.block(T, T)
         terms *= np.multiply.outer(s, s)
-        ii, ij, jj = accumulate.quadrant_sums(terms, n)
+        ii, ij, jj = accumulate.quadrant_sums(terms, mu.support_size)
+    elif mu is nu:
+        ii = jj = ij = _self_term(k, mu)
     else:
         X, Y = _tables(k, mu, nu)
         ii = _self_term(k, mu, X)

@@ -634,13 +634,15 @@ class TestFieldEvaluations:
         assert sum(rows) == n
 
     def test_search_never_evaluates_the_field_on_no_points(self, monkeypatch):
-        # the first grid chunks hold no point or lie wholly in the ball, so
-        # they leave no candidate to make a table of
+        # the first grid chunk, shell 5 at +-3.0 on the sphere, lies wholly
+        # in the ball, so it leaves no candidate to make a table of
         g, rows = counted_bump(1)
-        monkeypatch.setattr(constructions, "_GRID_CHUNK", 3)
+        monkeypatch.setattr(constructions, "_LOOKAHEAD", 2)
         k = dirac_null_kernel(gaussian(1.0), np.zeros(1), g)
         excl = ExclusionRegion(np.zeros(1), 3.0)
         dom = SearchDomain(dim=1, strategy="grid", step=0.6)
+        _, chunks = split_count(constructions._grid_candidates(dom, excl, 0.6))
+        assert excl.contains(next(chunks)).all()
         want, failed, _ = greedy_oracle(k, 12, 1.0 / 12, excl, dom)
         assert failed is None
         rows.clear()
@@ -650,23 +652,58 @@ class TestFieldEvaluations:
 
 
 class TestGridCandidates:
-    @pytest.mark.parametrize("dim", [1, 2, 3])
-    @pytest.mark.parametrize("chunk", [5, 4096])
-    def test_equal_the_product_walk(self, monkeypatch, dim, chunk):
-        monkeypatch.setattr(constructions, "_GRID_CHUNK", chunk)
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("lookahead", [1, 3, 7, 256])
+    def test_equal_the_product_walk(self, monkeypatch, dim, lookahead):
+        # chunks of 1, 3 and 7 rows cut the faces and the blocks of each
+        # shell at many places; every size spans shells
+        monkeypatch.setattr(constructions, "_LOOKAHEAD", lookahead)
         # a one-dimensional shell holds two points, so fewer points suffice
         count = 400 if dim == 1 else 3000
         for center, step in ((0.0, 1.0), (0.37, 2.5), (-1e3, 0.1)):
             excl = ExclusionRegion(np.full(dim, center) + 0.1 * np.arange(dim), 1.0)
             dom = SearchDomain(dim=dim, strategy="grid", step=step)
-            chunks = constructions._grid_candidates(dom, excl, step)
-            want = np.array(list(itertools.islice(grid_reference(dom, excl), count)))
-            skipped, chunks = split_count(chunks)
+            skipped, chunks = split_count(constructions._grid_candidates(dom, excl, step))
             # a step of 0.1 puts the first shells wholly inside the ball
             assert (skipped > 0) == (step == 0.1)
-            assert excl.contains(want[:skipped]).all()
-            got = first_rows(chunks, count - skipped)
-            assert got.tobytes() == want[skipped:].tobytes()
+            walk = grid_reference(dom, excl)
+            inside = np.array(list(itertools.islice(walk, skipped))).reshape(skipped, dim)
+            assert excl.contains(inside).all()
+            want = np.array(list(itertools.islice(walk, count)))
+            got = []
+            while len(got) * lookahead < count:
+                got.append(next(chunks))
+                assert got[-1].shape == (lookahead, dim)
+            assert np.concatenate(got)[:count].tobytes() == want.tobytes()
+
+    def test_shells_past_intp_are_walked(self):
+        # shell 1 of dim 40 holds 3**40 - 1 points, more than intp counts
+        dim = 40
+        dom = SearchDomain(dim=dim, strategy="grid", step=1.0)
+        excl = ExclusionRegion(np.zeros(dim), 0.5)
+        chunks = constructions._grid_candidates(dom, excl, 1.0)
+        count = 2 * constructions._LOOKAHEAD + 5
+        want = np.array(list(itertools.islice(grid_reference(dom, excl), count)))
+        assert first_rows(chunks, count).tobytes() == want.tobytes()
+
+    def test_memory_stays_within_a_few_chunks(self):
+        # shells 1 to 9 lie wholly inside the ball; shell 10 of the 4-D
+        # grid holds 64,160 points, shell 11 88,568
+        dim = 4
+        dom = SearchDomain(dim=dim, strategy="grid", step=1.0)
+        excl = ExclusionRegion(np.zeros(dim), 18.5)
+        skipped, chunks = split_count(constructions._grid_candidates(dom, excl, 1.0))
+        assert skipped == 19**dim - 1
+        next(chunks)
+        tracemalloc.start()
+        try:
+            for _ in range(40):
+                chunk = next(chunks)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert chunk.shape == (constructions._LOOKAHEAD, dim)
+        assert peak < 8 * constructions._LOOKAHEAD * dim * 8
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_count_covers_the_shells_wholly_inside(self, dim):
@@ -689,7 +726,7 @@ class TestGridCandidates:
         # shell 1 lies on the sphere: inside, but not by the margin
         excl = ExclusionRegion(np.zeros(1), 1.0)
         dom = SearchDomain(dim=1, strategy="grid", step=1.0)
-        first = next(constructions._grid_candidates(dom, excl, 1.0))
+        first = next(constructions._grid_candidates(dom, excl, 1.0))[:2]
         assert first.tolist() == [[-1.0], [1.0]]
         assert excl.contains(first).all()
 

@@ -357,15 +357,49 @@ class TestProbeSequence:
             assert len(blocks) == 1 and mmd_calls == [] and gram_sums == []
             assert rows.count(self_terms) == 1
         else:
-            # one mmd per index.  The target's self term is summed on its
-            # own once in all, by keep_self_inner, and kept in its slot.
-            # Every pair here fits one block, so each index's mmd makes one
-            # block, sums the target's quadrant of it, and reads no slot
+            # one mmd per index.  Every pair here fits one block, so each
+            # index's mmd makes one block and sums the target's quadrant of
+            # it; no index would read a slot, so none is kept, and the
+            # target's self term is never summed on its own
             assert len(mmd_calls) == len(seq)
-            assert len(blocks) == 1 + len(seq)
-            assert gram_sums.count(True) == 1
-            assert target._self_inner[0] is k
-            assert target._self_inner[1].hex() == want.hex()
+            assert len(blocks) == len(seq)
+            assert gram_sums == []
+            assert target._self_inner is None
+            assert embedding.inner(k, target, target).hex() == want.hex()
+
+    def test_one_large_index_reads_the_kept_self_term(self, monkeypatch):
+        from mmdlab import accumulate, diagnostics, embedding
+
+        seq, _ = geometric_dirac_sequence(count=6)
+        target = SignedDiscreteMeasure(np.array([[0.0], [0.3], [1.0]]), np.full(3, 1 / 3), 1)
+        # 88 atoms and the target's 3 make a block of 91 * 91 entries, more
+        # than half a tile, so these two indices' mmds take the tiled route
+        n = 88
+        assert 2 * (n + 3) ** 2 > accumulate.TILE_ENTRIES
+        large = [
+            SignedDiscreteMeasure(np.linspace(a, 40.0, n)[:, None], np.full(n, 1 / n), 1)
+            for a in (2.0, 3.0)
+        ]
+        seq = MeasureSequence((*seq.items[:3], large[0], *seq.items[3:], large[1]))
+        k = shift_kernel(gaussian(1.0), 1.0)
+        expected = [mmd(k, mu_n, SignedDiscreteMeasure(target.atoms, target.weights, 1)) for mu_n in seq]
+        gram_sums, mmd_calls = [], []
+        self_gram_sum = embedding._self_gram_sum
+        monkeypatch.setattr(
+            embedding,
+            "_self_gram_sum",
+            lambda k, X, w: gram_sums.append(w is target.weights) or self_gram_sum(k, X, w),
+        )
+        monkeypatch.setattr(
+            diagnostics, "mmd", lambda *args: mmd_calls.append(args) or mmd(*args)
+        )
+        report = probe_sequence(seq, target, k)
+        assert len(mmd_calls) == len(seq)
+        assert [v.hex() for v in report.mmd_to_target] == [v.hex() for v in expected]
+        # summed once, by keep_self_inner, and read from the slot by the
+        # large indices, whose mmds would otherwise sum it once each
+        assert gram_sums.count(True) == 1
+        assert target._self_inner[0] is k
 
     def test_entry_rule(self, monkeypatch):
         from mmdlab import accumulate, diagnostics

@@ -217,6 +217,133 @@ class TestMmd:
         assert math.isnan(cross.value) and not cross.clamped
 
 
+# the unit roundoff of float64
+UNIT_ROUNDOFF = 2.0**-53
+# a bound on a kernel value's absolute error, in units of UNIT_ROUNDOFF
+# times the kernel's sup_bound.  A base family rounds its argument, a
+# squared distance or a norm, d + 3 times at most, and exp or power turn
+# that relative error into one of at most |arg| e^-|arg| <= 1/e of the sup,
+# plus one rounding of the value.  A field, shift or centring adds a few
+# roundings each, of quantities bounded by the sup (a centring's m(x) is a
+# sum over the 5 atoms of its measure).  32 covers every algebra kernel
+# with room to spare
+KERNEL_ULPS = 32
+
+
+def squared_mmd_error(k, mu, nu):
+    """delta, a bound on |d^2 - D^2| for d = mmd(k, mu, nu) and D the exact
+    distance, from the rounding of each term of the squared MMD.
+
+    mmd reads d^2 as fsum([ii, jj, -ij, -ij]), where ii, jj and ij are
+    exactly rounded sums of terms fl(fl(s_i s_j) k^(x_i, x_j)) over the
+    weights s of mu and nu.  With K = k.sup_bound >= |k| and
+    L = |mu|_1 + |nu|_1 the total variation of the stacked measure:
+
+    * each computed kernel value k^ is within KERNEL_ULPS u K of k;
+    * the weight product and the product with k^ round twice, by at most
+      2.01 u |s_i s_j| K between them, so the terms are off by at most
+      (KERNEL_ULPS + 2.01) u K L^2 in all;
+    * ii, jj and ij round once each, by at most u K |w|_1^2, u K |v|_1^2
+      and u K |w|_1 |v|_1, and ij counts twice: u K L^2;
+    * the fsum rounds once, by at most u |d^2| <= 1.01 u K L^2.
+
+    So delta = (KERNEL_ULPS + 5) u K L^2 bounds the error of d^2, and as
+    d and D are nonnegative, |d - D| <= sqrt(|d^2 - D^2|) <= sqrt(delta),
+    since |d - D|^2 <= |d - D| (d + D).  A d^2 that cancels below zero is
+    clamped to d = 0, and then D^2 <= delta, so the bound holds too.
+    Computing delta itself rounds by a few u of delta, inside the slack of
+    the 5.
+    """
+    total = math.fsum(np.abs(mu.weights)) + math.fsum(np.abs(nu.weights))
+    return (KERNEL_ULPS + 5) * UNIT_ROUNDOFF * k.sup_bound * total * total
+
+
+def metric_measures():
+    """A hypothesis strategy of (kernel name, dim) and a function that draws
+    a measure of that dim, a probability or a signed one, near a given one
+    or not: atoms moved by 0 to 1 or drawn afresh, so that distances from
+    1e-9 up to a few units are compared."""
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def measure(draw, dim, near=None, max_atoms=8):
+        if near is None or draw(st.booleans()):
+            n = draw(st.integers(1, max_atoms))
+            atoms = draw(st.lists(st.floats(-3.0, 3.0), min_size=n * dim, max_size=n * dim))
+            atoms = np.reshape(atoms, (n, dim))
+        else:
+            n = near.support_size
+            move = draw(st.sampled_from([0.0, 1e-9, 1e-6, 1e-3, 1.0]))
+            jitter = draw(st.lists(st.floats(-1.0, 1.0), min_size=n * dim, max_size=n * dim))
+            atoms = near.atoms + move * np.reshape(jitter, (n, dim))
+        if draw(st.booleans()):
+            w = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)))
+            w = w / w.sum()
+        else:
+            w = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)))
+        return SignedDiscreteMeasure(atoms, w, dim)
+
+    return measure
+
+
+class TestMetricAxiomsProperty:
+    """Identity and the triangle inequality over hypothesis-drawn
+    probability and signed measures, for every algebra kernel.  Derandomized,
+    so every run draws the same measures and a failure repeats."""
+
+    def test_identity(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        kernels = {dim: algebra_kernels(dim) for dim in (1, 2)}
+        measure = metric_measures()
+
+        @st.composite
+        def case(draw):
+            name, dim = draw(st.sampled_from(ALGEBRA_CASES))
+            # up to 60 atoms: pairs of up to 45 read one block, larger ones
+            # three
+            mu = draw(measure(dim, max_atoms=60))
+            order = draw(st.permutations(range(mu.support_size)))
+            return kernels[dim][name], mu, order
+
+        @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+        @hypothesis.given(case())
+        def check(args):
+            k, mu, order = args
+            assert mmd(k, mu, mu) == 0.0
+            # the same terms in another order: the three exact sums agree
+            shuffled = SignedDiscreteMeasure(mu.atoms[order], mu.weights[order], mu.dim)
+            assert mmd(k, mu, shuffled) == 0.0
+            assert mmd(k, shuffled, mu) == 0.0
+
+        check()
+
+    def test_triangle_inequality(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        kernels = {dim: algebra_kernels(dim) for dim in (1, 2)}
+        measure = metric_measures()
+
+        @st.composite
+        def case(draw):
+            name, dim = draw(st.sampled_from(ALGEBRA_CASES))
+            a = draw(measure(dim))
+            b = draw(measure(dim, near=a))
+            c = draw(measure(dim, near=draw(st.sampled_from([a, b]))))
+            return kernels[dim][name], a, b, c
+
+        @hypothesis.settings(max_examples=600, deadline=None, derandomize=True)
+        @hypothesis.given(case())
+        def check(args):
+            k, a, b, c = args
+            slack = sum(
+                math.sqrt(squared_mmd_error(k, x, y)) for x, y in ((a, b), (b, c), (a, c))
+            )
+            assert mmd(k, a, c) <= mmd(k, a, b) + mmd(k, b, c) + slack
+
+        check()
+
+
 class TestOneTableMmd:
     """mmd reads its three sums from one table of both measures' atoms and
     keeps the bits of three whole-Gram fsums."""
