@@ -688,7 +688,8 @@ class TestGridCandidates:
 
     def test_memory_stays_within_a_few_chunks(self):
         # shells 1 to 9 lie wholly inside the ball; shell 10 of the 4-D
-        # grid holds 64,160 points, shell 11 88,568
+        # grid holds 64,160 points, and the 41 chunks drawn lie in it.  The
+        # bound is a few chunks of float64 rows
         dim = 4
         dom = SearchDomain(dim=dim, strategy="grid", step=1.0)
         excl = ExclusionRegion(np.zeros(dim), 18.5)
