@@ -336,6 +336,28 @@ def row_tiles(n: int, m: int) -> Iterator[slice]:
         yield slice(start, start + step)
 
 
+def band_tiles(lo: np.ndarray, hi: np.ndarray) -> Iterator[tuple[slice, int, int]]:
+    """Row tiles ``(rows, first, end)`` of a banded array whose row i holds
+    the columns ``lo[i]:hi[i]``, with ``lo <= hi``.
+
+    The slices cover ``range(len(lo))`` in order, and each tile's rows read
+    ``first:end``, the union of their bands.  A tile takes the most rows, at
+    least one, whose count times ``max(1, end - first)`` stays within
+    ``TILE_ENTRIES``.  With ``lo`` 0 and ``hi`` m in every row, these are the
+    tiles of :func:`row_tiles`.
+    """
+    start = 0
+    while start < len(lo):
+        # a union only widens, so no more rows fit than beside the first band
+        most = max(1, TILE_ENTRIES // max(1, int(hi[start] - lo[start])))
+        first = np.minimum.accumulate(lo[start : start + most])
+        end = np.maximum.accumulate(hi[start : start + most])
+        sizes = np.arange(1, len(first) + 1) * np.maximum(1, end - first)
+        rows = max(1, int(np.searchsorted(sizes, TILE_ENTRIES, side="right")))
+        yield slice(start, start + rows), int(first[rows - 1]), int(end[rows - 1])
+        start += rows
+
+
 def tiled_gram_sum(
     w: np.ndarray, gram_rows: Callable[[slice], np.ndarray], v: np.ndarray
 ) -> float:
@@ -397,30 +419,18 @@ def symmetric_gram_sum(
             ends, repeated = far[0], (w[0] * w[0]) * far[1]
     acc = ExactAccumulator()
     diag = np.empty(n)
-    start = 0
-    while start < n:
-        stop = start + _tile_rows(ends, n, start)
-        end = int(ends[stop - 1])
-        terms = np.multiply.outer(w[start:stop], w[start:end]) * upper_rows(start, stop, end)
+    # the band of a tile's rows runs to ends of its last row, whose far
+    # tail is far for every row above it
+    for rows, start, end in band_tiles(np.arange(n), ends):
+        stop = rows.stop
+        terms = np.multiply.outer(w[rows], w[start:end]) * upper_rows(start, stop, end)
         square = terms[:, : stop - start]
-        diag[start:stop] = square.diagonal()
+        diag[rows] = square.diagonal()
         # the diagonal and the strict lower triangle of the square part
         # become exact zeros, which leave the sum unchanged
         square[np.tri(stop - start, dtype=bool)] = 0.0
         acc.add(terms, twice=True)
         if repeated is not None:
             acc.add_repeated(repeated, 2 * (stop - start) * (n - end))
-        start = stop
     acc.add(diag)
     return acc.value()
-
-
-def _tile_rows(ends: np.ndarray, n: int, start: int) -> int:
-    """Rows of the tile from row ``start``: the most, at least one, whose
-    count times their band stays within ``TILE_ENTRIES``.  The band of rows
-    ``start`` to ``start + r - 1`` runs to ``ends`` of the last, whose far
-    tail is far for every row above it."""
-    # no more rows than fit beside the first row's band, the narrowest
-    most = min(n - start, TILE_ENTRIES // (int(ends[start]) - start))
-    sizes = np.arange(1, most + 1) * (ends[start : start + most] - start)
-    return max(1, int(np.searchsorted(sizes, TILE_ENTRIES, side="right")))

@@ -300,23 +300,6 @@ def _reach(c: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.maximum(np.minimum(right, left), np.arange(1, len(c) + 1))
 
 
-def _window_tiles(lo: np.ndarray, hi: np.ndarray):
-    """Row tiles ``(rows, first, end)`` of a banded block whose row i reads
-    columns ``lo[i]:hi[i]``: each slice of rows reads the union
-    ``first:end`` of their windows, and a tile holds at most
-    ``TILE_ENTRIES`` entries, or one row when a row holds more.  A tile
-    takes the most rows that fit, as :func:`symmetric_gram_sum`'s do."""
-    start = 0
-    while start < len(lo):
-        most = max(1, accumulate.TILE_ENTRIES // max(1, int(hi[start] - lo[start])))
-        first = np.minimum.accumulate(lo[start : start + most])
-        end = np.maximum.accumulate(hi[start : start + most])
-        sizes = np.arange(1, len(first) + 1) * (end - first)
-        rows = max(1, int(np.searchsorted(sizes, accumulate.TILE_ENTRIES, side="right")))
-        yield slice(start, start + rows), int(first[rows - 1]), int(end[rows - 1])
-        start += rows
-
-
 def diffusing_sequence(
     k: Kernel,
     n: int,
@@ -415,7 +398,7 @@ def diffusing_sequence(
         worst = np.zeros(len(pending))
         lo = np.searchsorted(near_r, c, side="left")
         hi = np.searchsorted(near_c, c_r, side="right")
-        for tile, first, end in _window_tiles(lo, hi):
+        for tile, first, end in accumulate.band_tiles(lo, hi):
             if first < end:
                 part = worst[tile]
                 block = k.block(pending[tile], near[first:end])
@@ -484,9 +467,12 @@ def verify_diffusing(
     so those tiles hold every off-diagonal value; diagonal entries count as
     ``G_ii - G_ii``, as in the dense ``|G - diag(diag(G))|``.  No far field
     is skipped (:meth:`Kernel.far_field`): every entry is evaluated, so the
-    certificate does not rest on the rule it would check.
+    certificate does not rest on the rule it would check.  A measure with
+    no atoms has no norm bound, and raises :class:`ParameterError`.
     """
     n = p.support_size
+    if not n:
+        raise ParameterError("verify_diffusing needs a measure with at least one atom")
     X = k.table(p.atoms)
     max_off = np.float64(0.0)
 
@@ -503,7 +489,7 @@ def verify_diffusing(
     norm_sq = symmetric_gram_sum(p.weights, upper_rows)
     max_off = float(max_off) if n > 1 else 0.0
     dists = np.sqrt(((p.atoms - excl.center[None, :]) ** 2).sum(axis=1))
-    min_dist = float(dists.min()) if n else math.inf
+    min_dist = float(dists.min())
     bound = diffusing_norm_bound(k.sup_bound, n, eps)
     ok = max_off <= eps and min_dist > excl.radius and norm_sq <= bound
     return DiffusionCertificate(
@@ -570,7 +556,8 @@ def escape_sequence(
 ) -> EscapeConstruction:
     """Build mu_n = neg + (1 - neg(X)) P_n from an annihilated witness.
 
-    The sizes n of the P_n (eps = 1/n) are ``n_values``, by default 2, 4, ..., 64.
+    The sizes n of the P_n (eps = 1/n) are ``n_values``, any non-empty
+    iterable of sizes; ``None`` gives 2, 4, ..., 64.
     Each P_n's search scans at most ``max_candidates`` candidates, by
     default the budget :func:`diffusing_sequence` gives its n.
 
@@ -621,7 +608,9 @@ def escape_sequence(
     probe_radius = (support_radius + max_safe) / 2.0
     dom = dom or SearchDomain(dim=k.dim)
 
-    indices = tuple(int(n) for n in (n_values or default_indices(64)))
+    indices = default_indices(64) if n_values is None else tuple(int(n) for n in n_values)
+    if not indices:
+        raise ParameterError("n_values must hold at least one size")
     if any(n < 1 for n in indices):
         raise ParameterError("sequence sizes must be positive")
     scale = 1.0 - neg_mass

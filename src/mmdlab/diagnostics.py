@@ -25,7 +25,7 @@ import numpy as np
 
 from . import accumulate
 from .accumulate import exact_row_sums, exact_sum
-from .embedding import keep_self_inner, mmd, mmd_from_inner, one_block
+from .embedding import mmd, mmd_from_inner
 from .errors import DimensionMismatchError, ParameterError
 from .kernels import Kernel
 from .measures import (
@@ -337,11 +337,12 @@ def _union_gram(k: Kernel, atoms: np.ndarray, sizes: list[int]) -> np.ndarray | 
     trace reads every index from it, else None.
 
     It is read when it fits in one tile and holds fewer entries than the
-    per-index blocks would evaluate: ``s_n * (s_n + m)`` for an index of
-    ``s_n`` atoms against a target of m, whose self term is kept.  Every
-    per-index sum of that size is one block, one exact sum of the same
-    products in the same order, so the union's entries, each of which
-    depends on its two points alone, give every MMD bit for bit.
+    per-index blocks would evaluate, counted as ``s_n * (s_n + m)`` for an
+    index of ``s_n`` atoms against a target of m: its self and cross
+    blocks, without the target's self term.  Every per-index sum of that
+    size is one block, one exact sum of the same products in the same
+    order, so the union's entries, each of which depends on its two points
+    alone, give every MMD bit for bit.
     """
     u2 = atoms.shape[0] ** 2
     m = sizes[0]
@@ -384,10 +385,9 @@ def probe_sequence(
     atoms when the entry rule of :func:`_union_gram` allows: the target's
     self term is then one row of the first chunk, and each chunk's self
     and cross terms are rows gathered from the block.  Otherwise each index
-    takes :func:`mmd`.  The target's self term is then kept in its slot
-    only when some index's MMD is not read from one block of its own
-    (:func:`mmdlab.embedding.one_block`), as only such an index reads the
-    slot.  Both routes give the same bits (see :func:`_union_gram`).
+    takes :func:`mmd`, whose slot rule alone decides whether the target's
+    self term is summed once or at each index.  Both routes give the same
+    bits (see :func:`_union_gram`).
     """
     thresholds = thresholds or Thresholds()
     if target.dim != seq.dim or k.dim != seq.dim:
@@ -419,10 +419,6 @@ def probe_sequence(
         union = support_union(measures, seq.dim)
     gram = None if union is None else _union_gram(k, union[0], sizes)
     if gram is None:
-        # only an index whose mmd is not read from one block reads the
-        # target's self term from its slot
-        if not all(one_block(mu_n, target) for mu_n in seq):
-            keep_self_inner(k, target)
         mmd_trace = np.fromiter((mmd(k, mu_n, target) for mu_n in seq), np.float64, len(seq))
     else:
         mmd_trace = np.empty(len(seq))

@@ -53,11 +53,10 @@ A self inner product whose Gram spans more than one tile is kept in one
 slot on the measure, with the kernel object that computed it, and returned
 when the same kernel object asks again: evaluation is pure, so the value
 is the same bits.  A different kernel object, even one with an equal
-descriptor, recomputes and takes the slot.  :func:`keep_self_inner` keeps
-a self term of any size there, and :func:`inner` reads the slot before it
-looks at the size.  An MMD read from one block re-sums both self terms
-inside it, so only larger pairs read the slot.  :func:`mmd_oracle` does not
-read the slot.
+descriptor, recomputes and takes the slot.  That is the slot's one rule:
+a smaller self term is summed again at each use, and an MMD read from one
+block re-sums both self terms inside it.  :func:`mmd_oracle` does not read
+the slot.
 """
 
 from __future__ import annotations
@@ -101,17 +100,6 @@ def inner(k: Kernel, mu: SignedDiscreteMeasure, nu: SignedDiscreteMeasure) -> fl
         return _self_term(k, mu)
     X, Y = _tables(k, mu, nu)
     return _full_gram_sum(k, X, mu.weights, Y, nu.weights)
-
-
-def keep_self_inner(k: Kernel, mu: SignedDiscreteMeasure) -> None:
-    """Keep inner(k, mu, mu) in mu's slot whatever mu's size.
-
-    For one measure that many inner products read, such as the target of a
-    sequence: :func:`inner` keeps only self terms that span tiles.  Only
-    an MMD that :func:`one_block` refuses reads the slot; the others re-sum
-    the self term inside their block.
-    """
-    object.__setattr__(mu, "_self_inner", (k, inner(k, mu, mu)))
 
 
 def _tables(k: Kernel, mu: SignedDiscreteMeasure, nu: SignedDiscreteMeasure):
@@ -186,7 +174,7 @@ def _full_gram_sum(k: Kernel, X, w: np.ndarray, Y, v: np.ndarray) -> float:
     return tiled_gram_sum(w, lambda rows: k.block(X[rows], Y), v)
 
 
-def one_block(mu: SignedDiscreteMeasure, nu: SignedDiscreteMeasure) -> bool:
+def _one_block(mu: SignedDiscreteMeasure, nu: SignedDiscreteMeasure) -> bool:
     """Whether :func:`mmd_detail` reads |mu - nu| from one kernel block of
     mu's atoms followed by nu's: two distinct, non-empty measures whose
     block holds at most half a tile.  Every other MMD reads each self term
@@ -240,7 +228,7 @@ def mmd_detail(
 ) -> MMDResult:
     """MMD with clamp metadata; see :func:`mmd` for the plain value."""
     _check_dims(k, mu, nu)
-    if one_block(mu, nu):
+    if _one_block(mu, nu):
         # each entry becomes the same term (w_i * v_j) * k(x_i, y_j) as in
         # the blocks of the routes below
         T = k.table(np.concatenate([mu.atoms, nu.atoms]))

@@ -87,10 +87,7 @@ class SignedDiscreteMeasure:
 
     ``_self_inner`` is one memo slot of :func:`mmdlab.embedding.inner`, as
     (kernel object, value): the last self inner product of a support whose
-    Gram spans more than one tile, or one kept by
-    :func:`mmdlab.embedding.keep_self_inner` whatever the size, as a
-    sequence probe does for its target.  ``inner`` reads it before it looks
-    at the size.
+    Gram spans more than one tile.  A smaller support keeps nothing there.
     """
 
     atoms: np.ndarray

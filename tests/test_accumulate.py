@@ -10,6 +10,7 @@ from mmdlab import accumulate
 from mmdlab.accumulate import (
     SMALL_INPUT,
     ExactAccumulator,
+    band_tiles,
     exact_row_sums,
     exact_sum,
     quadrant_sums,
@@ -543,6 +544,36 @@ class TestBandedGramSums:
         for a, b, e in fetched:
             assert (a, b, e) == (start, min(n, start + max(1, 1000 // (n - start))), n)
             start = b
+
+
+def test_band_tiles_property(monkeypatch):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    monkeypatch.setattr(accumulate, "TILE_ENTRIES", 64)
+    # bands of up to twice a tile, empty ones included
+    bands = st.lists(st.tuples(st.integers(0, 200), st.integers(0, 128)), max_size=150)
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+    @hypothesis.given(bands, st.integers(0, 150), st.integers(0, 130))
+    def check(rows, n, m):
+        lo = np.array([a for a, _ in rows], dtype=np.intp)
+        hi = lo + np.array([b for _, b in rows], dtype=np.intp)
+        tiles = list(band_tiles(lo, hi))
+        covered = [range(len(lo))[t] for t, _, _ in tiles]
+        assert [i for r in covered for i in r] == list(range(len(lo)))
+        for j, (r, (_, first, end)) in enumerate(zip(covered, tiles)):
+            assert len(r) and first == lo[r].min() and end == hi[r].max()
+            assert len(r) == 1 or len(r) * (end - first) <= 64
+            if j + 1 < len(tiles):
+                # one more row would not fit; an empty band counts one column
+                more = slice(r.start, r.stop + 1)
+                assert (len(r) + 1) * max(1, hi[more].max() - lo[more].min()) > 64
+        # one band for every row: the tiles of row_tiles
+        flat = band_tiles(np.zeros(n, np.intp), np.full(n, m))
+        want = [range(n)[t] for t in row_tiles(n, m)]
+        assert [(range(n)[t], a, b) for t, a, b in flat] == [(r, 0, m) for r in want]
+
+    check()
 
 
 def test_permutation_invariance_property():

@@ -902,6 +902,11 @@ class TestVerifyDiffusing:
         assert peak < 16 * 2**20
         assert cert.ok
 
+    def test_a_measure_with_no_atoms_is_refused(self):
+        # it has no norm bound: sup/n divides by zero
+        with pytest.raises(ParameterError, match="at least one atom"):
+            verify_diffusing(gaussian(1.0), empty_measure(1), 0.5, ball(0.0, 1.0))
+
 
 class TestDiracNullKernel:
     def test_annihilates_the_dirac(self):
@@ -1056,6 +1061,16 @@ class TestEscapeSequence:
             escape_sequence(
                 k, witness, n_values=(2,), excl=ExclusionRegion(np.array([-1.0]), 3.0)
             )
+
+    @pytest.mark.parametrize("kind", [list, tuple, np.array])
+    def test_n_values_of_any_sequence_type(self, kind):
+        k = dirac_null_kernel(gaussian(1.0), [0.0])
+        cons = escape_sequence(k, dirac(0.0), n_values=kind([2, 4]))
+        assert cons.sequence.indices == (2, 4)
+        assert [p_n.support_size for p_n in cons.diffusing] == [2, 4]
+        # empty sizes are refused, not read as the defaults
+        with pytest.raises(ParameterError, match="at least one size"):
+            escape_sequence(k, dirac(0.0), n_values=kind([]))
 
     def test_default_indices_are_dyadic(self):
         assert default_indices(64) == (2, 4, 8, 16, 32, 64)

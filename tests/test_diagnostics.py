@@ -359,15 +359,15 @@ class TestProbeSequence:
         else:
             # one mmd per index.  Every pair here fits one block, so each
             # index's mmd makes one block and sums the target's quadrant of
-            # it; no index would read a slot, so none is kept, and the
-            # target's self term is never summed on its own
+            # it; the small target keeps no slot, and its self term is
+            # never summed on its own
             assert len(mmd_calls) == len(seq)
             assert len(blocks) == len(seq)
             assert gram_sums == []
             assert target._self_inner is None
             assert embedding.inner(k, target, target).hex() == want.hex()
 
-    def test_one_large_index_reads_the_kept_self_term(self, monkeypatch):
+    def test_large_indices_match_mmd_and_a_small_target_keeps_no_slot(self, monkeypatch):
         from mmdlab import accumulate, diagnostics, embedding
 
         seq, _ = geometric_dirac_sequence(count=6)
@@ -396,10 +396,10 @@ class TestProbeSequence:
         report = probe_sequence(seq, target, k)
         assert len(mmd_calls) == len(seq)
         assert [v.hex() for v in report.mmd_to_target] == [v.hex() for v in expected]
-        # summed once, by keep_self_inner, and read from the slot by the
-        # large indices, whose mmds would otherwise sum it once each
-        assert gram_sums.count(True) == 1
-        assert target._self_inner[0] is k
+        # the target's Gram of 9 entries spans no tile, so it keeps no slot
+        # and each large index's mmd sums it again
+        assert gram_sums.count(True) == 2
+        assert target._self_inner is None
 
     def test_entry_rule(self, monkeypatch):
         from mmdlab import accumulate, diagnostics

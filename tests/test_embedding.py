@@ -34,7 +34,6 @@ from mmdlab import (
     shift_kernel,
     verify_diffusing,
 )
-from mmdlab.embedding import keep_self_inner
 from mmdlab.kernels import inverse_multiquadric
 from mmdlab.measures import empty_measure
 from mmdlab.errors import DimensionMismatchError
@@ -914,17 +913,3 @@ class TestFarFieldSkip:
                 # the upper triangle with whole square parts: at least half
                 assert sum(entries) >= 600 * 601 // 2
 
-
-class TestSlotBeforeSizeGate:
-    def test_a_kept_small_self_term_is_read_without_evaluation(self, monkeypatch):
-        k = gaussian(1.0)
-        small = dirac(0.5)
-        keep_self_inner(k, small)
-        assert small._self_inner == (k, 1.0)
-        entries = TestSelfTermMemo.recording(monkeypatch)
-        assert inner(k, small, small) == 1.0
-        assert entries == []
-        # another kernel object evaluates and leaves a small slot alone
-        assert inner(gaussian(1.0), small, small) == 1.0
-        assert entries == [1]
-        assert small._self_inner[0] is k
