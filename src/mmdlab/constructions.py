@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -285,6 +286,11 @@ STRATEGIES = {
 }
 
 
+# the search's window is the spacing times this: the ray's next candidate
+# lies one spacing on, and the margin keeps that nearest pair inside
+_WINDOW_MARGIN = 1.0 + 1e-6
+
+
 def _reach(c: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """``reach[i] > i`` such that every row j >= reach[i] lies more than r
     from row i in coordinate 0, given ``hi = fl(c + r)``: ``c_j > hi_i`` or
@@ -332,15 +338,18 @@ def diffusing_sequence(
     same bits as a single-row block, and a maximum is exact in any order.
     Blocks hold at most ``TILE_ENTRIES`` kernel values.
 
-    When the chunk's table and the accepted atoms' table share a far-field
-    rule ``(r, 0.0)`` (:meth:`Kernel.far_field`), only pairs within r of
-    each other in coordinate 0 are evaluated: the accepted atoms are kept
-    sorted in that coordinate, each row tile of the chunk is raised against
-    the atoms within r of its rows, and an accept raises only the rows up
-    to ``_reach``.  Every skipped |k| is exactly 0.0, which cannot raise a
-    maximum, so each decision keeps its bits.  Without such a rule the
-    radius is inf and every window holds every row and atom.  The measure
-    keeps the atoms in acceptance order.
+    Only pairs within a radius r of each other in coordinate 0 are
+    evaluated: the accepted atoms are kept sorted in that coordinate, each
+    row tile of the chunk is raised against the atoms within r of its rows,
+    and an accept raises only the rows up to ``_reach``.  r is the kernel's
+    spacing s(eps) (:attr:`Kernel.spacing`) times ``_WINDOW_MARGIN``, or
+    the radius of a far-field rule ``(r', 0.0)`` that the chunk's table and
+    the accepted atoms' table share (:meth:`Kernel.far_field`) where that
+    is smaller.  A skipped pair is more than r, so more than s, apart, and
+    the spacing rule bounds its |k| by eps; past r' it is exactly 0.0.
+    Either way it cannot raise a ``worst`` past eps, so each decision keeps
+    its bits.  With neither rule the radius is inf and every window holds
+    every row and atom.  The measure keeps the atoms in acceptance order.
 
     Raises :class:`SearchFailureError` naming the first index that could
     not be filled within ``max_candidates`` candidates, by default
@@ -369,7 +378,10 @@ def diffusing_sequence(
     if excl.center.shape[0] != k.dim:
         raise DimensionMismatchError("exclusion center dimension mismatch")
 
-    stream = STRATEGIES[dom.strategy](dom, excl, k.spacing(eps) or dom.step)
+    spacing = k.spacing(eps)
+    stream = STRATEGIES[dom.strategy](dom, excl, spacing or dom.step)
+    # past the spacing every |k| <= eps, which cannot reject a candidate
+    window = math.inf if spacing is None else spacing * _WINDOW_MARGIN
     # the table of the atoms accepted before the current chunk, in order of
     # coordinate 0, and that coordinate; the points in acceptance order
     near = None
@@ -391,6 +403,7 @@ def diffusing_sequence(
         rule = k.far_field(pending)
         shared = near is None or k.far_field(near) == rule
         r = rule[0] if shared and rule is not None and rule[1] == 0.0 else math.inf
+        r = min(r, window)
         c = rows[:, 0]
         # fl(x + r) is inf past the float range, which reads as near
         with np.errstate(over="ignore"):
@@ -505,7 +518,9 @@ def verify_diffusing(
 
 
 def diffusing_norm_bound(sup_bound: float, n: int, eps: float) -> float:
-    """The displayed norm bound sup/n + (n-1) eps / n."""
+    """The displayed norm bound sup/n + (n-1) eps / n, for n >= 1 atoms."""
+    if not n >= 1:
+        raise ParameterError("the norm bound needs at least one atom")
     return sup_bound / n + (n - 1) * eps / n
 
 
@@ -557,7 +572,8 @@ def escape_sequence(
     """Build mu_n = neg + (1 - neg(X)) P_n from an annihilated witness.
 
     The sizes n of the P_n (eps = 1/n) are ``n_values``, any non-empty
-    iterable of sizes; ``None`` gives 2, 4, ..., 64.
+    iterable of positive integers, Python's or numpy's (a float, even a
+    whole one, is refused); ``None`` gives 2, 4, ..., 64.
     Each P_n's search scans at most ``max_candidates`` candidates, by
     default the budget :func:`diffusing_sequence` gives its n.
 
@@ -608,7 +624,11 @@ def escape_sequence(
     probe_radius = (support_radius + max_safe) / 2.0
     dom = dom or SearchDomain(dim=k.dim)
 
-    indices = default_indices(64) if n_values is None else tuple(int(n) for n in n_values)
+    sizes = default_indices(64) if n_values is None else tuple(n_values)
+    try:
+        indices = tuple(map(operator.index, sizes))
+    except TypeError:
+        raise ParameterError(f"sequence sizes must be integers, got {sizes!r}") from None
     if not indices:
         raise ParameterError("n_values must hold at least one size")
     if any(n < 1 for n in indices):

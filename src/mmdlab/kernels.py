@@ -137,7 +137,9 @@ class Kernel:
     vanishes at infinity; it is an assertion, probed empirically by
     :func:`c0_probe`, never a certificate.  ``spacing(eps)`` is a distance
     s such that points s or more apart have ``|k| <= eps``, or None when no
-    analytic rule is known.
+    analytic rule is known.  :func:`mmdlab.constructions.diffusing_sequence`
+    skips the pairs beyond s on its word, so a block entry beyond s that is
+    nan, or above eps in absolute value, breaks the contract.
 
     ``far_field_fn`` maps the columns of a table of at least one point to a
     far-field rule ``(radius, value)``, or None when no rule is known:

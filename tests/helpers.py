@@ -1,14 +1,20 @@
 """Tools the tests share: dense Grams, a reference MMD over whole Grams,
 the eigenvalue and cancellation allowances their checks use, the kernels
 recentred at a Dirac and shifted after annihilating one, a measure's total
-variation and JSON rows, a probe report's column by name, and the literal
-constants of the benchmark's runner."""
+variation and JSON rows, a probe report's column by name, the literal
+constants of the benchmark's runner, and a pytest run at numpy's other SIMD
+dispatch level."""
 
 import ast
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
+from numpy._core import _multiarray_umath
 
 from mmdlab import center_kernel, dirac, dirac_null_kernel, shift_kernel
 from mmdlab.accumulate import exact_sum
@@ -84,3 +90,26 @@ def run_constants(*names):
                 if isinstance(target, ast.Name) and target.id in names:
                     values[target.id] = ast.literal_eval(node.value)
     return [values[name] for name in names]
+
+
+# numpy's AVX-512 exp and power round some lanes differently from its AVX2
+# and baseline versions; switching these features off selects the latter
+AVX512_OFF = "X86_V4 AVX512_ICL AVX512_SPR"
+
+
+def run_without_avx512(path, *args):
+    """The finished ``pytest -q path *args`` run in a subprocess with numpy's
+    AVX-512 dispatch switched off; skips unless this process runs at the
+    X86_V4 level and can switch it off."""
+    if not _multiarray_umath.__cpu_features__.get("X86_V4"):
+        pytest.skip("numpy reports no X86_V4 (AVX-512) here, so that level cannot run")
+    if not set(AVX512_OFF.split()) <= set(_multiarray_umath.__cpu_dispatch__):
+        pytest.skip("numpy on this machine has no AVX-512 dispatch to switch off")
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", str(path), *args],
+        cwd=Path(__file__).resolve().parent.parent,
+        env=dict(os.environ, NPY_DISABLE_CPU_FEATURES=AVX512_OFF),
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )

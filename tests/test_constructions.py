@@ -52,7 +52,7 @@ from mmdlab import accumulate, constructions
 from mmdlab.accumulate import TILE_ENTRIES
 from mmdlab.kernels import C0_BUMP_SUP, inverse_multiquadric
 from mmdlab.measures import empty_measure
-from helpers import dirac_centered_kernel, shifted_dirac_null_kernel
+from helpers import dirac_centered_kernel, run_without_avx512, shifted_dirac_null_kernel
 
 
 def ball(center, radius, dim=1):
@@ -230,6 +230,80 @@ class TestSpacing:
         assert s is not None
         # conservative: pairwise values of the scaled kernel obey the bound
         assert gaussian(1.0)(0.0, s) * k.sup_bound <= 1.0 / 64.0 * 1.0000001
+
+
+def window_kernels(dim):
+    """The search kernels with a spacing rule, and an inverse multiquadric,
+    whose window is its spacing alone: it has no far-field rule."""
+    ks = {name: k for name, k in search_kernels(dim).items() if name not in ("custom", "nan")}
+    ks["inverse_multiquadric"] = inverse_multiquadric(1.0, 0.5, dim=dim)
+    return ks
+
+
+class TestSpacingWindow:
+    """The search skips every pair whose coordinate-0 gap passes its float
+    test ``c_j > fl(c_i + r)``, for r the spacing times ``_WINDOW_MARGIN``,
+    on the word of ``Kernel.spacing``: such a pair has |k| <= eps, so it
+    cannot reject a candidate."""
+
+    def test_which_kernels_have_a_window(self):
+        for dim in (1, 2, 3):
+            ks = search_kernels(dim)
+            for e in range(1, 21):
+                for name in ("custom", "nan"):
+                    assert ks[name].spacing(2.0**-e) is None, name
+                for name, k in window_kernels(dim).items():
+                    # the null kernel's field sup, squared, is below 1/2
+                    assert (k.spacing(2.0**-e) is None) == (name == "null" and e == 1), name
+            assert inverse_multiquadric(dim=dim).far_field(np.zeros((1, dim))) is None
+
+    def test_skipped_pairs_are_within_eps(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        hnp = pytest.importorskip("hypothesis.extra.numpy")
+
+        @st.composite
+        def cases(draw):
+            dim = draw(st.integers(1, 3))
+            eps = 2.0 ** -draw(st.one_of(st.integers(1, 20), st.floats(1.0, 20.0)))
+            reach = 10.0 ** draw(st.floats(0.0, 8.0))
+            n = draw(st.integers(1, 6))
+            coords = st.floats(-reach, reach, allow_nan=False)
+            X = draw(hnp.arrays(np.float64, (n, dim), elements=coords, fill=st.nothing()))
+            # the far point's other coordinates, up to 10 off
+            U = draw(hnp.arrays(np.float64, (n, dim - 1), elements=st.floats(-10.0, 10.0)))
+            # from the first float past fl(x_0 + r) to 1e-3 r beyond it
+            excess = draw(st.one_of(st.just(0.0), st.floats(-16.0, -3.0).map(lambda e: 10.0**e)))
+            return eps, X, U, excess
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(cases())
+        def check(case):
+            eps, X, U, excess = case
+            n, dim = X.shape
+            for name, k in window_kernels(dim).items():
+                s = k.spacing(eps)
+                if s is None:
+                    continue
+                r = s * constructions._WINDOW_MARGIN
+                Y = np.empty_like(X)
+                Y[:, 0] = np.nextafter(X[:, 0] + r, math.inf) + excess * r
+                Y[:, 1:] = X[:, 1:] + U
+                # the search's own test, with numpy's rounding of c + r
+                assert (Y[:, 0] > X[:, 0] + r).all()
+                table = k.table(np.concatenate([X, Y]))
+                whole = k.block(table, table)
+                i = np.arange(n)
+                for pair in (whole[i, n + i], whole[n + i, i]):
+                    # nan compares false, so a nan breaks the contract too
+                    assert (np.abs(pair) <= eps).all(), (name, eps, pair)
+
+        check()
+
+    def test_skipped_pairs_are_within_eps_without_avx512(self):
+        proc = run_without_avx512(__file__, "-k", "TestSpacingWindow and not avx512")
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "2 passed" in proc.stdout, proc.stdout
 
 
 class TestDiffusingSequence:
@@ -432,6 +506,59 @@ def search_kernels(dim):
     }
 
 
+def window_radius(k, eps):
+    """The radius of the search's coordinate-0 window: the spacing with its
+    margin, or the shared far-field radius where that is smaller."""
+    far = k.far_field(np.zeros((1, k.dim)))[0]
+    return min(k.spacing(eps) * constructions._WINDOW_MARGIN, far)
+
+
+def windowed_search(monkeypatch, k, n, excl, r, dom=None):
+    """``(entries, measure)`` of a search with eps = 1/n (the ray when
+    ``dom`` is None), checking each block against ``r`` in coordinate 0.
+
+    A row tile reads the union of its rows' bands of atoms within r, so its
+    first and last atom columns each lie within r of one of its rows; it may
+    also hold rows whose band is empty, as ``accumulate.band_tiles`` groups
+    them with their neighbours.  An accept raises the later rows by one
+    column.  On the ray every atom column of a tile is near one of its
+    rows, and an accept raises only rows within r of the new atom, as
+    ``_reach`` is tight for sorted rows; elsewhere it bounds them from their
+    suffix extrema, which may keep far rows before the last near one."""
+    blocks = []
+    in_tiles = [False]
+    block, band_tiles = Kernel.block, accumulate.band_tiles
+
+    def recording_block(self, X, Y):
+        blocks.append((X.points[:, 0].copy(), Y.points[:, 0].copy(), in_tiles[0]))
+        return block(self, X, Y)
+
+    def recording_tiles(lo, hi):
+        in_tiles[0] = True
+        yield from band_tiles(lo, hi)
+        in_tiles[0] = False
+
+    monkeypatch.setattr(Kernel, "block", recording_block)
+    monkeypatch.setattr(accumulate, "band_tiles", recording_tiles)
+    p = diffusing_sequence(k, n, 1.0 / n, excl, dom)
+    monkeypatch.setattr(Kernel, "block", block)
+    monkeypatch.setattr(accumulate, "band_tiles", band_tiles)
+    entries = 0
+    for rows, atoms, tile in blocks:
+        entries += rows.size * atoms.size
+        # an atom more than r from a row: c_j > fl(c_i + r) or c_i > fl(c_j + r)
+        far = (atoms[None, :] > rows[:, None] + r) | (rows[:, None] > atoms[None, :] + r)
+        if tile:
+            assert not far[:, [0, -1]].all(axis=0).any()
+            if dom is None:
+                assert not far.all(axis=0).any()
+        else:
+            assert atoms.size == 1
+            if dom is None:
+                assert not far.any()
+    return entries, p
+
+
 @pytest.fixture
 def block_shapes(monkeypatch):
     """Shapes of every Kernel.block result, in call order."""
@@ -551,32 +678,28 @@ class TestBatchedSearch:
 
     def test_a_ray_search_evaluates_only_nearby_pairs(self, monkeypatch):
         k = dirac_null_kernel(gaussian(1.0), np.zeros(1))
-        r = k.far_field([0.0])[0]
         excl = ExclusionRegion(np.zeros(1), 5.0)
-        blocks = []
-        block = Kernel.block
-
-        def recording_block(self, X, Y):
-            blocks.append((X.points[:, 0].copy(), Y.points[:, 0].copy()))
-            return block(self, X, Y)
-
-        monkeypatch.setattr(Kernel, "block", recording_block)
-        p = diffusing_sequence(k, 1024, 1.0 / 1024, excl)
-        monkeypatch.undo()
+        r = window_radius(k, 1.0 / 1024)
+        entries, p = windowed_search(monkeypatch, k, 1024, excl, r)
         assert p.support_size == 1024
-        entries = 0
-        for rows, atoms in blocks:
-            entries += rows.size * atoms.size
-            # an atom more than r from a row: c_j > fl(c_i + r) or c_i > fl(c_j + r)
-            far = (atoms[None, :] > rows[:, None] + r) | (rows[:, None] > atoms[None, :] + r)
-            # every atom of a block lies within r of one of its rows
-            assert not far.all(axis=0).any()
-            if atoms.size == 1:
-                # an accept raises only the rows within r of the new atom
-                assert not far.any()
-        # an all-pairs search evaluates 1024 * 1023 / 2 pairs and more; the
-        # ray's atoms lie about 3.5 apart and r is about 38.6
-        assert entries < 30 * 1024
+        # an all-pairs search evaluates 1024 * 1023 / 2 pairs and more, and a
+        # far-field window about 19,000: the ray's atoms lie one spacing,
+        # about 3.7, apart and the far-field radius is about 38.6
+        assert entries < 2 * 1024
+
+    def test_a_grid_search_evaluates_only_nearby_pairs(self, monkeypatch):
+        k = gaussian(1.0, dim=2)
+        excl = ExclusionRegion(np.zeros(2), 2.0)
+        dom = SearchDomain(dim=2, strategy="grid", step=0.5)
+        r = window_radius(k, 1.0 / 512)
+        entries, p = windowed_search(monkeypatch, k, 512, excl, r, dom)
+        # the far-field window alone (an infinite margin leaves it the
+        # smaller radius) evaluates more than twice as many, to the same atoms
+        monkeypatch.setattr(constructions, "_WINDOW_MARGIN", math.inf)
+        far_r = k.far_field([[0.0, 0.0]])[0]
+        far_entries, far = windowed_search(monkeypatch, k, 512, excl, far_r, dom)
+        assert p.atoms.tobytes() == far.atoms.tobytes()
+        assert entries < far_entries / 2
 
     def test_blocks_hold_many_rows_within_a_tile(self, block_shapes):
         k = gaussian(1.0, dim=2)
@@ -858,6 +981,12 @@ def bits(cert):
 class TestVerifyDiffusing:
     """The tiled certificate equals the dense computation bit for bit."""
 
+    @pytest.mark.parametrize("n", [0, -1, 0.5, math.nan])
+    def test_norm_bound_needs_an_atom(self, n):
+        # sup / 0 raised ZeroDivisionError
+        with pytest.raises(ParameterError):
+            diffusing_norm_bound(1.0, n, 0.1)
+
     @staticmethod
     def kernels(dim):
         base = gaussian(1.0, dim=dim)
@@ -1071,6 +1200,19 @@ class TestEscapeSequence:
         # empty sizes are refused, not read as the defaults
         with pytest.raises(ParameterError, match="at least one size"):
             escape_sequence(k, dirac(0.0), n_values=kind([]))
+
+    @pytest.mark.parametrize("sizes", [[2.7, 4.9], [2.0, 4], ["2"], [2, None]])
+    def test_sizes_that_are_not_integers_are_refused(self, sizes):
+        # int() would truncate 2.7 and 4.9 to P_2 and P_4 without a word
+        k = dirac_null_kernel(gaussian(1.0), [0.0])
+        with pytest.raises(ParameterError, match="integers"):
+            escape_sequence(k, dirac(0.0), n_values=sizes)
+
+    def test_numpy_integer_sizes_are_accepted(self):
+        k = dirac_null_kernel(gaussian(1.0), [0.0])
+        cons = escape_sequence(k, dirac(0.0), n_values=[np.int32(2), np.uint64(4)])
+        assert cons.sequence.indices == (2, 4)
+        assert all(type(n) is int for n in cons.sequence.indices)
 
     def test_default_indices_are_dyadic(self):
         assert default_indices(64) == (2, 4, 8, 16, 32, 64)
