@@ -58,9 +58,9 @@ accumulator a row tile at a time (:func:`tiled_gram_sum`): peak memory is
 then O(``TILE_ENTRIES``), not O(n * m).
 
 A symmetric double sum ``sum_ij w_i G_ij w_j`` over an exactly symmetric G
-(:func:`symmetric_gram_sum`) needs only the upper triangle of G: the term
-``(w_i * w_j) * G_ij`` is the same float as ``(w_j * w_i) * G_ji``, so the
-strict upper triangle enters with multiplicity 2 and the diagonal once.  A
+(:func:`symmetric_gram_sum`) reads row tiles from G's diagonal rightwards:
+as ``(w_i * w_j) * G_ij`` is the same float as ``(w_j * w_i) * G_ji``, a
+tile's square block enters once and the band right of it twice.  A
 multiplicity-2 batch (``ExactAccumulator.add(terms, twice=True)``) doubles
 the bin sums, which is exact, and counts twice against ``FOLD_LIMIT``; the
 terms that skip the bins join the partials twice.  The terms themselves are
@@ -386,10 +386,10 @@ def symmetric_gram_sum(
     """Exactly-rounded ``sum_ij w_i * G_ij * w_j`` for an exactly symmetric G.
 
     ``upper_rows(start, stop, end)`` returns ``G[start:stop, start:end]``,
-    the rows from the diagonal rightwards.  Only the upper triangle is
-    summed: the diagonal once, the strict upper triangle with multiplicity
-    2.  A G of one tile or less is fetched whole by one
-    ``upper_rows(0, n, n)`` call and summed as in :func:`tiled_gram_sum`.
+    the rows from the diagonal rightwards.  Its square block is summed
+    once, and the band right of it twice, for its mirror image.  A G of one
+    tile or less is fetched whole by one ``upper_rows(0, n, n)`` call and
+    summed as in :func:`tiled_gram_sum`.
 
     ``far``, when given, is ``(ends, value)``: ``ends`` is nondecreasing,
     ``ends[i] > i``, and every ``G[i, j]`` with ``j >= ends[i]`` is bit for
@@ -418,19 +418,13 @@ def symmetric_gram_sum(
         elif w.min() == w.max():
             ends, repeated = far[0], (w[0] * w[0]) * far[1]
     acc = ExactAccumulator()
-    diag = np.empty(n)
     # the band of a tile's rows runs to ends of its last row, whose far
     # tail is far for every row above it
     for rows, start, end in band_tiles(np.arange(n), ends):
         stop = rows.stop
         terms = np.multiply.outer(w[rows], w[start:end]) * upper_rows(start, stop, end)
-        square = terms[:, : stop - start]
-        diag[rows] = square.diagonal()
-        # the diagonal and the strict lower triangle of the square part
-        # become exact zeros, which leave the sum unchanged
-        square[np.tri(stop - start, dtype=bool)] = 0.0
-        acc.add(terms, twice=True)
+        acc.add(terms[:, : stop - start])
+        acc.add(terms[:, stop - start :], twice=True)
         if repeated is not None:
             acc.add_repeated(repeated, 2 * (stop - start) * (n - end))
-    acc.add(diag)
     return acc.value()

@@ -50,6 +50,7 @@ from .kernels import (
 from .measures import (
     MeasureSequence,
     SignedDiscreteMeasure,
+    _as_int,
     as_point,
     in_balls,
     jordan_decompose,
@@ -117,8 +118,8 @@ class SearchDomain:
             raise ParameterError(f"unknown search strategy {self.strategy!r}")
         if not 0 < self.step < math.inf:
             raise ParameterError("search step must be finite and positive")
-        if self.dim < 1:
-            raise ParameterError("search dimension must be at least 1")
+        object.__setattr__(self, "dim", _as_int(self.dim, "search dimension", 1))
+        object.__setattr__(self, "seed", _as_int(self.seed, "search seed", 0))
 
 
 # candidates each stream yields at a time
@@ -342,22 +343,19 @@ def diffusing_sequence(
     evaluated: the accepted atoms are kept sorted in that coordinate, each
     row tile of the chunk is raised against the atoms within r of its rows,
     and an accept raises only the rows up to ``_reach``.  r is the kernel's
-    spacing s(eps) (:attr:`Kernel.spacing`) times ``_WINDOW_MARGIN``, or
-    the radius of a far-field rule ``(r', 0.0)`` that the chunk's table and
-    the accepted atoms' table share (:meth:`Kernel.far_field`) where that
-    is smaller.  A skipped pair is more than r, so more than s, apart, and
-    the spacing rule bounds its |k| by eps; past r' it is exactly 0.0.
-    Either way it cannot raise a ``worst`` past eps, so each decision keeps
-    its bits.  With neither rule the radius is inf and every window holds
-    every row and atom.  The measure keeps the atoms in acceptance order.
+    spacing s(eps) (:attr:`Kernel.spacing`) times ``_WINDOW_MARGIN``.  A
+    skipped pair is more than r, so more than s, apart, and the spacing
+    rule bounds its |k| by eps, so it cannot raise a ``worst`` past eps and
+    each decision keeps its bits.  A kernel with no spacing rule has an
+    infinite r, and every window holds every row and atom.  The measure
+    keeps the atoms in acceptance order.
 
     Raises :class:`SearchFailureError` naming the first index that could
     not be filled within ``max_candidates`` candidates, by default
     ``max(MIN_CANDIDATES, CANDIDATES_PER_ATOM * n)``, and the number of
     candidates scanned.
     """
-    if n < 1:
-        raise ParameterError("n must be at least 1")
+    n = _as_int(n, "n", 1)
     if not eps > 0:
         raise ParameterError("eps must be positive")
     if max_candidates is None:
@@ -400,14 +398,10 @@ def diffusing_sequence(
         if not len(rows):
             continue
         pending = k.table(rows)
-        rule = k.far_field(pending)
-        shared = near is None or k.far_field(near) == rule
-        r = rule[0] if shared and rule is not None and rule[1] == 0.0 else math.inf
-        r = min(r, window)
         c = rows[:, 0]
         # fl(x + r) is inf past the float range, which reads as near
         with np.errstate(over="ignore"):
-            c_r, near_r = c + r, near_c + r
+            c_r, near_r = c + window, near_c + window
         worst = np.zeros(len(pending))
         lo = np.searchsorted(near_r, c, side="left")
         hi = np.searchsorted(near_c, c_r, side="right")

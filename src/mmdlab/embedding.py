@@ -6,8 +6,8 @@ is the norm of a difference of embeddings.  Two routes compute the same
 distance:
 
 * :func:`mmd` expands |mu - nu|^2 into three inner products over the
-  original supports, each self term summed over the upper triangle of its
-  Gram;
+  original supports, each self term read from its Gram's diagonal
+  rightwards;
 * :func:`mmd_oracle` first forms mu - nu explicitly (merging atoms) and
   sums the whole Gram of the merged support once.
 
@@ -135,8 +135,8 @@ def _self_term(k: Kernel, mu: SignedDiscreteMeasure, X=None) -> float:
 
 
 def _self_gram_sum(k: Kernel, X, w: np.ndarray) -> float:
-    """Exact sum of w_i w_j k(x_i, x_j) over the table X, from the upper
-    triangle of its exactly symmetric Gram.
+    """Exact sum of w_i w_j k(x_i, x_j) over the table X, from the rows of
+    its exactly symmetric Gram read from the diagonal rightwards.
 
     When the Gram spans tiles and the kernel has a far-field rule for X,
     the rows are ordered along coordinate 0, so each row tile's columns

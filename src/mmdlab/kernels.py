@@ -36,7 +36,7 @@ import numpy as np
 
 from .accumulate import row_tiles, tiled_gram_sum
 from .errors import DimensionMismatchError, MeasureError, ParameterError
-from .measures import SignedDiscreteMeasure, as_point, as_points
+from .measures import SignedDiscreteMeasure, _as_int, as_point, as_points
 
 # spacing is shaved slightly below the analytic solution of k(s) = eps so
 # the greedy acceptance test is not decided by the last ulp
@@ -145,24 +145,21 @@ class Kernel:
     far-field rule ``(radius, value)``, or None when no rule is known:
     every entry of a block between rows of that table whose two points are
     more than ``radius`` apart, in exact arithmetic, is bit for bit
-    ``value``, at every numpy SIMD dispatch level.  A rule that two tables
-    share holds for the blocks between them too.  It is a proof from the
-    float operations of ``block_fn``, not an estimate; a sum or a search may
-    skip those entries (:func:`mmdlab.accumulate.symmetric_gram_sum`,
-    :func:`mmdlab.constructions.diffusing_sequence`).  The gaussian
-    and laplacian families have ``(r, 0.0)``, with r just past the distance
-    where their exp argument falls below -746; :func:`shift_kernel` keeps
-    the radius and adds its constant to the value; :func:`scale_kernel`
-    keeps a zero rule when the table's field column has no sign bit and a
-    finite square; the other kernels have none.
+    ``value``, at every numpy SIMD dispatch level: a proof from the float
+    operations of ``block_fn``, on which self-term sums skip those entries
+    (:func:`mmdlab.accumulate.symmetric_gram_sum`).  The gaussian and
+    laplacian have ``(r, 0.0)``, r just past where their exp argument falls
+    below -746; :func:`shift_kernel` adds its constant to the value;
+    :func:`scale_kernel` keeps a zero rule when the table's field column has
+    no sign bit and a finite square; the other kernels have none.
 
     The contract: ``block_fn`` computes each entry from its two rows alone,
     and ``table_fn`` each row from its point alone, so any tile equals that
     slice of the whole block bit for bit, and ``block_fn(a, a)`` is exactly
     symmetric.  Large blocks are therefore evaluated in tiles and self
-    inner products over the upper triangle.  A kernel that breaks it loses
-    only bit-reproducibility between tilings.  Kernels compare and hash by
-    identity, as the self-term slot assumes.
+    inner products from the diagonal rightwards.  A kernel that breaks it
+    loses only bit-reproducibility between tilings.  Kernels compare and
+    hash by identity, as the self-term slot assumes.
     """
 
     block_fn: Callable[[tuple, tuple], np.ndarray] = field(repr=False)
@@ -196,10 +193,8 @@ class Kernel:
         return self.block_fn(a, b)
 
     def far_field(self, X) -> tuple[float, float] | None:
-        """The far-field rule ``(radius, value)`` of blocks among the points
-        X (points, or a table this kernel built), or None: every entry
-        whose two points are more than ``radius`` apart is bit for bit
-        ``value``."""
+        """``far_field_fn`` of the points X, or of a table this kernel built:
+        the far-field rule of the blocks among them, or None."""
         a = self._columns_of(X)
         return self.far_field_fn(a) if len(a[0]) else None
 
@@ -294,6 +289,7 @@ def _require_positive(message: str, *values: float) -> None:
 
 def gaussian(sigma: float = 1.0, dim: int = 1) -> Kernel:
     """exp(-|x-y|^2 / (2 sigma^2)); unit diagonal, sections vanish at infinity."""
+    dim = _as_int(dim, "kernel dimension", 1)
     sigma = float(sigma)
     two_s2 = 2.0 * _square(sigma)
     _require_positive(
@@ -307,10 +303,10 @@ def gaussian(sigma: float = 1.0, dim: int = 1) -> Kernel:
 
     return Kernel(
         block_fn=block,
-        dim=int(dim),
+        dim=dim,
         sup_bound=1.0,
         claims_c0=True,
-        descriptor={"family": "gaussian", "sigma": sigma, "dim": int(dim)},
+        descriptor={"family": "gaussian", "sigma": sigma, "dim": dim},
         spacing=_base_spacing(lambda t: sigma * math.sqrt(2.0 * math.log(1.0 / t))),
         # |x - y|^2 / (2 sigma^2) > 746 beyond sigma sqrt(1492)
         far_field_fn=_exp_far_field(sigma * math.sqrt(-2.0 * _EXP_ZERO_BELOW)),
@@ -319,6 +315,7 @@ def gaussian(sigma: float = 1.0, dim: int = 1) -> Kernel:
 
 def laplacian(gamma: float = 1.0, dim: int = 1) -> Kernel:
     """exp(-gamma |x-y|)."""
+    dim = _as_int(dim, "kernel dimension", 1)
     g = float(gamma)
     _require_positive("laplacian rate gamma must be positive and finite", g)
 
@@ -327,10 +324,10 @@ def laplacian(gamma: float = 1.0, dim: int = 1) -> Kernel:
 
     return Kernel(
         block_fn=block,
-        dim=int(dim),
+        dim=dim,
         sup_bound=1.0,
         claims_c0=True,
-        descriptor={"family": "laplacian", "gamma": g, "dim": int(dim)},
+        descriptor={"family": "laplacian", "gamma": g, "dim": dim},
         spacing=_base_spacing(lambda t: math.log(1.0 / t) / g),
         far_field_fn=_exp_far_field(-_EXP_ZERO_BELOW / g),
     )
@@ -338,6 +335,7 @@ def laplacian(gamma: float = 1.0, dim: int = 1) -> Kernel:
 
 def inverse_multiquadric(c: float = 1.0, beta: float = 0.5, dim: int = 1) -> Kernel:
     """(1 + |x-y|^2 / c^2)^(-beta); unit diagonal, polynomial decay."""
+    dim = _as_int(dim, "kernel dimension", 1)
     c, beta = float(c), float(beta)
     c2 = _square(c)
     _require_positive(
@@ -352,14 +350,14 @@ def inverse_multiquadric(c: float = 1.0, beta: float = 0.5, dim: int = 1) -> Ker
 
     return Kernel(
         block_fn=block,
-        dim=int(dim),
+        dim=dim,
         sup_bound=1.0,
         claims_c0=True,
         descriptor={
             "family": "inverse_multiquadric",
             "c": c,
             "beta": beta,
-            "dim": int(dim),
+            "dim": dim,
         },
         spacing=_base_spacing(lambda t: c * math.sqrt(t ** (-1.0 / beta) - 1.0)),
     )
@@ -494,7 +492,7 @@ FIELD_BUILDERS = {
 def shift_kernel(k: Kernel, c: float) -> Kernel:
     """k + c.  Positive shifts preserve positive definiteness; negative ones
     would not, so c < 0 is rejected.  A positive shift destroys decay at
-    infinity, hence ``claims_c0`` drops to False for c > 0."""
+    infinity, hence ``claims_c0`` and the spacing rule drop for c > 0."""
     if not 0 <= c < math.inf:
         raise ParameterError("shift constant must be finite and nonnegative")
     cc = float(c)
@@ -514,6 +512,7 @@ def shift_kernel(k: Kernel, c: float) -> Kernel:
         sup_bound=k.sup_bound + cc,
         claims_c0=k.claims_c0 and cc == 0.0,
         descriptor={"op": "shift", "c": cc, "child": k.descriptor},
+        spacing=k.spacing if cc == 0.0 else lambda eps: None,
         far_field_fn=far_field,
         table_fn=k.table_fn,
     )

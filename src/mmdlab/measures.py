@@ -12,6 +12,7 @@ deliberately, so distance-based snapping would silently change a measure.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -33,6 +34,17 @@ def _float_array(x) -> np.ndarray:
     except (TypeError, ValueError) as exc:
         # a coordinate that is not a number, or ragged rows
         raise ParameterError(f"coordinates must be numbers in a regular array: {exc}") from None
+
+
+def _as_int(value, name: str, least: int) -> int:
+    """``operator.index(value)`` when that is at least ``least``."""
+    try:
+        i = operator.index(value)
+    except TypeError:
+        raise ParameterError(f"{name} must be an integer, got {value!r}") from None
+    if i < least:
+        raise ParameterError(f"{name} must be at least {least}, got {i}")
+    return i
 
 
 def as_point(x, dim: int | None = None) -> np.ndarray:

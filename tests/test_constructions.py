@@ -104,6 +104,33 @@ class TestSearchDomain:
         with pytest.raises(ParameterError):
             SearchDomain(dim=0)
 
+    @pytest.mark.parametrize(
+        "params",
+        [{"dim": 1.5}, {"dim": 1, "seed": -1}, {"dim": 1, "seed": 1.5}, {"dim": 1, "seed": "3"}],
+        ids=repr,
+    )
+    @pytest.mark.parametrize("strategy", ["ray", "grid", "random"])
+    def test_non_integers_and_a_negative_seed_rejected(self, params, strategy):
+        with pytest.raises(ParameterError):
+            SearchDomain(strategy=strategy, **params)
+
+    def test_numpy_integers_accepted(self):
+        dom = SearchDomain(dim=np.int64(2), strategy="random", seed=np.uint8(7))
+        assert (dom.dim, dom.seed) == (2, 7)
+        assert type(dom.dim) is int and type(dom.seed) is int
+        p = diffusing_sequence(gaussian(1.0, dim=2), np.int64(4), 0.25, ball(0.0, 1.0, 2), dom)
+        want = diffusing_sequence(
+            gaussian(1.0, dim=2), 4, 0.25, ball(0.0, 1.0, 2), SearchDomain(2, "random", seed=7)
+        )
+        assert p.atoms.tobytes() == want.atoms.tobytes()
+
+    @pytest.mark.parametrize("n", [4.0, 0, -2, "4"], ids=repr)
+    def test_diffusing_sequence_needs_a_positive_integer_n(self, monkeypatch, n):
+        # refused before any candidate is judged
+        monkeypatch.setitem(constructions.STRATEGIES, "ray", None)
+        with pytest.raises(ParameterError, match="n must be"):
+            diffusing_sequence(gaussian(1.0), n, 0.25, ball(0.0, 1.0))
+
 
 def descriptor_spacing(desc, eps):
     """The ray spacing recovered by walking a kernel's descriptor: the rule
@@ -493,7 +520,8 @@ def nan_gaussian(dim):
 def search_kernels(dim):
     g = gaussian(1.0, dim=dim)
     # a field with negative values: tables holding them have no far-field
-    # rule, so the search falls back to every row and atom
+    # rule, but the field's sup gives a spacing rule, so the search keeps
+    # its window
     signed = ScalarField(lambda X: np.tanh(X[:, 0] - 20.0), dim, is_c0=False, sup=1.0)
     return {
         "gaussian": g,
@@ -508,9 +536,8 @@ def search_kernels(dim):
 
 def window_radius(k, eps):
     """The radius of the search's coordinate-0 window: the spacing with its
-    margin, or the shared far-field radius where that is smaller."""
-    far = k.far_field(np.zeros((1, k.dim)))[0]
-    return min(k.spacing(eps) * constructions._WINDOW_MARGIN, far)
+    margin."""
+    return k.spacing(eps) * constructions._WINDOW_MARGIN
 
 
 def windowed_search(monkeypatch, k, n, excl, r, dom=None):
@@ -655,27 +682,6 @@ class TestBatchedSearch:
         for x, y in pairs:
             assert order.get(x, math.inf) > order[y]
 
-    def test_tables_with_different_rules_fall_back(self, monkeypatch):
-        # the ray's first chunk holds negative field values and has no rule;
-        # its second chunk, past x = 20, is all positive and has one
-        k = search_kernels(1)["signed"]
-        excl = ExclusionRegion(np.zeros(1), 1.0)
-        dom = SearchDomain(dim=1)
-        rules = []
-        far_field = Kernel.far_field
-
-        def recording_far_field(self, X):
-            rules.append(far_field(self, X))
-            return rules[-1]
-
-        monkeypatch.setattr(Kernel, "far_field", recording_far_field)
-        got = diffusing_sequence(k, 300, 1.0 / 300, excl, dom)
-        monkeypatch.undo()
-        want, _, _ = greedy_oracle(k, 300, 1.0 / 300, excl, dom)
-        assert got.atoms.tobytes() == want.tobytes()
-        # first chunk, then (second chunk, accepted atoms)
-        assert rules[0] is None and rules[2] is None and rules[1] is not None
-
     def test_a_ray_search_evaluates_only_nearby_pairs(self, monkeypatch):
         k = dirac_null_kernel(gaussian(1.0), np.zeros(1))
         excl = ExclusionRegion(np.zeros(1), 5.0)
@@ -693,13 +699,27 @@ class TestBatchedSearch:
         dom = SearchDomain(dim=2, strategy="grid", step=0.5)
         r = window_radius(k, 1.0 / 512)
         entries, p = windowed_search(monkeypatch, k, 512, excl, r, dom)
-        # the far-field window alone (an infinite margin leaves it the
-        # smaller radius) evaluates more than twice as many, to the same atoms
+        # an unwindowed search (an infinite margin) evaluates more than
+        # twice as many, to the same atoms
         monkeypatch.setattr(constructions, "_WINDOW_MARGIN", math.inf)
-        far_r = k.far_field([[0.0, 0.0]])[0]
-        far_entries, far = windowed_search(monkeypatch, k, 512, excl, far_r, dom)
-        assert p.atoms.tobytes() == far.atoms.tobytes()
-        assert entries < far_entries / 2
+        all_entries, unwindowed = windowed_search(monkeypatch, k, 512, excl, math.inf, dom)
+        assert p.atoms.tobytes() == unwindowed.atoms.tobytes()
+        assert entries < all_entries / 2
+
+    def test_a_shift_by_zero_keeps_the_window(self, monkeypatch):
+        g = gaussian(1.0, dim=2)
+        k = shift_kernel(g, 0.0)
+        for e in range(1, 21):
+            assert k.spacing(2.0**-e) == g.spacing(2.0**-e)
+        assert shift_kernel(g, 1e-300).spacing(0.5) is None
+        excl = ExclusionRegion(np.zeros(2), 2.0)
+        dom = SearchDomain(dim=2, strategy="grid", step=0.5)
+        r = window_radius(g, 1.0 / 512)
+        entries, p = windowed_search(monkeypatch, k, 512, excl, r, dom)
+        # the gaussian's own search, block for block
+        want_entries, want = windowed_search(monkeypatch, g, 512, excl, r, dom)
+        assert p.atoms.tobytes() == want.atoms.tobytes()
+        assert entries == want_entries
 
     def test_blocks_hold_many_rows_within_a_tile(self, block_shapes):
         k = gaussian(1.0, dim=2)

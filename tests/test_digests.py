@@ -19,19 +19,14 @@ at the other level where the CPU can run it.
 
 import hashlib
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 from numpy._core import _multiarray_umath
 
 from mmdlab.cli import main
 from mmdlab.presets import PRESETS
-from helpers import run_constants
+from helpers import run_constants, run_without_avx512
 
-AVX512_OFF = "X86_V4 AVX512_ICL AVX512_SPR"
 LEVEL = "x86_v4" if _multiarray_umath.__cpu_features__.get("X86_V4") else "x86_v3"
 
 PRESET_DIGESTS = {
@@ -231,17 +226,6 @@ def test_benchmark_workload_trace(tmp_path, workload):
 
 
 def test_digests_at_the_other_dispatch_level():
-    if LEVEL == "x86_v3":
-        pytest.skip("numpy reports no X86_V4 (AVX-512) here, so that level cannot run")
-    if not set(AVX512_OFF.split()) <= set(_multiarray_umath.__cpu_dispatch__):
-        pytest.skip("numpy on this machine has no AVX-512 dispatch to switch off")
-    proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__],
-        cwd=Path(__file__).resolve().parents[1],
-        env=dict(os.environ, NPY_DISABLE_CPU_FEATURES=AVX512_OFF),
-        capture_output=True,
-        text=True,
-        timeout=600,
-    )
+    proc = run_without_avx512(__file__)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "33 passed, 1 skipped" in proc.stdout, proc.stdout

@@ -37,7 +37,7 @@ from mmdlab import (
 from mmdlab.kernels import inverse_multiquadric
 from mmdlab.measures import empty_measure
 from mmdlab.errors import DimensionMismatchError
-from helpers import mmd_reference, self_inner_tolerance, shifted_dirac_null_kernel
+from helpers import mmd_mpmath, mmd_reference, self_inner_tolerance, shifted_dirac_null_kernel
 
 EXP_HALF = math.exp(-0.5)
 
@@ -244,9 +244,14 @@ def squared_mmd_error(k, mu, nu):
       (KERNEL_ULPS + 2.01) u K L^2 in all;
     * ii, jj and ij round once each, by at most u K |w|_1^2, u K |v|_1^2
       and u K |w|_1 |v|_1, and ij counts twice: u K L^2;
-    * the fsum rounds once, by at most u |d^2| <= 1.01 u K L^2.
+    * the fsum rounds once, by at most u |d^2| <= 1.01 u K L^2;
+    * a product that underflows rounds by up to half the least subnormal,
+      2**-1075, not by a relative u: for N = |supp mu| + |supp nu|, the N^2
+      terms' two products add at most N^2 (K + 1) 2**-1075 in all, which
+      the float 2**-1074 rounds up.
 
-    So delta = (KERNEL_ULPS + 5) u K L^2 bounds the error of d^2, and as
+    So delta = (KERNEL_ULPS + 5) u K L^2 + N^2 (K + 1) 2**-1074 bounds the
+    error of d^2, and as
     d and D are nonnegative, |d - D| <= sqrt(|d^2 - D^2|) <= sqrt(delta),
     since |d - D|^2 <= |d - D| (d + D).  A d^2 that cancels below zero is
     clamped to d = 0, and then D^2 <= delta, so the bound holds too.
@@ -254,7 +259,9 @@ def squared_mmd_error(k, mu, nu):
     the 5.
     """
     total = math.fsum(np.abs(mu.weights)) + math.fsum(np.abs(nu.weights))
-    return (KERNEL_ULPS + 5) * UNIT_ROUNDOFF * k.sup_bound * total * total
+    atoms = mu.support_size + nu.support_size
+    underflow = atoms * atoms * (k.sup_bound + 1.0) * 2.0**-1074
+    return (KERNEL_ULPS + 5) * UNIT_ROUNDOFF * k.sup_bound * total * total + underflow
 
 
 def metric_measures():
@@ -339,6 +346,49 @@ class TestMetricAxiomsProperty:
                 math.sqrt(squared_mmd_error(k, x, y)) for x, y in ((a, b), (b, c), (a, c))
             )
             assert mmd(k, a, c) <= mmd(k, a, b) + mmd(k, b, c) + slack
+
+        check()
+
+
+class TestMpmathOracle:
+    """mmd against a 60-digit evaluation of each kernel's closed form, which
+    shares no code with it (``helpers.mmd_mpmath``).  ``center_kernel`` is
+    left out: no bound on the error of its mean-embedding column is
+    derived."""
+
+    def test_squared_mmd_within_its_rounding_bound(self):
+        pytest.importorskip("mpmath")
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        def oracle_kernels(dim):
+            base = gaussian(1.0, dim=dim)
+            return [
+                base,
+                laplacian(0.7, dim=dim),
+                inverse_multiquadric(1.5, 0.5, dim=dim),
+                shift_kernel(base, 1.0),
+                scale_kernel(base, c0_bump_at(np.zeros(dim))),
+            ]
+
+        kernels = {dim: oracle_kernels(dim) for dim in (1, 2)}
+        measure = metric_measures()
+
+        @st.composite
+        def case(draw):
+            dim = draw(st.sampled_from([1, 2]))
+            mu = draw(measure(dim, max_atoms=4))
+            # atoms moved by 1e-9 to 1, or drawn afresh
+            nu = draw(measure(dim, near=mu, max_atoms=4))
+            return draw(st.sampled_from(kernels[dim])), mu, nu
+
+        @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+        @hypothesis.given(case())
+        def check(args):
+            k, mu, nu = args
+            exact = mmd_mpmath(k, mu, nu)
+            got = mmd_detail(k, mu, nu).squared_raw
+            assert abs(got - exact) <= squared_mmd_error(k, mu, nu), (k.descriptor, got, exact)
 
         check()
 

@@ -147,6 +147,19 @@ class TestBaseFamilies:
         assert k(0.0, 0.0) == 1.0
         assert 0.0 <= k(0.0, 1.0) <= 1.0
 
+    @pytest.mark.parametrize("family", ["gaussian", "laplacian", "inverse_multiquadric"])
+    @pytest.mark.parametrize("dim", [0, -1, 1.5, 2.9, "2"], ids=repr)
+    def test_dimensions_other_than_positive_integers_rejected(self, family, dim):
+        with pytest.raises(ParameterError, match="kernel dimension"):
+            make_base_kernel(family, dim=dim)
+
+    @pytest.mark.parametrize("family", ["gaussian", "laplacian", "inverse_multiquadric"])
+    def test_numpy_integer_dimension_accepted(self, family):
+        k = make_base_kernel(family, dim=np.int64(2))
+        assert k.dim == 2 and type(k.dim) is int
+        assert type(k.descriptor["dim"]) is int
+        assert k(np.zeros(2), np.zeros(2)) == 1.0
+
     def test_make_base_kernel_dispatch(self):
         k = make_base_kernel("laplacian", dim=2, gamma=0.5)
         assert k.descriptor["family"] == "laplacian"
