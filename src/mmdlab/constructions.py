@@ -307,6 +307,52 @@ def _reach(c: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.maximum(np.minimum(right, left), np.arange(1, len(c) + 1))
 
 
+def _window_pairs(X, Y, lo, hi, r):
+    """Batches ``(rows, atoms)`` of index arrays, each of at most
+    ``TILE_ENTRIES`` pairs, listing every pair of a row of X and an atom of
+    Y within r of each other in every coordinate.
+
+    Row i's atoms within r in coordinate 0 are ``lo[i]:hi[i]``.  Each row
+    tile of those bands (:func:`~mmdlab.accumulate.band_tiles`) lists its
+    rows' own bands, at most ``TILE_ENTRIES`` pairs unless a single row's
+    band holds more, and drops a pair whose gap in a later coordinate is
+    above r: the gap's rounding is monotone and r is a float, so the exact
+    gap is above r too.  The pairs left are batched across tiles.
+    """
+    held = []
+    count = 0
+    for tile, _, _ in accumulate.band_tiles(lo, hi):
+        sizes = hi[tile] - lo[tile]
+        total = int(sizes.sum())
+        if not total:
+            continue
+        own = np.repeat(np.arange(tile.start, tile.stop), sizes)
+        # each row's band laid end to end: atom lo[i] + (position - band start)
+        atoms = np.arange(total) + np.repeat(lo[tile] - (np.cumsum(sizes) - sizes), sizes)
+        far = np.zeros(total, dtype=bool)
+        for j in range(1, X.shape[1]):
+            far |= np.abs(X[own, j] - Y[atoms, j]) > r
+        if far.any():
+            keep = np.logical_not(far, out=far)
+            own, atoms = own[keep], atoms[keep]
+        if count + len(own) > accumulate.TILE_ENTRIES and count:
+            yield from _batches(held)
+            held, count = [], 0
+        held.append((own, atoms))
+        count += len(own)
+    if count:
+        yield from _batches(held)
+
+
+def _batches(held):
+    """The index pairs of ``held`` joined, in batches of ``TILE_ENTRIES``."""
+    own = np.concatenate([h[0] for h in held])
+    atoms = np.concatenate([h[1] for h in held])
+    step = accumulate.TILE_ENTRIES
+    for start in range(0, len(own), step):
+        yield own[start : start + step], atoms[start : start + step]
+
+
 def diffusing_sequence(
     k: Kernel,
     n: int,
@@ -330,25 +376,29 @@ def diffusing_sequence(
     per candidate outside the ball.  One invariant drives the search:
     ``worst[i]`` is pending row i's largest |k| against every atom accepted
     so far.  It is raised once against the atoms accepted before the chunk,
-    then walked in order: row i is accepted when ``worst[i] <= eps`` (a nan
-    maximum is accepted, as ``nan > eps`` is false), and each accept raises
-    the rows after it against the new atom alone, by one kernel call.  So
-    no (candidate, atom) pair is evaluated twice, and every candidate is
-    judged against exactly the atoms accepted before it, as in a
-    one-at-a-time loop: the kernel's tiling contract makes each row the
-    same bits as a single-row block, and a maximum is exact in any order.
-    Blocks hold at most ``TILE_ENTRIES`` kernel values.
+    by :meth:`Kernel.pairs` (``np.maximum.at`` keeps a nan, as
+    ``np.maximum`` does), then walked in order: row i is accepted when
+    ``worst[i] <= eps`` (a nan maximum is accepted, as ``nan > eps`` is
+    false), and each accept raises the rows after it against the new atom
+    alone, by one :meth:`Kernel.block` call.  So no (candidate, atom) pair
+    is evaluated twice, and every candidate is judged against exactly the
+    atoms accepted before it, as in a one-at-a-time loop: the kernel's
+    contract makes each pair and each row the same bits as a single-pair
+    block, and a maximum is exact in any order.  Each call holds at most
+    ``TILE_ENTRIES`` kernel values.
 
-    Only pairs within a radius r of each other in coordinate 0 are
-    evaluated: the accepted atoms are kept sorted in that coordinate, each
-    row tile of the chunk is raised against the atoms within r of its rows,
-    and an accept raises only the rows up to ``_reach``.  r is the kernel's
-    spacing s(eps) (:attr:`Kernel.spacing`) times ``_WINDOW_MARGIN``.  A
-    skipped pair is more than r, so more than s, apart, and the spacing
-    rule bounds its |k| by eps, so it cannot raise a ``worst`` past eps and
-    each decision keeps its bits.  A kernel with no spacing rule has an
-    infinite r, and every window holds every row and atom.  The measure
-    keeps the atoms in acceptance order.
+    Only pairs within a radius r of each other in every coordinate are
+    raised: the accepted atoms are kept sorted in coordinate 0, each row's
+    band of atoms within r in that coordinate is read by ``searchsorted``,
+    and the pairs of a band more than r apart in a later coordinate are
+    dropped (:func:`_window_pairs`); an accept raises only the rows up to
+    ``_reach``.  r is the kernel's spacing s(eps) (:attr:`Kernel.spacing`)
+    times ``_WINDOW_MARGIN``.  A skipped pair is more than r apart in some
+    coordinate, so more than s apart, and the spacing rule bounds its |k|
+    by eps, so it cannot raise a ``worst`` past eps and each decision keeps
+    its bits.  A kernel with no spacing rule has an infinite r, and every
+    window holds every row and atom.  The measure keeps the atoms in
+    acceptance order.
 
     Raises :class:`SearchFailureError` naming the first index that could
     not be filled within ``max_candidates`` candidates, by default
@@ -405,11 +455,11 @@ def diffusing_sequence(
         worst = np.zeros(len(pending))
         lo = np.searchsorted(near_r, c, side="left")
         hi = np.searchsorted(near_c, c_r, side="right")
-        for tile, first, end in accumulate.band_tiles(lo, hi):
-            if first < end:
-                part = worst[tile]
-                block = k.block(pending[tile], near[first:end])
-                np.maximum(part, np.abs(block).max(axis=1), out=part)
+        # a chunk with no atom in any row's window builds no pairs
+        if (lo < hi).any():
+            for own, atoms in _window_pairs(rows, near.points, lo, hi, window):
+                values = k.pairs(pending[own], near[atoms])
+                np.maximum.at(worst, own, np.abs(values))
         reach = _reach(c, c_r)
         taken = []
         for i in range(len(pending)):

@@ -19,11 +19,17 @@ invariants downstream depend on.  Composite rules are arranged so that
 A kernel evaluates through one function, ``block_fn``, over two tuples of
 per-point columns: the points, and the per-point values the kernel reads
 (the field column of each :func:`scale_kernel`, the mean embedding column
-of each :func:`center_kernel`).  ``k(x, y)`` and :meth:`Kernel.block` on
-points build those columns first.  A caller that evaluates many blocks
-over one point set builds them once, as a :class:`PointTable`, with
-:meth:`Kernel.table`.  Slices of a table feed :meth:`Kernel.block` with no
-further validation or per-point work, and give the same bits as the points.
+of each :func:`center_kernel`).  It computes every entry elementwise over
+the broadcast of the two tuples, so one rule gives both forms of
+evaluation: :meth:`Kernel.block`, the (n, m) matrix k(x_i, y_j), passes the
+first tuple with a new axis 1, and :meth:`Kernel.pairs`, the n values
+k(x_i, y_i), passes both as they are.  ``k(x, y)``, :meth:`Kernel.block`
+and :meth:`Kernel.pairs` on points build those columns first.  A caller
+that evaluates many blocks over one point set builds them once, as a
+:class:`PointTable`, with :meth:`Kernel.table`.  Slices of a table, and
+its rows gathered by index, feed :meth:`Kernel.block` and
+:meth:`Kernel.pairs` with no further validation or per-point work, and
+give the same bits as the points.
 """
 
 from __future__ import annotations
@@ -54,17 +60,19 @@ def _base_spacing(solve: Callable[[float], float]) -> Callable[[float], float | 
 
 
 def _sqdist(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Squared distances over the last axis of the broadcast of X and Y:
+    (n, 1, d) against (m, d) for a block, (n, d) against (n, d) for pairs."""
     # (a - b)**2 == (b - a)**2, so (i, j) and (j, i) are bit-identical for X is Y
-    d = X.shape[1]
+    d = X.shape[-1]
     if d >= 8:
         # numpy sums a last axis of 8 or more terms pairwise, which a
         # left-to-right loop over the coordinates would not reproduce
-        return ((X[:, None, :] - Y[None, :, :]) ** 2).sum(axis=-1)
+        return ((X - Y) ** 2).sum(axis=-1)
     # below 8 terms numpy adds left to right; one column at a time gives the
     # same bits without the (n, m, d) temporary
-    out = (X[:, None, 0] - Y[None, :, 0]) ** 2
+    out = (X[..., 0] - Y[..., 0]) ** 2
     for j in range(1, d):
-        out += (X[:, None, j] - Y[None, :, j]) ** 2
+        out += (X[..., j] - Y[..., j]) ** 2
     return out
 
 
@@ -127,11 +135,15 @@ class Kernel:
     columns, each with one row per point: ``X`` itself first, then whatever
     per-point values the kernel reads (the field column g(X) of a
     :func:`scale_kernel`, the mean embedding column m(X) of a
-    :func:`center_kernel`).  ``block_fn(a, b)`` maps two such tuples, of n
-    and m points, to the (n, m) matrix of pairwise values; the base
-    families read ``a[0]`` and ``b[0]``, the points, and a kernel that keeps
-    no per-point values leaves ``table_fn`` at its default, the points
-    alone.  Every block, ``k(x, y)`` included, is evaluated by these two.
+    :func:`center_kernel`).  ``block_fn(a, b)`` maps two such tuples to
+    the kernel's values elementwise over their broadcast, the points'
+    coordinates on the last axis: :meth:`block` passes a's columns with a
+    new axis 1, (n, 1, d) points against b's (m, d), for the (n, m) matrix,
+    and :meth:`pairs` passes two tuples of n rows as they are, for the n
+    values of the pairs.  The base families read ``a[0]`` and ``b[0]``, the
+    points, and a kernel that keeps no per-point values leaves
+    ``table_fn`` at its default, the points alone.  Every value, ``k(x, y)``
+    included, is evaluated by these two.
     ``sup_bound`` bounds ``k(x, x)`` (hence ``|k(x, y)|`` by
     Cauchy-Schwarz).  ``claims_c0`` asserts that every section ``k(x, .)``
     vanishes at infinity; it is an assertion, probed empirically by
@@ -155,11 +167,12 @@ class Kernel:
 
     The contract: ``block_fn`` computes each entry from its two rows alone,
     and ``table_fn`` each row from its point alone, so any tile equals that
-    slice of the whole block bit for bit, and ``block_fn(a, a)`` is exactly
-    symmetric.  Large blocks are therefore evaluated in tiles and self
-    inner products from the diagonal rightwards.  A kernel that breaks it
-    loses only bit-reproducibility between tilings.  Kernels compare and
-    hash by identity, as the self-term slot assumes.
+    slice of the whole block bit for bit, each pair equals its block entry,
+    and a block of a table against itself is exactly symmetric.  Large
+    blocks are therefore evaluated in tiles, self inner products from the
+    diagonal rightwards, and scattered pairs by :meth:`pairs`.  A kernel
+    that breaks it loses only bit-reproducibility between tilings.  Kernels
+    compare and hash by identity, as the self-term slot assumes.
     """
 
     block_fn: Callable[[tuple, tuple], np.ndarray] = field(repr=False)
@@ -190,6 +203,21 @@ class Kernel:
         n, m = a[0].shape[0], b[0].shape[0]
         if not n or not m:
             return np.zeros((n, m))
+        return self.block_fn(tuple([c[:, None] for c in a]), b)
+
+    def pairs(self, X, Y) -> np.ndarray:
+        """Vector of values k(X_i, Y_i), for X and Y of equal length.
+
+        X and Y are taken as by :meth:`block`, and each value has the bits
+        of the entry (i, i) of ``block(X, Y)``.
+        """
+        a = self._columns_of(X)
+        b = a if Y is X else self._columns_of(Y)
+        n = a[0].shape[0]
+        if b[0].shape[0] != n:
+            raise ParameterError(f"pairs needs equal lengths, not {n} and {len(b[0])} points")
+        if not n:
+            return np.zeros(0)
         return self.block_fn(a, b)
 
     def far_field(self, X) -> tuple[float, float] | None:
@@ -202,7 +230,7 @@ class Kernel:
         """Single pairwise value k(x, y)."""
         a = self.table_fn(as_point(x, self.dim)[None, :])
         b = self.table_fn(as_point(y, self.dim)[None, :])
-        return float(self.block_fn(a, b)[0, 0])
+        return float(self.block_fn(a, b)[0])
 
     def _columns_of(self, X) -> tuple:
         """The columns of a table this kernel built, or of validated points."""
@@ -298,8 +326,12 @@ def gaussian(sigma: float = 1.0, dim: int = 1) -> Kernel:
         two_s2,
     )
 
+    # x / -c is -x / c bit for bit (a quotient's sign is its operands' sign
+    # product, and its magnitude rounds alike), with one ufunc call fewer
+    neg_two_s2 = -two_s2
+
     def block(a, b):
-        return _exp(-_sqdist(a[0], b[0]) / two_s2)
+        return _exp(_sqdist(a[0], b[0]) / neg_two_s2)
 
     return Kernel(
         block_fn=block,
@@ -537,7 +569,7 @@ def scale_kernel(k: Kernel, g: ScalarField) -> Kernel:
         return k.table_fn(X) + (g.fn(X),)
 
     def block(a, b):
-        return (a[-1][:, None] * b[-1][None, :]) * k.block_fn(a[:-1], b[:-1])
+        return (a[-1] * b[-1]) * k.block_fn(a[:-1], b[:-1])
 
     def far_field(cols):
         rule = k.far_field_fn(cols[:-1])
@@ -600,7 +632,7 @@ def center_kernel(k: Kernel, p: SignedDiscreteMeasure, a: float = 0.0) -> Kernel
 
     p_cols = k.table_fn(p.atoms)
     norm_sq = tiled_gram_sum(
-        p.weights, lambda rows: k.block_fn(tuple(c[rows] for c in p_cols), p_cols), p.weights
+        p.weights, lambda rows: k.block_fn(tuple(c[rows, None] for c in p_cols), p_cols), p.weights
     )
     const = norm_sq + float(a)
 
@@ -608,13 +640,13 @@ def center_kernel(k: Kernel, p: SignedDiscreteMeasure, a: float = 0.0) -> Kernel
         cols = k.table_fn(X)
         m = np.empty(len(X))
         for rows in row_tiles(len(X), p.support_size):
-            tile = tuple([c[rows] for c in cols])
+            tile = tuple([c[rows, None] for c in cols])
             m[rows] = (k.block_fn(tile, p_cols) * p.weights).sum(axis=1)
         return cols + (m,)
 
     def block(s, t):
         # grouped as k - (m_i + m_j) + const so (i,j) and (j,i) match exactly
-        return (k.block_fn(s[:-1], t[:-1]) - (s[-1][:, None] + t[-1][None, :])) + const
+        return (k.block_fn(s[:-1], t[:-1]) - (s[-1] + t[-1])) + const
 
     rows = [[at, w] for at, w in zip(p.atoms.tolist(), p.weights.tolist())]
     return Kernel(

@@ -509,8 +509,8 @@ def nan_gaussian(dim):
 
     def block(a, b):
         out = g.block_fn(a, b)
-        X, Y = a[0], b[0]
-        sq = ((X[:, None, :] - Y[None, :, :]) ** 2).sum(axis=-1)
+        # elementwise over the broadcast of the two tables' points
+        sq = ((a[0] - b[0]) ** 2).sum(axis=-1)
         out[(sq > 6.25) & (sq < 12.25)] = np.nan
         return out
 
@@ -542,62 +542,70 @@ def window_radius(k, eps):
 
 def windowed_search(monkeypatch, k, n, excl, r, dom=None):
     """``(entries, measure)`` of a search with eps = 1/n (the ray when
-    ``dom`` is None), checking each block against ``r`` in coordinate 0.
+    ``dom`` is None): the kernel values its raise (``Kernel.pairs``) and its
+    accepts (``Kernel.block``) evaluate, checking each call against ``r``.
 
-    A row tile reads the union of its rows' bands of atoms within r, so its
-    first and last atom columns each lie within r of one of its rows; it may
-    also hold rows whose band is empty, as ``accumulate.band_tiles`` groups
-    them with their neighbours.  An accept raises the later rows by one
-    column.  On the ray every atom column of a tile is near one of its
-    rows, and an accept raises only rows within r of the new atom, as
-    ``_reach`` is tight for sorted rows; elsewhere it bounds them from their
-    suffix extrema, which may keep far rows before the last near one."""
-    blocks = []
-    in_tiles = [False]
-    block, band_tiles = Kernel.block, accumulate.band_tiles
+    The raise evaluates only pairs within r of each other in every
+    coordinate, at most ``TILE_ENTRIES`` a call: in coordinate 0 an atom is
+    more than r from a row when c_j > fl(c_i + r) or c_i > fl(c_j + r), and
+    in a later coordinate when |fl(x - y)| > r; exactly so in both cases,
+    as fl(c + r) is c + r rounded to nearest and a gap's rounding is
+    monotone.  An accept raises the later rows by one column.  On the ray
+    it raises only rows within r of the new atom, as ``_reach`` is tight
+    for sorted rows; elsewhere it bounds them from their suffix extrema,
+    which may keep far rows before the last near one."""
+    calls = []
+    block, pairs = Kernel.block, Kernel.pairs
 
     def recording_block(self, X, Y):
-        blocks.append((X.points[:, 0].copy(), Y.points[:, 0].copy(), in_tiles[0]))
+        calls.append((X.points.copy(), Y.points.copy(), False))
         return block(self, X, Y)
 
-    def recording_tiles(lo, hi):
-        in_tiles[0] = True
-        yield from band_tiles(lo, hi)
-        in_tiles[0] = False
+    def recording_pairs(self, X, Y):
+        calls.append((X.points.copy(), Y.points.copy(), True))
+        return pairs(self, X, Y)
 
     monkeypatch.setattr(Kernel, "block", recording_block)
-    monkeypatch.setattr(accumulate, "band_tiles", recording_tiles)
+    monkeypatch.setattr(Kernel, "pairs", recording_pairs)
     p = diffusing_sequence(k, n, 1.0 / n, excl, dom)
     monkeypatch.setattr(Kernel, "block", block)
-    monkeypatch.setattr(accumulate, "band_tiles", band_tiles)
+    monkeypatch.setattr(Kernel, "pairs", pairs)
     entries = 0
-    for rows, atoms, tile in blocks:
-        entries += rows.size * atoms.size
-        # an atom more than r from a row: c_j > fl(c_i + r) or c_i > fl(c_j + r)
-        far = (atoms[None, :] > rows[:, None] + r) | (rows[:, None] > atoms[None, :] + r)
-        if tile:
-            assert not far[:, [0, -1]].all(axis=0).any()
-            if dom is None:
-                assert not far.all(axis=0).any()
+    for rows, atoms, raise_ in calls:
+        if raise_:
+            entries += len(rows)
+            assert len(rows) == len(atoms) <= accumulate.TILE_ENTRIES
+            x, y = rows[:, 0], atoms[:, 0]
+            assert not ((y > x + r) | (x > y + r)).any()
+            assert not (np.abs(rows[:, 1:] - atoms[:, 1:]) > r).any()
         else:
-            assert atoms.size == 1
+            entries += len(rows) * len(atoms)
+            assert len(atoms) == 1
             if dom is None:
-                assert not far.any()
+                x, y = rows[:, 0], atoms[0, 0]
+                assert not ((y > x + r) | (x > y + r)).any()
     return entries, p
 
 
 @pytest.fixture
 def block_shapes(monkeypatch):
-    """Shapes of every Kernel.block result, in call order."""
+    """Shapes of every Kernel.block and Kernel.pairs result, in call order:
+    (rows, columns) for a block and (pairs,) for pairs."""
     shapes = []
-    block = Kernel.block
+    block, pairs = Kernel.block, Kernel.pairs
 
     def recording_block(self, X, Y):
         out = block(self, X, Y)
         shapes.append(out.shape)
         return out
 
+    def recording_pairs(self, X, Y):
+        out = pairs(self, X, Y)
+        shapes.append(out.shape)
+        return out
+
     monkeypatch.setattr(Kernel, "block", recording_block)
+    monkeypatch.setattr(Kernel, "pairs", recording_pairs)
     return shapes
 
 
@@ -632,7 +640,25 @@ class TestBatchedSearch:
         block_shapes.clear()
         got = diffusing_sequence(k, 40, 1.0 / 40, excl, dom)
         assert got.atoms.tobytes() == want.tobytes()
-        assert all(r * c <= 64 for r, c in block_shapes)
+        # the ray and random searches fill their 40 atoms from one chunk, so
+        # only the grid's raises pairs; no call held more than a tile
+        assert any(len(shape) == 1 for shape in block_shapes) == (strategy == "grid")
+        assert all(math.prod(shape) <= 64 for shape in block_shapes)
+
+    def test_small_tiles_split_a_window_of_every_atom(self, monkeypatch, block_shapes):
+        # a kernel with no spacing rule has an infinite window, so past 64
+        # atoms a single row's band fills more than a tile of 64
+        monkeypatch.setattr(accumulate, "TILE_ENTRIES", 64)
+        k = search_kernels(2)["custom"]
+        excl = ExclusionRegion(np.zeros(2), 1.0)
+        dom = SearchDomain(dim=2, strategy="grid", step=0.5)
+        want, _, _ = greedy_oracle(k, 80, 1.0 / 80, excl, dom)
+        block_shapes.clear()
+        got = diffusing_sequence(k, 80, 1.0 / 80, excl, dom)
+        assert got.atoms.tobytes() == want.tobytes()
+        raised = [shape[0] for shape in block_shapes if len(shape) == 1]
+        assert raised.count(64) > 1
+        assert all(math.prod(shape) <= 64 for shape in block_shapes)
 
     @pytest.mark.parametrize("kernel", ["gaussian", "laplacian", "custom"])
     def test_budget_exhaustion_fails_at_the_same_index(self, kernel):
@@ -665,7 +691,8 @@ class TestBatchedSearch:
         dom = SearchDomain(dim=2, strategy=strategy, step=0.25, seed=2)
         want, _, _ = greedy_oracle(k, 64, 1.0 / 64, excl, dom)
         pairs = collections.Counter()
-        block = Kernel.block
+        raised = [0]
+        block, kernel_pairs = Kernel.block, Kernel.pairs
 
         def recording_block(self, X, Y):
             for x in X.points:
@@ -673,10 +700,19 @@ class TestBatchedSearch:
                     pairs[x.tobytes(), y.tobytes()] += 1
             return block(self, X, Y)
 
+        def recording_pairs(self, X, Y):
+            for x, y in zip(X.points, Y.points):
+                pairs[x.tobytes(), y.tobytes()] += 1
+            raised[0] += len(X)
+            return kernel_pairs(self, X, Y)
+
         monkeypatch.setattr(Kernel, "block", recording_block)
+        monkeypatch.setattr(Kernel, "pairs", recording_pairs)
         p = diffusing_sequence(k, 64, 1.0 / 64, excl, dom)
         assert p.atoms.tobytes() == want.tobytes()
         assert pairs and sum(pairs.values()) == len(pairs)
+        # the ray fills its 64 atoms from one chunk, so it raises nothing
+        assert bool(raised[0]) == (strategy != "ray")
         # an atom is judged only against atoms accepted before it
         order = {a.tobytes(): i for i, a in enumerate(p.atoms)}
         for x, y in pairs:
@@ -699,12 +735,25 @@ class TestBatchedSearch:
         dom = SearchDomain(dim=2, strategy="grid", step=0.5)
         r = window_radius(k, 1.0 / 512)
         entries, p = windowed_search(monkeypatch, k, 512, excl, r, dom)
-        # an unwindowed search (an infinite margin) evaluates more than
-        # twice as many, to the same atoms
+        # an unwindowed search (an infinite margin) evaluates about 80
+        # times as many, to the same atoms: the window is a square of side
+        # 2r, not a strip
         monkeypatch.setattr(constructions, "_WINDOW_MARGIN", math.inf)
         all_entries, unwindowed = windowed_search(monkeypatch, k, 512, excl, math.inf, dom)
         assert p.atoms.tobytes() == unwindowed.atoms.tobytes()
-        assert entries < all_entries / 2
+        assert entries < all_entries / 20
+
+    def test_small_tiles_split_the_raise_of_a_cube_window(self, monkeypatch):
+        k = gaussian(1.0, dim=3)
+        excl = ExclusionRegion(np.zeros(3), 2.0)
+        dom = SearchDomain(dim=3, strategy="grid", step=0.5)
+        r = window_radius(k, 1.0 / 256)
+        entries, p = windowed_search(monkeypatch, k, 256, excl, r, dom)
+        # the same pairs in calls of at most 64, to the same atoms
+        monkeypatch.setattr(accumulate, "TILE_ENTRIES", 64)
+        small_entries, small = windowed_search(monkeypatch, k, 256, excl, r, dom)
+        assert small.atoms.tobytes() == p.atoms.tobytes()
+        assert small_entries == entries
 
     def test_a_shift_by_zero_keeps_the_window(self, monkeypatch):
         g = gaussian(1.0, dim=2)
@@ -721,13 +770,40 @@ class TestBatchedSearch:
         assert p.atoms.tobytes() == want.atoms.tobytes()
         assert entries == want_entries
 
+    @pytest.mark.parametrize("n", [256, 1024])
+    def test_the_raise_takes_bounded_memory(self, monkeypatch, n):
+        # the heap the raise of each chunk takes above what was live when it
+        # began, from its first pair listed to its last pair evaluated
+        peaks = []
+        window_pairs = constructions._window_pairs
+
+        def metered(*args):
+            live = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            yield from window_pairs(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1] - live)
+
+        monkeypatch.setattr(constructions, "_window_pairs", metered)
+        k = gaussian(1.0, dim=2)
+        excl = ExclusionRegion(np.zeros(2), 2.0)
+        dom = SearchDomain(dim=2, strategy="grid", step=0.5)
+        tracemalloc.start()
+        try:
+            p = diffusing_sequence(k, n, 1.0 / n, excl, dom)
+        finally:
+            tracemalloc.stop()
+        assert p.support_size == n and peaks
+        # a tile's pairs: their values, their two index arrays, and the two
+        # gathered tables of the gaussian, its points alone
+        assert max(peaks) < TILE_ENTRIES * (8 + 2 * 8 + 2 * 2 * 8)
+
     def test_blocks_hold_many_rows_within_a_tile(self, block_shapes):
         k = gaussian(1.0, dim=2)
         excl = ExclusionRegion(np.zeros(2), 2.0)
         dom = SearchDomain(dim=2, strategy="grid", step=0.25)
         diffusing_sequence(k, 256, 1.0 / 256, excl, dom)
-        assert max(r for r, _ in block_shapes) > 1
-        assert max(r * c for r, c in block_shapes) <= TILE_ENTRIES
+        assert max(shape[0] for shape in block_shapes) > 1
+        assert max(math.prod(shape) for shape in block_shapes) <= TILE_ENTRIES
 
 
 def counted_bump(dim):

@@ -539,7 +539,7 @@ def nan_on_unit_gaps(dim):
 
     def block(a, b):
         out = g.block_fn(a, b)
-        out[np.abs(a[0][:, :1] - b[0][:, 0]) == 1.0] = np.nan
+        out[np.abs(a[0][..., 0] - b[0][..., 0]) == 1.0] = np.nan
         return out
 
     return Kernel(block, dim, 1.0, True, {"family": "nan_on_unit_gaps"})

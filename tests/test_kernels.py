@@ -41,7 +41,7 @@ from mmdlab.kernels import (
     inverse_multiquadric,
     make_base_kernel,
 )
-from helpers import gram, psd_tolerance
+from helpers import gram, psd_tolerance, run_without_avx512
 
 # closed forms computed independently of the library (math.exp, not np.exp)
 EXP_HALF = math.exp(-0.5)
@@ -196,13 +196,18 @@ class TestSquaredDistances:
                 X = rng.standard_normal((n, dim)) * scale * rng.uniform(0.1, 10, dim)
                 Y = rng.standard_normal((m, dim)) * scale
                 want = ((X[:, None] - Y[None]) ** 2).sum(-1)
-                assert _sqdist(X, Y).tobytes() == want.tobytes(), (n, m, scale)
+                # a block broadcasts (n, 1, d) against (m, d)
+                assert _sqdist(X[:, None], Y).tobytes() == want.tobytes(), (n, m, scale)
+                # pairs are (i, i) of equal-length tables, with the block's bits
+                rows = min(n, m)
+                got = _sqdist(X[:rows], Y[:rows])
+                assert got.tobytes() == np.diagonal(want).tobytes(), (n, m, scale)
 
     def test_self_distances_are_exactly_symmetric(self):
         rng = np.random.default_rng(9)
         for dim in (1, 3, 7, 8):
             X = rng.standard_normal((40, dim))
-            D = _sqdist(X, X)
+            D = _sqdist(X[:, None], X)
             assert np.array_equal(D, D.T)
             assert not D.diagonal().any()
 
@@ -265,14 +270,14 @@ class TestUnderflowFreeExp:
         for sigma in (1.0, 0.37):
             k = gaussian(sigma)
             Y = np.concatenate([np.sqrt(-2.0 * sigma**2 * t)[:, None], [[-1e200]]])
-            want = np.exp(-_sqdist(X, Y) / (2.0 * sigma**2))
+            want = np.exp(-_sqdist(X[:, None], Y) / (2.0 * sigma**2))
             assert k.block(X, Y).tobytes() == want.tobytes()
-            assert want[1, -1] == 0.0 and np.isinf(_sqdist(X, Y)[1, -1])
+            assert want[1, -1] == 0.0 and np.isinf(_sqdist(X[:, None], Y)[1, -1])
             assert k.block(origin, Y[:-1]).tobytes() == want[:1, :-1].tobytes()
         for gamma in (1.0, 2.5):
             k = laplacian(gamma)
             Y = np.concatenate([(-t / gamma)[:, None], [[-1e200]]])
-            want = np.exp(-gamma * np.sqrt(_sqdist(X, Y)))
+            want = np.exp(-gamma * np.sqrt(_sqdist(X[:, None], Y)))
             assert k.block(X, Y).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("check_min", [1, _EXP_CHECK_MIN])
@@ -715,6 +720,76 @@ class TestPointTables:
         assert trace.values.shape == (2,)
 
 
+def pair_specimens(dim):
+    """The base families, a shift, a scaling by a field of both signs, a
+    recentring at three atoms, and a kernel with a block rule of its own,
+    as (name, kernel) pairs."""
+    base = gaussian(1.3, dim=dim)
+    signed = ScalarField(lambda X: np.tanh(X[:, 0] - 0.5), dim, is_c0=False, sup=1.0)
+    atoms = np.stack([np.zeros(dim), np.full(dim, 0.5), np.full(dim, -0.5)])
+    p = SignedDiscreteMeasure(atoms, np.array([0.5, 0.25, 0.25]), dim)
+
+    def l1_laplacian(a, b):
+        # elementwise over the broadcast, reduced over the coordinates
+        return np.exp(-np.abs(a[0] - b[0]).sum(axis=-1))
+
+    return [
+        ("gaussian", base),
+        ("laplacian", laplacian(0.7, dim=dim)),
+        ("imq", inverse_multiquadric(0.8, 0.6, dim=dim)),
+        ("shift", shift_kernel(base, 0.5)),
+        ("scale-signed", scale_kernel(base, signed)),
+        ("center", center_kernel(base, p, 0.5)),
+        ("custom", Kernel(l1_laplacian, dim, 1.0, True, {"family": "l1_laplacian"})),
+    ]
+
+
+class TestPairs:
+    """``Kernel.pairs`` gives the diagonal of ``Kernel.block`` bit for bit."""
+
+    # dims 8 and 9 take _sqdist's pairwise-sum branch; a check from one
+    # entry on sends the pairs through _exp's underflow gather as well
+    @pytest.mark.parametrize("check_min", [1, _EXP_CHECK_MIN])
+    @pytest.mark.parametrize("dim", [1, 2, 7, 8, 9])
+    def test_pairs_are_the_block_diagonal_bit_for_bit(self, monkeypatch, dim, check_min):
+        monkeypatch.setattr(kernels, "_EXP_CHECK_MIN", check_min)
+        rng = np.random.default_rng(80 + dim)
+        # spread points: from dim 2 on, some of the gaussian's exp arguments
+        # underflow to 0 and some fall in the subnormal band, or most do
+        X = random_points(rng, 70, dim, -40.0, 40.0) * rng.uniform(0.1, 1.0, dim)
+        Y = random_points(rng, 70, dim, -40.0, 40.0)
+        i, j = rng.integers(0, 140, 300), rng.integers(0, 140, 300)
+        for name, k in pair_specimens(dim):
+            want = np.diagonal(k.block(X, Y)).tobytes()
+            assert k.pairs(X, Y).tobytes() == want, name
+            TX, TY = k.table(X), k.table(Y)
+            assert k.pairs(TX, TY).tobytes() == want, name
+            assert k.pairs(TX, Y).tobytes() == want, name
+            # rows gathered by index, and a table against itself
+            T = TX + TY
+            whole = k.block(T, T)
+            assert k.pairs(T[i], T[j]).tobytes() == whole[i, j].tobytes(), name
+            assert k.pairs(T, T).tobytes() == np.diagonal(whole).tobytes(), name
+            for x, y in zip(X[:5], Y[:5]):
+                one = k.block(x[None, :], y[None, :])
+                assert one.shape == (1, 1), name
+                assert np.float64(k(x, y)).tobytes() == one[0, 0].tobytes(), name
+
+    def test_pairs_need_tables_of_equal_length(self):
+        k = scale_kernel(gaussian(1.0, dim=2), c0_bump_at([0.0, 0.0]))
+        X = np.ones((3, 2))
+        with pytest.raises(ParameterError, match="equal lengths"):
+            k.pairs(X, X[:2])
+        assert k.pairs(X[:0], np.zeros((0, 2))).shape == (0,)
+        with pytest.raises(ParameterError, match="another kernel"):
+            k.pairs(gaussian(1.0, dim=2).table(X), X)
+
+    def test_pairs_hold_at_the_other_dispatch_level(self):
+        proc = run_without_avx512(__file__, "-k", "TestPairs and not other_dispatch")
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "11 passed" in proc.stdout, proc.stdout
+
+
 def test_kernels_compare_and_hash_by_identity():
     k, twin = gaussian(1.0), gaussian(1.0)
     assert k == k and k != twin
@@ -942,7 +1017,7 @@ class TestFarField:
                     # past the radius the exp argument is below -746 with the
                     # block's own float operations, not merely where exp
                     # happens to give 0 (from about -745.13)
-                    sq = np.diagonal(_sqdist(X, np.array(pairs)))
+                    sq = _sqdist(X, np.array(pairs))
                     t = -sq / (2.0 * width**2) if name == "gaussian" else -width * np.sqrt(sq)
                     assert (t < _EXP_ZERO_BELOW).all(), (name, t.max())
                 points = np.concatenate([X, np.array(pairs)])
