@@ -336,25 +336,24 @@ def row_tiles(n: int, m: int) -> Iterator[slice]:
         yield slice(start, start + step)
 
 
-def band_tiles(lo: np.ndarray, hi: np.ndarray) -> Iterator[tuple[slice, int, int]]:
-    """Row tiles ``(rows, first, end)`` of a banded array whose row i holds
-    the columns ``lo[i]:hi[i]``, with ``lo <= hi``.
+def band_tiles(ends: np.ndarray) -> Iterator[tuple[slice, int]]:
+    """Row tiles ``(rows, end)`` of an array whose row i holds the columns
+    ``i:ends[i]``, with ``ends`` nondecreasing and ``ends[i] > i``.
 
-    The slices cover ``range(len(lo))`` in order, and each tile's rows read
-    ``first:end``, the union of their bands.  A tile takes the most rows, at
-    least one, whose count times ``max(1, end - first)`` stays within
-    ``TILE_ENTRIES``.  With ``lo`` 0 and ``hi`` m in every row, these are the
-    tiles of :func:`row_tiles`.
+    The slices cover ``range(len(ends))`` in order, and each tile's rows
+    read ``rows.start:end``, the band of its last row, which holds every
+    band above it.  A tile takes the most rows, at least one, whose count
+    times that width stays within ``TILE_ENTRIES``.  With ``ends`` n in
+    every row, each tile is the first of :func:`row_tiles` over the square
+    from its first row on.
     """
     start = 0
-    while start < len(lo):
-        # a union only widens, so no more rows fit than beside the first band
-        most = max(1, TILE_ENTRIES // max(1, int(hi[start] - lo[start])))
-        first = np.minimum.accumulate(lo[start : start + most])
-        end = np.maximum.accumulate(hi[start : start + most])
-        sizes = np.arange(1, len(first) + 1) * np.maximum(1, end - first)
+    while start < len(ends):
+        # a band only widens, so no more rows fit than beside the first one
+        widths = ends[start : start + TILE_ENTRIES // int(ends[start] - start)] - start
+        sizes = np.arange(1, len(widths) + 1) * widths
         rows = max(1, int(np.searchsorted(sizes, TILE_ENTRIES, side="right")))
-        yield slice(start, start + rows), int(first[rows - 1]), int(end[rows - 1])
+        yield slice(start, start + rows), int(ends[start + rows - 1])
         start += rows
 
 
@@ -388,8 +387,8 @@ def symmetric_gram_sum(
     ``upper_rows(start, stop, end)`` returns ``G[start:stop, start:end]``,
     the rows from the diagonal rightwards.  Its square block is summed
     once, and the band right of it twice, for its mirror image.  A G of one
-    tile or less is fetched whole by one ``upper_rows(0, n, n)`` call and
-    summed as in :func:`tiled_gram_sum`.
+    tile or less is one row tile, fetched whole by one
+    ``upper_rows(0, n, n)`` call.
 
     ``far``, when given, is ``(ends, value)``: ``ends`` is nondecreasing,
     ``ends[i] > i``, and every ``G[i, j]`` with ``j >= ends[i]`` is bit for
@@ -407,11 +406,9 @@ def symmetric_gram_sum(
     """
     w = np.asarray(w, dtype=np.float64)
     n = w.size
-    if n * n <= TILE_ENTRIES:
-        return exact_sum(np.multiply.outer(w, w) * upper_rows(0, n, n))
     ends = np.full(n, n)
     repeated = None
-    top = float(np.abs(w).max())
+    top = float(np.abs(w).max(initial=0.0))
     if far is not None and top * top < math.inf:
         if far[1] == 0.0:
             ends = far[0]
@@ -420,8 +417,8 @@ def symmetric_gram_sum(
     acc = ExactAccumulator()
     # the band of a tile's rows runs to ends of its last row, whose far
     # tail is far for every row above it
-    for rows, start, end in band_tiles(np.arange(n), ends):
-        stop = rows.stop
+    for rows, end in band_tiles(ends):
+        start, stop = rows.start, rows.stop
         terms = np.multiply.outer(w[rows], w[start:end]) * upper_rows(start, stop, end)
         acc.add(terms[:, : stop - start])
         acc.add(terms[:, stop - start :], twice=True)

@@ -310,47 +310,37 @@ def _reach(c: np.ndarray, hi: np.ndarray) -> np.ndarray:
 def _window_pairs(X, Y, lo, hi, r):
     """Batches ``(rows, atoms)`` of index arrays, each of at most
     ``TILE_ENTRIES`` pairs, listing every pair of a row of X and an atom of
-    Y within r of each other in every coordinate.
+    Y within r of each other in every coordinate, in row order.
 
-    Row i's atoms within r in coordinate 0 are ``lo[i]:hi[i]``.  Each row
-    tile of those bands (:func:`~mmdlab.accumulate.band_tiles`) lists its
-    rows' own bands, at most ``TILE_ENTRIES`` pairs unless a single row's
-    band holds more, and drops a pair whose gap in a later coordinate is
-    above r: the gap's rounding is monotone and r is a float, so the exact
-    gap is above r too.  The pairs left are batched across tiles.
+    Row i's atoms within r in coordinate 0 are ``lo[i]:hi[i]``.  The rows
+    are cut by the running total of their band sizes, each cut the most
+    rows, at least one, whose bands hold at most ``TILE_ENTRIES`` pairs.  A
+    cut lists its rows' bands and drops a pair whose gap in a later
+    coordinate is above r: the gap's rounding is monotone and r is a float,
+    so the exact gap is above r too.  What is left is yielded in slices of
+    ``TILE_ENTRIES``, of which there is more than one only when a single
+    row's band holds more.
     """
-    held = []
-    count = 0
-    for tile, _, _ in accumulate.band_tiles(lo, hi):
-        sizes = hi[tile] - lo[tile]
-        total = int(sizes.sum())
-        if not total:
-            continue
-        own = np.repeat(np.arange(tile.start, tile.stop), sizes)
-        # each row's band laid end to end: atom lo[i] + (position - band start)
-        atoms = np.arange(total) + np.repeat(lo[tile] - (np.cumsum(sizes) - sizes), sizes)
-        far = np.zeros(total, dtype=bool)
+    sizes = hi - lo
+    ends = np.cumsum(sizes)
+    # row i's band laid end to end: atom lo[i] + (position - band start)
+    shift = lo - (ends - sizes)
+    step = accumulate.TILE_ENTRIES
+    start = base = 0
+    while start < len(lo):
+        stop = max(start + 1, int(np.searchsorted(ends, base + step, side="right")))
+        cut = slice(start, stop)
+        own = np.repeat(np.arange(start, stop), sizes[cut])
+        atoms = np.arange(base, ends[stop - 1]) + np.repeat(shift[cut], sizes[cut])
+        far = np.zeros(len(own), dtype=bool)
         for j in range(1, X.shape[1]):
             far |= np.abs(X[own, j] - Y[atoms, j]) > r
         if far.any():
             keep = np.logical_not(far, out=far)
             own, atoms = own[keep], atoms[keep]
-        if count + len(own) > accumulate.TILE_ENTRIES and count:
-            yield from _batches(held)
-            held, count = [], 0
-        held.append((own, atoms))
-        count += len(own)
-    if count:
-        yield from _batches(held)
-
-
-def _batches(held):
-    """The index pairs of ``held`` joined, in batches of ``TILE_ENTRIES``."""
-    own = np.concatenate([h[0] for h in held])
-    atoms = np.concatenate([h[1] for h in held])
-    step = accumulate.TILE_ENTRIES
-    for start in range(0, len(own), step):
-        yield own[start : start + step], atoms[start : start + step]
+        for first in range(0, len(own), step):
+            yield own[first : first + step], atoms[first : first + step]
+        start, base = stop, ends[stop - 1]
 
 
 def diffusing_sequence(
@@ -372,8 +362,8 @@ def diffusing_sequence(
     The strategy's stream yields candidates as arrays.  Those of a chunk
     outside the ball become one point table (:meth:`Kernel.table`), and the
     chunk's accepted rows are concatenated onto the table of the atoms
-    accepted before it, so per-point work such as a scaling field runs once
-    per candidate outside the ball.  One invariant drives the search:
+    accepted before it, which starts with no points, so per-point work
+    such as a scaling field runs once per candidate outside the ball.  One invariant drives the search:
     ``worst[i]`` is pending row i's largest |k| against every atom accepted
     so far.  It is raised once against the atoms accepted before the chunk,
     by :meth:`Kernel.pairs` (``np.maximum.at`` keeps a nan, as
@@ -403,7 +393,8 @@ def diffusing_sequence(
     Raises :class:`SearchFailureError` naming the first index that could
     not be filled within ``max_candidates`` candidates, by default
     ``max(MIN_CANDIDATES, CANDIDATES_PER_ATOM * n)``, and the number of
-    candidates scanned.
+    candidates scanned; :class:`ParameterError`, before any candidate is
+    drawn, for an eps whose spacing is inf.
     """
     n = _as_int(n, "n", 1)
     if not eps > 0:
@@ -427,13 +418,15 @@ def diffusing_sequence(
         raise DimensionMismatchError("exclusion center dimension mismatch")
 
     spacing = k.spacing(eps)
+    if spacing == math.inf:
+        raise ParameterError(f"eps={eps!r} is too small for the kernel's spacing rule")
     stream = STRATEGIES[dom.strategy](dom, excl, spacing or dom.step)
     # past the spacing every |k| <= eps, which cannot reject a candidate
     window = math.inf if spacing is None else spacing * _WINDOW_MARGIN
     # the table of the atoms accepted before the current chunk, in order of
     # coordinate 0, and that coordinate; the points in acceptance order
-    near = None
-    near_c = np.empty(0)
+    near = k.table(np.empty((0, k.dim)))
+    near_c = near.points[:, 0]
     placed = []
     count = scanned = 0
     while count < n and scanned < max_candidates:
@@ -455,11 +448,9 @@ def diffusing_sequence(
         worst = np.zeros(len(pending))
         lo = np.searchsorted(near_r, c, side="left")
         hi = np.searchsorted(near_c, c_r, side="right")
-        # a chunk with no atom in any row's window builds no pairs
-        if (lo < hi).any():
-            for own, atoms in _window_pairs(rows, near.points, lo, hi, window):
-                values = k.pairs(pending[own], near[atoms])
-                np.maximum.at(worst, own, np.abs(values))
+        for own, atoms in _window_pairs(rows, near.points, lo, hi, window):
+            values = k.pairs(pending[own], near[atoms])
+            np.maximum.at(worst, own, np.abs(values))
         reach = _reach(c, c_r)
         taken = []
         for i in range(len(pending)):
@@ -476,7 +467,7 @@ def diffusing_sequence(
         if taken:
             count += len(taken)
             placed.append(rows[taken])
-            near = pending[taken] if near is None else near + pending[taken]
+            near = near + pending[taken]
             near_c = near.points[:, 0]
             if not (near_c[:-1] <= near_c[1:]).all():
                 # two sorted runs, which a stable sort merges in about linear time

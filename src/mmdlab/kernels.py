@@ -50,11 +50,15 @@ _SPACING_MARGIN = 1.0 - 1e-9
 
 
 def _base_spacing(solve: Callable[[float], float]) -> Callable[[float], float | None]:
-    """A base family's spacing rule from its solution s of k(s) = target < 1."""
+    """A base family's spacing rule from its solution s of k(s) = target < 1:
+    inf where that overflows or divides by a target of 0, never an error."""
 
     def spacing(eps):
         target = eps * _SPACING_MARGIN
-        return None if target >= 1.0 else solve(target)
+        try:
+            return None if target >= 1.0 else solve(target)
+        except ArithmeticError:
+            return math.inf
 
     return spacing
 
@@ -148,8 +152,9 @@ class Kernel:
     Cauchy-Schwarz).  ``claims_c0`` asserts that every section ``k(x, .)``
     vanishes at infinity; it is an assertion, probed empirically by
     :func:`c0_probe`, never a certificate.  ``spacing(eps)`` is a distance
-    s such that points s or more apart have ``|k| <= eps``, or None when no
-    analytic rule is known.  :func:`mmdlab.constructions.diffusing_sequence`
+    s such that points s or more apart have ``|k| <= eps``, inf where the
+    rule overflows, or None when no analytic rule is known.
+    :func:`mmdlab.constructions.diffusing_sequence` refuses an inf and
     skips the pairs beyond s on its word, so a block entry beyond s that is
     nan, or above eps in absolute value, breaks the contract.
 
@@ -587,8 +592,10 @@ def scale_kernel(k: Kernel, g: ScalarField) -> Kernel:
     def spacing(eps):
         if g.sup is None:
             return None
-        # |g(x) k g(y)| <= sup^2 |k|; a bound >= 1 means no constraint at all
-        child_eps = eps / (g.sup * g.sup)
+        # |g(x) k g(y)| <= sup^2 |k|; a bound >= 1 means no constraint at
+        # all, as does a sup^2 of 0
+        bound = g.sup * g.sup
+        child_eps = eps / bound if bound else math.inf
         return None if child_eps >= 1.0 else k.spacing(child_eps)
 
     bounded = math.isfinite(k.sup_bound)

@@ -376,6 +376,11 @@ class TestGramSums:
                 if n * n <= tile:
                     assert fetched == [(0, n)]
 
+    def test_no_weights_fetch_nothing_and_sum_to_zero(self):
+        fetched = []
+        got = symmetric_gram_sum(np.zeros(0), lambda *rows: fetched.append(rows))
+        assert got.hex() == (0.0).hex() and not fetched
+
 
 class TestRepeatedTerms:
     """add_repeated(t, c) sums like c copies of t added one by one."""
@@ -550,28 +555,33 @@ def test_band_tiles_property(monkeypatch):
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
     monkeypatch.setattr(accumulate, "TILE_ENTRIES", 64)
-    # bands of up to twice a tile, empty ones included
-    bands = st.lists(st.tuples(st.integers(0, 200), st.integers(0, 128)), max_size=150)
+    # how far each row's band runs past the diagonal, up to twice a tile
+    reaches = st.lists(st.integers(1, 128), max_size=150)
 
     @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
-    @hypothesis.given(bands, st.integers(0, 150), st.integers(0, 130))
-    def check(rows, n, m):
-        lo = np.array([a for a, _ in rows], dtype=np.intp)
-        hi = lo + np.array([b for _, b in rows], dtype=np.intp)
-        tiles = list(band_tiles(lo, hi))
-        covered = [range(len(lo))[t] for t, _, _ in tiles]
-        assert [i for r in covered for i in r] == list(range(len(lo)))
-        for j, (r, (_, first, end)) in enumerate(zip(covered, tiles)):
-            assert len(r) and first == lo[r].min() and end == hi[r].max()
-            assert len(r) == 1 or len(r) * (end - first) <= 64
+    @hypothesis.given(reaches, st.integers(0, 150))
+    def check(reach, n):
+        # nondecreasing, ends[i] > i, and at most the row count
+        rows_n = len(reach)
+        ends = np.minimum(np.maximum.accumulate(np.arange(rows_n) + reach), rows_n)
+        ends = ends.astype(np.intp)
+        tiles = list(band_tiles(ends))
+        covered = [range(rows_n)[t] for t, _ in tiles]
+        assert [i for r in covered for i in r] == list(range(rows_n))
+        for j, (r, (_, end)) in enumerate(zip(covered, tiles)):
+            assert len(r) and end == ends[r[-1]]
+            assert len(r) == 1 or len(r) * (end - r.start) <= 64
             if j + 1 < len(tiles):
-                # one more row would not fit; an empty band counts one column
-                more = slice(r.start, r.stop + 1)
-                assert (len(r) + 1) * max(1, hi[more].max() - lo[more].min()) > 64
-        # one band for every row: the tiles of row_tiles
-        flat = band_tiles(np.zeros(n, np.intp), np.full(n, m))
-        want = [range(n)[t] for t in row_tiles(n, m)]
-        assert [(range(n)[t], a, b) for t, a, b in flat] == [(r, 0, m) for r in want]
+                # one more row would not fit
+                assert (len(r) + 1) * (ends[r.stop] - r.start) > 64
+        # every band to the last column: each tile is the first of
+        # row_tiles over the square from its first row on
+        start = 0
+        for t, end in band_tiles(np.full(n, n)):
+            first = range(start, n)[next(row_tiles(n - start, n - start))]
+            assert (range(n)[t], end) == (first, n)
+            start = t.stop
+        assert start == n
 
     check()
 

@@ -196,14 +196,20 @@ SPACING_EPS = [
 ]
 
 
-def spacing_bits(rule, k, eps):
-    """The bits of a spacing, None, or the error it raises (a tiny eps can
-    overflow the inverse multiquadric's power)."""
-    try:
-        s = rule(k, eps)
-    except ArithmeticError as exc:
-        return type(exc)
+def spacing_bits(s):
+    """The bits of a spacing, or None."""
     return None if s is None else s.hex()
+
+
+def descriptor_spacing_bits(k, eps):
+    """The bits of the descriptor walk's spacing, with inf for an error it
+    raises (a tiny eps can overflow the inverse multiquadric's power, or a
+    field's sup squared divide it to 0): the spacing rules return inf
+    there and never raise."""
+    try:
+        return spacing_bits(descriptor_spacing(k.descriptor, eps))
+    except ArithmeticError:
+        return math.inf.hex()
 
 
 class TestSpacing:
@@ -212,9 +218,8 @@ class TestSpacing:
         for base in SPACING_BASES:
             k = SPACING_WRAPS[wrap](base)
             for eps in SPACING_EPS + [math.nan]:
-                new = spacing_bits(lambda k, e: k.spacing(e), k, eps)
-                old = spacing_bits(lambda k, e: descriptor_spacing(k.descriptor, e), k, eps)
-                assert new == old, (k.descriptor, eps)
+                new = spacing_bits(k.spacing(eps))
+                assert new == descriptor_spacing_bits(k, eps), (k.descriptor, eps)
 
     def test_scaled_spacing_uses_the_field_sup(self):
         # a custom field declares its sup on the object, not in a descriptor
@@ -224,6 +229,31 @@ class TestSpacing:
         assert k.spacing(0.3) is None
         no_sup = scale_kernel(gaussian(1.0), ScalarField(fn=g.fn, dim=1, is_c0=True))
         assert no_sup.spacing(0.01) is None
+
+    @pytest.mark.parametrize(
+        "k",
+        [
+            gaussian(1.0),
+            laplacian(1.0),
+            inverse_multiquadric(1.0, 0.5),
+            # eps / sup^2 is 0.0
+            scale_kernel(
+                gaussian(1.0),
+                ScalarField(fn=lambda X: np.full(X.shape[0], 2.0), dim=1, is_c0=False, sup=2.0),
+            ),
+        ],
+        ids=["gaussian", "laplacian", "inverse_multiquadric", "scaled"],
+    )
+    def test_a_subnormal_eps_has_an_infinite_spacing_and_is_refused(self, monkeypatch, k):
+        assert k.spacing(5e-324) == math.inf
+        # refused before the stream is made, so before any candidate is drawn
+        monkeypatch.setitem(constructions.STRATEGIES, "ray", None)
+        with pytest.raises(ParameterError, match="eps=5e-324"):
+            diffusing_sequence(k, 3, 5e-324, ball(0.0, 1.0))
+
+    def test_a_field_of_sup_zero_needs_no_spacing(self):
+        g = ScalarField(fn=lambda X: np.zeros(X.shape[0]), dim=1, is_c0=True, sup=0.0)
+        assert scale_kernel(gaussian(1.0), g).spacing(0.01) is None
 
     def test_descriptor_alone_gives_no_spacing(self):
         base = gaussian(1.0)
@@ -1020,6 +1050,53 @@ def test_search_equals_the_one_at_a_time_loop_property():
             assert got.atoms.tobytes() == want.tobytes()
 
     check()
+
+
+def window_pairs_equal_the_double_loop(X, Y, r):
+    """Check :func:`constructions._window_pairs` over the rows X and the
+    atoms Y, sorted in coordinate 0, with the search's bands, against a
+    double loop over every (row, atom), and return the largest band.  Each
+    pair within r in every coordinate (in coordinate 0 by the search's
+    ``fl(c + r)`` test) is listed exactly once, in row order, and no batch
+    holds more than a tile of 64."""
+    lo = np.searchsorted(Y[:, 0] + r, X[:, 0], side="left")
+    hi = np.searchsorted(Y[:, 0], X[:, 0] + r, side="right")
+    batches = list(constructions._window_pairs(X, Y, lo, hi, r))
+    assert all(0 < len(rows) == len(atoms) <= 64 for rows, atoms in batches)
+    got = [(int(i), int(j)) for rows, atoms in batches for i, j in zip(rows, atoms)]
+    x, y = X.tolist(), Y.tolist()
+    want = [
+        (i, j)
+        for i in range(len(x))
+        for j in range(len(y))
+        if not (y[j][0] > x[i][0] + r or x[i][0] > y[j][0] + r)
+        and all(abs(a - b) <= r for a, b in zip(x[i][1:], y[j][1:]))
+    ]
+    assert got == want
+    return int((hi - lo).max(initial=0))
+
+
+def test_window_pairs_equal_the_double_loop_property(monkeypatch):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    monkeypatch.setattr(accumulate, "TILE_ENTRIES", 64)
+    coords = st.integers(-8, 8).map(lambda v: v / 2)
+    radii = st.one_of(st.sampled_from([0.0, 0.5, 1.0, math.inf]), st.floats(0.0, 10.0))
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+    @hypothesis.given(st.integers(1, 3), st.integers(0, 30), st.integers(0, 120), radii, st.data())
+    def check(dim, n, m, r, data):
+        X = np.array(data.draw(st.lists(coords, min_size=n * dim, max_size=n * dim)))
+        Y = np.array(data.draw(st.lists(coords, min_size=m * dim, max_size=m * dim)))
+        X, Y = X.reshape(n, dim), Y.reshape(m, dim)
+        window_pairs_equal_the_double_loop(X, Y[np.argsort(Y[:, 0], kind="stable")], r)
+
+    check()
+    # no atom in any band, and one band of twice a tile
+    far = np.array([[100.0, 0.0]])
+    assert window_pairs_equal_the_double_loop(far, np.zeros((5, 2)), 1.0) == 0
+    atoms = np.arange(256.0).reshape(128, 2)
+    assert window_pairs_equal_the_double_loop(np.zeros((3, 2)), atoms, math.inf) == 128
 
 
 def test_reach_equals_the_pairwise_rule_property():
